@@ -432,14 +432,14 @@ class Kernel:
             yield Sleep(2 * self.network.spec.latency_ps)
         server_end = StreamSocket(self.sim, server_machine,
                                   network=self.network)
-        description.peer = server_end
         server_end.peer = description
         description.remote_addr = (host, port)
         server_end.local_addr = (host, port)
         server_end.remote_addr = (task.machine.name, 0)
         if not listener.enqueue(server_end):
-            description.peer = None
             return SysResult(-ECONNREFUSED)
+        description.peer = server_end
+        description.poke()  # EPOLLOUT rises on the connecting socket
         return SysResult(0)
 
     def _sys_send(self, task: Task, call: Syscall):

@@ -24,16 +24,25 @@ from repro.sim.sync import WaitQueue
 
 
 class Pollable(FileDescription):
-    """A description whose readiness can change asynchronously."""
+    """A description whose readiness can change asynchronously.
+
+    The poke rule: epoll keeps a ready list fed by :meth:`poke`, not a
+    scan, so every write to a field some ``poll_mask`` reads must either
+    be followed by a ``poke`` of the description whose mask it changes,
+    with the final state in place, or be a pure falling edge (it can
+    only clear bits: a read that drains, an accept that dequeues).  A
+    rising edge that never pokes is a lost wakeup.
+    """
 
     def __init__(self, sim) -> None:
         super().__init__()
         self.sim = sim
-        #: Epoll instances watching this description, in registration
-        #: order.  A dict, not a set: ``poke`` iterates it and wakes
-        #: waiters, and set order follows object addresses — two epolls
-        #: ready at the same tick would wake their sleepers in a
-        #: heap-layout-dependent order, breaking run-to-run determinism.
+        #: Epoll instance → the fds that name this description in it, in
+        #: registration order.  A dict, not a set: ``poke`` iterates it
+        #: and wakes waiters, and set order follows object addresses —
+        #: two epolls ready at the same tick would wake their sleepers
+        #: in a heap-layout-dependent order, breaking run-to-run
+        #: determinism.
         self.watchers: Dict = {}
         self.read_waiters = WaitQueue(sim)
         self.write_waiters = WaitQueue(sim)
@@ -45,8 +54,8 @@ class Pollable(FileDescription):
             self.read_waiters.notify_all()
         if mask & (EPOLLOUT | EPOLLHUP):
             self.write_waiters.notify_all()
-        for epoll in list(self.watchers):
-            epoll.poke(self)
+        for epoll, fds in list(self.watchers.items()):
+            epoll.poke(fds)
 
 
 class StreamBuffer:
@@ -165,9 +174,14 @@ class StreamSocket(Pollable):
         if self.closed:
             return
         self.closed = True
+        peer = self.peer
+        if peer is not None:
+            # Cleared before the FIN so that its poke sees EPOLLHUP; if
+            # an earlier shutdown already delivered EOF, HUP rises here.
+            peer.peer = None
+            if peer.rx.eof:
+                peer.poke()
         self.shutdown_write()
-        if self.peer is not None:
-            self.peer.peer = None
         self.poke()
 
 
