@@ -3,6 +3,7 @@
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
 from repro.isa.disassembler import (
+    CodeImage,
     Insn,
     branch_targets,
     decode_one,
@@ -26,6 +27,7 @@ from repro.isa.translator import CodeBlock, TranslationCache
 __all__ = [
     "assemble",
     "Cpu",
+    "CodeImage",
     "Insn",
     "branch_targets",
     "decode_one",

@@ -18,9 +18,10 @@ instruction, like x86.
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.errors import AssemblyError
 from repro.isa.opcodes import BY_MNEMONIC, REG_INDEX
@@ -54,6 +55,18 @@ def assemble(source: str, origin: int = 0) -> bytes:
 
 def assemble_with_symbols(source: str, origin: int = 0):
     """Assemble and also return the label → absolute-address map."""
+    code, labels = _assemble(source, origin)
+    return code, dict(labels)
+
+
+@functools.lru_cache(maxsize=128)
+def _assemble(source: str, origin: int):
+    """Assembly is a pure function of ``(source, origin)`` and every
+    load of an image repeats it (vDSO, entry point, text), so results
+    are memoised; labels come back as a tuple of pairs because callers
+    own — and may mutate — the dict they are handed.  An
+    :class:`AssemblyError` is raised afresh each time (``lru_cache``
+    stores results only)."""
     lines = source.splitlines()
     parsed: List[Tuple[str, List[str]]] = []
     labels: Dict[str, int] = {}
@@ -127,7 +140,8 @@ def assemble_with_symbols(source: str, origin: int = 0):
                 raise AssemblyError(f"unhandled shape {shape!r}")
         except struct.error as exc:
             raise AssemblyError(f"{mnemonic}: operand out of range") from exc
-    return bytes(out), {name: origin + off for name, off in labels.items()}
+    return bytes(out), tuple((name, origin + off)
+                             for name, off in labels.items())
 
 
 def _expect(operands: List[str], count: int, mnemonic: str) -> None:

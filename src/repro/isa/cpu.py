@@ -25,7 +25,6 @@ from typing import Callable, Generator, Optional
 
 from repro.costmodel import CYCLE_PS
 from repro.errors import ExecutionFault
-from repro.isa.disassembler import decode_one
 from repro.isa.fuser import fuse_block
 from repro.isa.memory import AddressSpace
 from repro.isa.opcodes import (
@@ -149,8 +148,7 @@ class Cpu:
         if not segment.x_ok:
             raise ExecutionFault(
                 f"{self.name}: rip {self.rip:#x} not executable")
-        return decode_one(bytes(segment.data), self.rip - segment.start,
-                          segment.start)
+        return segment.image().at(self.rip - segment.start)
 
     def run(self, max_insns: int = 10_000_000,
             batch_cycles: int = 20_000) -> Generator:

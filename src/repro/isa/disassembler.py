@@ -3,19 +3,38 @@
 This is the "simple x86 disassembler" of §3.2: the binary rewriter uses it
 to scan executable pages for system-call instructions and to reason about
 instruction boundaries and branch targets around each call site.
+
+:func:`decode_one` is the only decoder.  Code mapped into an address
+space is decoded through a :class:`CodeImage` (``Segment.image()``),
+which remembers what ``decode_one`` said about one immutable snapshot of
+bytes so the rewriter, the translation cache and the per-step
+interpreter decode each instruction once between them — and, through the
+content-addressed :data:`IMAGE_STORE`, once per process rather than once
+per variant or session.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import DisassemblyError
 from repro.isa.opcodes import (
     BRANCH_MNEMONICS,
     OPCODE_TO_ID,
     OP_SPECS,
+    OP_SYSCALL,
     OpSpec,
     REGISTERS,
 )
@@ -76,6 +95,8 @@ class Insn:
 
 def decode_one(code: bytes, offset: int, base_addr: int = 0) -> Insn:
     """Decode the instruction starting at ``code[offset]``."""
+    if offset < 0:
+        raise DisassemblyError(f"decode before start at offset {offset}")
     if offset >= len(code):
         raise DisassemblyError(f"decode past end at offset {offset}")
     opcode = code[offset]
@@ -128,23 +149,7 @@ def disassemble(code: bytes, base_addr: int = 0) -> List[Insn]:
     return list(linear_sweep(code, base_addr))
 
 
-def disassemble_prefix(code: bytes, offset: int, nbytes: int,
-                       base_addr: int = 0) -> List[Insn]:
-    """Decode whole instructions from ``offset`` covering ≥ ``nbytes``.
-
-    Used by the rewriter to find how many instructions a patch window
-    displaces.
-    """
-    insns: List[Insn] = []
-    covered = 0
-    while covered < nbytes:
-        insn = decode_one(code, offset + covered, base_addr)
-        insns.append(insn)
-        covered += insn.length
-    return insns
-
-
-def branch_targets(insns: List[Insn]) -> Set[int]:
+def branch_targets(insns: Iterable[Insn]) -> Set[int]:
     """Absolute addresses any decoded instruction may jump to."""
     targets = set()
     for insn in insns:
@@ -152,3 +157,142 @@ def branch_targets(insns: List[Insn]) -> Set[int]:
         if tgt is not None:
             targets.add(tgt)
     return targets
+
+
+class CodeImage:
+    """The decoded view of one immutable snapshot of executable bytes.
+
+    Everything that reads instructions — the rewriter's linear sweep,
+    the translation cache, the per-step interpreter — reads them from
+    here, so a byte sequence is decoded at most once however many
+    address spaces map it.  Decoding is lazy and per offset (the
+    translator follows control flow, and may land between the linear
+    sweep's boundaries); every answer is a pure function of ``(base,
+    code)``, which is what makes an image safe to share.  Errors are
+    never remembered: a bad offset raises :func:`decode_one`'s error
+    afresh on every call.
+    """
+
+    __slots__ = ("base", "code", "_insns", "_sweep", "_targets",
+                 "_syscall_sites")
+
+    def __init__(self, base: int, code: bytes) -> None:
+        self.base = base
+        self.code = code
+        self._insns: Dict[int, Insn] = {}
+        self._sweep: Optional[Tuple[Insn, ...]] = None
+        self._targets: Optional[FrozenSet[int]] = None
+        self._syscall_sites: Optional[Tuple[int, ...]] = None
+
+    def at(self, offset: int) -> Insn:
+        """The instruction starting ``offset`` bytes into the image."""
+        insn = self._insns.get(offset)
+        if insn is None:
+            insn = self._insns[offset] = decode_one(self.code, offset,
+                                                    self.base)
+        return insn
+
+    def sweep(self) -> Tuple[Insn, ...]:
+        """Linear sweep of the whole image (raises on undecodable bytes)."""
+        insns = self._sweep
+        if insns is None:
+            at = self.at
+            size = len(self.code)
+            out = []
+            offset = 0
+            while offset < size:
+                insn = at(offset)
+                out.append(insn)
+                offset += insn.spec.length
+            insns = self._sweep = tuple(out)
+        return insns
+
+    def targets(self) -> FrozenSet[int]:
+        """:func:`branch_targets` of the linear sweep."""
+        targets = self._targets
+        if targets is None:
+            targets = self._targets = frozenset(branch_targets(self.sweep()))
+        return targets
+
+    def syscall_sites(self) -> Tuple[int, ...]:
+        """Indices into :meth:`sweep` of every ``syscall`` instruction."""
+        sites = self._syscall_sites
+        if sites is None:
+            sites = self._syscall_sites = tuple(
+                index for index, insn in enumerate(self.sweep())
+                if insn.op_id == OP_SYSCALL)
+        return sites
+
+    def prefix(self, offset: int, nbytes: int) -> List[Insn]:
+        """Whole instructions from ``offset`` covering ≥ ``nbytes``.
+
+        Used by the rewriter to find how many instructions a patch
+        window displaces.
+        """
+        insns: List[Insn] = []
+        covered = 0
+        while covered < nbytes:
+            insn = self.at(offset + covered)
+            insns.append(insn)
+            covered += insn.spec.length
+        return insns
+
+
+#: Code bytes the process-wide image store may hold.  A benchmark pass
+#: keeps 80 KiB live at most (``guest_isa``), so this is generous; it is
+#: a constant because nothing observable depends on it — a miss only
+#: costs a re-decode.  Fully decoded, an image weighs ~75 B per code
+#: byte (``Insn`` objects), so a full store is ~80 MB — still less than
+#: the per-Cpu micro-ops of one translation of the same code.
+IMAGE_STORE_BYTES = 1 << 20
+
+
+class ImageStore:
+    """Content-addressed LRU of :class:`CodeImage`, bounded by code bytes.
+
+    Keyed by ``(base, code)``: ``Insn.addr`` and branch targets are
+    absolute, so equal bytes at another address are another image.  It
+    holds only immutable facts about bytes and keeps no counters, so
+    nothing a simulation can observe depends on what is in it.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._images: "OrderedDict[Tuple[int, bytes], CodeImage]" = (
+            OrderedDict())
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __iter__(self) -> Iterator[CodeImage]:
+        """Held images, least recently used first."""
+        return iter(self._images.values())
+
+    def get(self, base: int, code: bytes) -> CodeImage:
+        """The shared image of ``code`` at ``base``, created on a miss.
+
+        An image larger than the whole budget is handed out unshared.
+        """
+        key = (base, code)
+        images = self._images
+        image = images.get(key)
+        if image is not None:
+            images.move_to_end(key)
+            return image
+        image = CodeImage(base, code)
+        if len(code) <= self.budget:
+            images[key] = image
+            self.nbytes += len(code)
+            while self.nbytes > self.budget:
+                _key, evicted = images.popitem(last=False)
+                self.nbytes -= len(evicted.code)
+        return image
+
+    def clear(self) -> None:
+        self._images.clear()
+        self.nbytes = 0
+
+
+#: The one store: images of non-writable segments (see ``Segment.image``).
+IMAGE_STORE = ImageStore(IMAGE_STORE_BYTES)

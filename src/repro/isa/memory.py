@@ -12,6 +12,7 @@ import struct
 from typing import Dict, List, Optional
 
 from repro.errors import ExecutionFault, RewriteError
+from repro.isa.disassembler import IMAGE_STORE, CodeImage
 
 _MASK64 = 2 ** 64 - 1
 _U64 = struct.Struct("<Q")
@@ -42,6 +43,25 @@ class Segment:
         self.r_ok = "r" in perms
         self.w_ok = "w" in perms
         self.x_ok = "x" in perms
+        self._image: Optional[CodeImage] = None
+        self._image_version = -1
+
+    def image(self) -> CodeImage:
+        """Decoded view of the current bytes — the only way code is read.
+
+        Cached per :attr:`version`.  A non-writable segment takes its
+        image from the process-wide content-addressed store, so every
+        address space mapping the same bytes at the same address shares
+        one decode; a writable (self-modifying) segment changes with
+        every store, so it gets a private image and never touches the
+        store.
+        """
+        if self._image_version != self.version:
+            code = bytes(self.data)
+            self._image = (CodeImage(self.start, code) if self.w_ok
+                           else IMAGE_STORE.get(self.start, code))
+            self._image_version = self.version
+        return self._image
 
     def _sync_perm_flags(self) -> None:
         perms = self.perms
@@ -167,15 +187,6 @@ class AddressSpace:
             seg.version += 1
             return
         self.write(addr, _U64.pack(value & _MASK64))
-
-    def fetch_code(self, addr: int, size: int) -> bytes:
-        """Instruction fetch: requires execute permission."""
-        segment = self.find(addr)
-        if "x" not in segment.perms:
-            raise ExecutionFault(
-                f"execute from non-executable {segment.name} at {addr:#x}")
-        off = addr - segment.start
-        return bytes(segment.data[off:off + size])
 
     def patch_code(self, addr: int, data: bytes) -> None:
         """Rewriter-only mutation of an executable segment.

@@ -27,6 +27,13 @@ Invalidation is driven by the write-tracking in
 text patches alike) and every map/unmap bumps
 ``AddressSpace.mapping_gen``.  A cached block is only reused while both
 still match what it was translated from.
+
+``translate`` never reads segment bytes: it takes decoded instructions
+from ``Segment.image()``, the per-version :class:`~repro.isa.
+disassembler.CodeImage` the rewriter and the per-step interpreter read
+too.  Only decoding is shared (across Cpus, address spaces and
+sessions); micro-ops, blocks, chains and fused bodies bind one Cpu's
+registers and stay private to it, as do all the counters.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.errors import DisassemblyError, ExecutionFault
-from repro.isa.disassembler import decode_one
 from repro.isa.opcodes import (
     CONTROL_OP_IDS,
     HANDLER_OP_IDS,
@@ -641,7 +647,7 @@ class TranslationCache:
         if block is not None:
             segment = block.segment
             if segment.version == block.version:
-                if "x" not in segment.perms:
+                if not segment.x_ok:
                     raise ExecutionFault(
                         f"{cpu.name}: rip {rip:#x} not executable")
                 self.stats.hits += 1
@@ -708,10 +714,10 @@ class TranslationCache:
         """
         space = self.space
         segment = space.find(rip)
-        if "x" not in segment.perms:
+        if not segment.x_ok:
             raise ExecutionFault(
                 f"{cpu.name}: rip {rip:#x} not executable")
-        code = bytes(segment.data)
+        insn_at = segment.image().at
         base = segment.start
         version = segment.version
         regs = cpu.regs
@@ -737,7 +743,7 @@ class TranslationCache:
         visited: Set[int] = set()
         while len(ops) < limit:
             try:
-                insn = decode_one(code, offset, base)
+                insn = insn_at(offset)
             except DisassemblyError:
                 if not ops:
                     # The per-step interpreter would fault right here,

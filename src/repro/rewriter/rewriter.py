@@ -18,11 +18,11 @@ behaviour is purely a matter of swapping that table, never re-rewriting.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Set
+from typing import AbstractSet, List, Optional, Sequence, Set
 
 from repro.errors import RewriteError
 from repro.isa.assembler import assemble
-from repro.isa.disassembler import Insn, branch_targets, disassemble
+from repro.isa.disassembler import Insn
 from repro.isa.memory import AddressSpace, Segment
 from repro.isa.opcodes import BY_MNEMONIC
 from repro.rewriter.patchset import (
@@ -87,13 +87,17 @@ class BinaryRewriter:
         stats.segments_scanned += 1
         stats.bytes_scanned += len(segment.data)
 
-        insns = disassemble(bytes(segment.data), base_addr=segment.start)
-        targets = branch_targets(insns)
+        # The image is of the bytes as scanned: patches below bump the
+        # segment version, they never change what this sweep decoded.
+        image = segment.image()
+        insns = image.sweep()
+        targets = image.targets()
         sites: List[CallSite] = []
         consumed: Set[int] = set()  # syscall addrs relocated into trampolines
 
-        for index, insn in enumerate(insns):
-            if insn.mnemonic != "syscall" or insn.addr in consumed:
+        for index in image.syscall_sites():
+            insn = insns[index]
+            if insn.addr in consumed:
                 continue
             stats.sites_found += 1
             displaced = self._collect_displaced(insns, index, targets)
@@ -106,8 +110,9 @@ class BinaryRewriter:
 
     # -- patching -------------------------------------------------------
 
-    def _collect_displaced(self, insns: List[Insn], index: int,
-                           targets: Set[int]) -> Optional[List[Insn]]:
+    def _collect_displaced(self, insns: Sequence[Insn], index: int,
+                           targets: AbstractSet[int]
+                           ) -> Optional[List[Insn]]:
         """Instructions to relocate so a 5-byte JMP fits at the site.
 
         Returns None when the site must fall back to INT0: a branch
@@ -128,9 +133,8 @@ class BinaryRewriter:
             cursor += 1
         # Branch targets strictly inside (site.addr, end) would land on
         # clobbered or relocated bytes.
-        for target in targets:
-            if site.addr < target < end:
-                return None
+        if not targets.isdisjoint(range(site.addr + 1, end)):
+            return None
         return displaced
 
     def _patch_jmp(self, segment: Segment, site_insn: Insn,

@@ -15,7 +15,6 @@ import struct
 from typing import Dict, List
 
 from repro.errors import RewriteError
-from repro.isa.disassembler import disassemble_prefix
 from repro.isa.memory import Segment
 from repro.isa.opcodes import BY_MNEMONIC
 from repro.rewriter.patchset import KIND_VDSO, CallSite
@@ -48,14 +47,15 @@ def rewrite_vdso(rewriter, vdso_segment: Segment,
     space = rewriter.space
     patchset = rewriter.patchset
     sites: List[CallSite] = []
-    code = bytes(vdso_segment.data)
+    # One image for the whole pass: every prefix is read from the
+    # function entries as they were before the first was redirected.
+    image = vdso_segment.image()
 
     for name, addr in sorted(symbols.items(), key=lambda kv: kv[1]):
         if not vdso_segment.contains(addr):
             raise RewriteError(f"vDSO symbol {name} outside segment")
         offset = addr - vdso_segment.start
-        prefix = disassemble_prefix(code, offset, _JMP_LEN,
-                                    base_addr=vdso_segment.start)
+        prefix = image.prefix(offset, _JMP_LEN)
         continuation = prefix[-1].end
 
         # Original-entry trampoline: relocated prefix + jump back.
