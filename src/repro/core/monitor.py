@@ -72,6 +72,10 @@ class ReplicaMonitor:
         self.variant = variant
         self.task = task
         self.tuple = tuple_
+        #: Both fixed for the monitor's lifetime (a promotion swaps the
+        #: table, never the variant id or the tuple's transport).
+        self.vid: int = variant.vid
+        self.ring: EventTransport = tuple_.ring
         #: Session-level tracer (None when observability is off).  Uses
         #: getattr because replay-only sessions duck-type this interface.
         self.tracer = getattr(session, "tracer", None)
@@ -80,25 +84,19 @@ class ReplicaMonitor:
         #: ring space) as opposed to processing — lets measurements
         #: separate the monitor's processing cost from flow control.
         self.wait_ps = 0
+        #: Session constants of the follower hot path, resolved once:
+        #: the consume charge (a read-only command yielded by reference)
+        #: and the wake predicate, bound once instead of per wait.
+        self._cmd_consume = Compute(cycles(session.costs.stream.ring_consume))
+        self._published_ready = self.published_ready
         tuple_.replicas[variant.vid] = self
         task.monitor_state = self
 
     # -- common -------------------------------------------------------------
 
     @property
-    def vid(self) -> int:
-        return self.variant.vid
-
-    @property
-    def ring(self) -> EventTransport:
-        return self.tuple.ring
-
-    @property
     def is_leader(self) -> bool:
         return self.variant.is_leader
-
-    def tindex(self) -> int:
-        return self.task.thread_index()
 
     # =========================================================================
     # Leader side
@@ -124,7 +122,7 @@ class ReplicaMonitor:
         stall_before = self.ring.stats.stall_ps
         self.clock += 1
         event = syscall_event(
-            call.name, self.tindex(), self.clock, result.retval,
+            call.name, self.task.thread_index(), self.clock, result.retval,
             args=self._by_value_args(call), aux=result.aux,
             payload=payload, fd_count=len(transfer_fds))
         event.fd_numbers = tuple(fd for fd, _ in transfer_fds)
@@ -148,7 +146,7 @@ class ReplicaMonitor:
         if not self.ring.cursors:
             return None
         self.clock += 1
-        event = Event(etype, -1, etype, self.tindex(), self.clock,
+        event = Event(etype, -1, etype, self.task.thread_index(), self.clock,
                       retval=retval, aux=aux)
         yield from self.ring.publish(event)
         return event
@@ -162,21 +160,29 @@ class ReplicaMonitor:
     # Follower side
     # =========================================================================
 
-    def _checked_peek(self):
-        """Peek in *this consumer's* context, reporting ring damage.
+    def _report_ring_fault(self, exc: NvxError) -> None:
+        """Route an integrity failure this consumer observed (injected
+        slot corruption, a torn write) to the session: the coordinator
+        drops this replica, which also releases any producer
+        backpressure its dead cursor was holding.  The caller re-raises
+        so the replica thread dies with the diagnostic."""
+        report = getattr(self.session, "report_ring_fault", None)
+        if report is not None:
+            report(self, exc)
 
-        An integrity failure (injected slot corruption) is routed to the
-        session — the coordinator drops this replica, which also releases
-        any producer backpressure its dead cursor was holding — and then
-        re-raised so the replica thread dies with the diagnostic.
+    def published_ready(self) -> bool:
+        """Wake predicate of a consumer parked on an empty ring.
+
+        Ready predicates run in the *notifier's* context (often the
+        leader publishing).  A corrupted slot must not unwind the
+        publisher: report ready and let the woken consumer re-peek —
+        and fail diagnostically — on its own stack.
         """
         try:
-            return self.ring.peek(self.vid)
-        except NvxError as exc:
-            report = getattr(self.session, "report_ring_fault", None)
-            if report is not None:
-                report(self, exc)
-            raise
+            return (self.ring.peek(self.vid) is not None
+                    or self.variant.is_leader)
+        except NvxError:
+            return True
 
     def await_event(self, blocking_hint: bool):
         """Generator: the next event owed to the calling thread.
@@ -184,21 +190,14 @@ class ReplicaMonitor:
         Returns an :class:`Event`, or :data:`PROMOTED` if this variant
         became the leader while waiting.
         """
-        my_tindex = self.tindex()
+        my_tindex = self.task.thread_index()
         sim = self.session.world.sim
-
-        def published_ready():
-            # Ready predicates run in the *notifier's* context (often
-            # the leader publishing).  A corrupted slot must not unwind
-            # the publisher: report ready and let the woken consumer
-            # re-peek — and fail diagnostically — on its own stack.
-            try:
-                return self.ring.peek(self.vid) is not None or self.is_leader
-            except NvxError:
-                return True
-
         while True:
-            event = self._checked_peek()
+            try:
+                event = self.ring.peek(self.vid)
+            except NvxError as exc:
+                self._report_ring_fault(exc)
+                raise
             if event is None:
                 # Drained. If we were promoted meanwhile, the backlog of
                 # the crashed leader has now been fully replayed and the
@@ -207,7 +206,7 @@ class ReplicaMonitor:
                     return PROMOTED
                 wait_started = sim.now
                 yield from self.ring.wait_published(blocking_hint,
-                                                    published_ready)
+                                                    self._published_ready)
                 self.wait_ps += sim.now - wait_started
                 tracer = self.tracer
                 if tracer is not None and sim.now > wait_started:
@@ -246,19 +245,15 @@ class ReplicaMonitor:
 
         Returns the payload bytes (b'' if the event carried none).
         """
-        yield Compute(cycles(self.session.costs.stream.ring_consume))
+        yield self._cmd_consume
         data = b""
         if event.payload is not None:
             data = yield from self.session.pool.consume(event.payload)
         self.clock += 1
         try:
             self.ring.advance(self.vid)
-        except NvxError as exc:
-            # Torn-write seal mismatch: report (so the coordinator drops
-            # this replica) and die with the diagnostic.
-            report = getattr(self.session, "report_ring_fault", None)
-            if report is not None:
-                report(self, exc)
+        except NvxError as exc:  # torn-write seal mismatch
+            self._report_ring_fault(exc)
             raise
         return data
 

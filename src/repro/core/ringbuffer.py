@@ -123,9 +123,9 @@ class RingBuffer(EventTransport):
     __slots__ = ("sim", "costs", "capacity", "name", "slots", "head",
                  "cursors", "not_full", "published", "advanced", "stats",
                  "sample_distances", "tracer", "_sleepers",
-                 "_not_full_ready", "_ps_full_check", "_ps_publish",
-                 "_ps_waitlock_wake", "_ps_waitlock_sleep",
-                 "_ps_spin_check", "integrity", "observer", "_seals")
+                 "_not_full_ready", "_cmd_full_check", "_cmd_publish",
+                 "_cmd_waitlock_wake", "_cmd_waitlock_sleep",
+                 "_cmd_spin_check", "integrity", "observer", "_seals")
 
     def __init__(self, sim: Simulator, costs: CostModel,
                  capacity: int = DEFAULT_CAPACITY,
@@ -165,14 +165,15 @@ class RingBuffer(EventTransport):
         #: Pre-bound producer progress predicate (one closure per ring,
         #: not per stall).
         self._not_full_ready = self._has_space
-        # The stream costs are frozen calibration constants: convert the
-        # hot-path ones to picoseconds once instead of per event.
+        # The stream costs are frozen calibration constants: build the
+        # hot-path charges once, as read-only commands yielded by
+        # reference, instead of one Compute per event.
         stream = costs.stream
-        self._ps_full_check = cycles(stream.ring_full_check)
-        self._ps_publish = cycles(stream.ring_publish)
-        self._ps_waitlock_wake = cycles(stream.waitlock_wake)
-        self._ps_waitlock_sleep = cycles(stream.waitlock_sleep)
-        self._ps_spin_check = cycles(stream.spin_check)
+        self._cmd_full_check = Compute(cycles(stream.ring_full_check))
+        self._cmd_publish = Compute(cycles(stream.ring_publish))
+        self._cmd_waitlock_wake = Compute(cycles(stream.waitlock_wake))
+        self._cmd_waitlock_sleep = Compute(cycles(stream.waitlock_sleep))
+        self._cmd_spin_check = Compute(cycles(stream.spin_check))
 
     # -- consumer management ----------------------------------------------
 
@@ -219,7 +220,7 @@ class RingBuffer(EventTransport):
         stall_started = self.sim.now
         while self._full():
             self.stats.producer_stalls += 1
-            yield Compute(self._ps_full_check)
+            yield self._cmd_full_check
             # Re-check after charging: a consumer may have advanced while
             # we were computing, and its notify would be lost if we
             # blocked unconditionally (no yields between check and wait).
@@ -247,11 +248,11 @@ class RingBuffer(EventTransport):
                 (("ring", self.name), ("seq", event.seq),
                  ("occupancy", self.head - self.min_cursor()),
                  ("call", event.name)))
-        yield Compute(self._ps_publish)
+        yield self._cmd_publish
         if self._sleepers:
             # Futex wake for waitlocked followers; busy-waiting followers
             # see the cursor move for free (§3.3.1).
-            yield Compute(self._ps_waitlock_wake)
+            yield self._cmd_waitlock_wake
         self.published.notify_ready()
         self.advanced.notify_ready()
         return event.seq
@@ -292,7 +293,7 @@ class RingBuffer(EventTransport):
         """
         if blocking_hint:
             self.stats.waitlock_sleeps += 1
-            yield Compute(self._ps_waitlock_sleep)
+            yield self._cmd_waitlock_sleep
             if ready():
                 return
             self._sleepers += 1
@@ -302,7 +303,7 @@ class RingBuffer(EventTransport):
                 self._sleepers -= 1
             return
         self.stats.spin_waits += 1
-        yield Compute(self._ps_spin_check)
+        yield self._cmd_spin_check
         if ready():
             return
         value = yield from self.published.wait(spin=True,
@@ -310,7 +311,7 @@ class RingBuffer(EventTransport):
                                                ready=ready)
         if value is TIMEOUT:
             self.stats.waitlock_sleeps += 1
-            yield Compute(self._ps_waitlock_sleep)
+            yield self._cmd_waitlock_sleep
             if ready():
                 return
             self._sleepers += 1

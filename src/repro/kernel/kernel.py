@@ -67,6 +67,9 @@ class Kernel:
         self.listeners: Dict[Tuple[str, int], ListenerSocket] = {}
         self.syscall_log_enabled = False
         self.syscall_log = []
+        #: syscall name → bound ``_sys_<name>`` handler, filled on first
+        #: use (only names that resolve are kept, so it stays bounded).
+        self._handlers: Dict[str, Callable] = {}
 
     # -- world plumbing ---------------------------------------------------
 
@@ -117,9 +120,13 @@ class Kernel:
 
     def execute(self, task: Task, call: Syscall):
         """Generator: pure semantics; returns a SysResult."""
-        handler = getattr(self, f"_sys_{call.name}", None)
-        if handler is None:
-            return SysResult(-ENOSYS)
+        try:
+            handler = self._handlers[call.name]
+        except KeyError:
+            handler = getattr(self, f"_sys_{call.name}", None)
+            if handler is None:
+                return SysResult(-ENOSYS)
+            self._handlers[call.name] = handler
         result = yield from handler(task, call)
         if self.syscall_log_enabled:
             self.syscall_log.append((task.name, call.name, result.retval))

@@ -107,66 +107,57 @@ class SyscallGate:
         self.counts: Counter = Counter()
         #: Extra per-call dispatch charge (used by ptrace-style monitors).
         self.pre_dispatch: Optional[Callable] = None
-        # Per-dispatch hot path: resolve the three interception costs
-        # once instead of walking cost-model properties per call.
-        self._vdso_cost = costs.intercept.vdso_stub
-        self._slow_cost = costs.intercept.slow_path
-        self._fast_cost = costs.intercept.fast_path
+        # Per-dispatch hot path: the three interception charges are
+        # frozen calibration constants, so each is one read-only command
+        # built here and yielded by reference.
+        self._cmd_vdso = Compute(cycles(costs.intercept.vdso_stub))
+        self._cmd_slow = Compute(cycles(costs.intercept.slow_path))
+        self._cmd_fast = Compute(cycles(costs.intercept.fast_path))
 
-    def intercept_cost(self, call: Syscall) -> int:
-        """Cycles added by the rewriting-based interception path."""
+    def intercept_command(self, call: Syscall) -> Compute:
+        """The charge the rewriting-based interception path adds to
+        ``call``, by how its site was patched."""
         if call.name in VDSO_CALLS:
-            return self._vdso_cost
-        kind = self.patch_kinds.get(call.site, PATCH_JMP)
-        if kind == PATCH_INT:
-            return self._slow_cost
-        return self._fast_cost
+            return self._cmd_vdso
+        if self.patch_kinds.get(call.site, PATCH_JMP) == PATCH_INT:
+            return self._cmd_slow
+        return self._cmd_fast
+
+    def charge_no_interception(self) -> None:
+        """For monitors that interpose without rewriting (ptrace traps,
+        in-kernel recording) and charge their own mechanism inside the
+        installed handler.  The zero-length compute is still yielded, so
+        the dispatch remains a scheduling point."""
+        self._cmd_vdso = self._cmd_slow = self._cmd_fast = Compute(0)
 
     def dispatch(self, call: Syscall):
-        """Generator: route one syscall, returning a SysResult."""
-        tracer = self.task.kernel.tracer
-        if tracer is not None:
-            return (yield from self._dispatch_traced(call, tracer))
-        self.counts[call.name] += 1
-        if self.pre_dispatch is not None:
-            yield from self.pre_dispatch(self.task, call)
-        if self.intercepting:
-            yield Compute(cycles(self.intercept_cost(call)))
-            handler = None
-            if self.table is not None:
-                handler = self.table.get(call.name, self.default_handler)
-            if handler is not None:
-                return (yield from handler(self.task, call))
-        return (yield from self.task.kernel.native(self.task, call))
+        """Generator: route one syscall, returning a SysResult.
 
-    def _dispatch_traced(self, call: Syscall, tracer):
-        """Same routing as :meth:`dispatch`, wrapped in a syscall span.
-
-        Kept separate so the disabled-tracing hot path pays only one
-        attribute load and None check per dispatch.
+        With tracing on, the routing is wrapped in a syscall span; off,
+        that costs one attribute load and two None checks per dispatch.
         """
-        sim = self.task.kernel.sim
-        start_ps = sim.now
+        task = self.task
+        tracer = task.kernel.tracer
+        if tracer is not None:
+            start_ps = task.kernel.sim.now
         self.counts[call.name] += 1
         if self.pre_dispatch is not None:
-            yield from self.pre_dispatch(self.task, call)
-        result = None
-        handled = False
+            yield from self.pre_dispatch(task, call)
+        handler = None
         if self.intercepting:
-            yield Compute(cycles(self.intercept_cost(call)))
-            handler = None
+            yield self.intercept_command(call)
             if self.table is not None:
                 handler = self.table.get(call.name, self.default_handler)
-            if handler is not None:
-                result = yield from handler(self.task, call)
-                handled = True
-        if not handled:
-            result = yield from self.task.kernel.native(self.task, call)
-        role = (getattr(self, "_varan_role", None)
-                or ("intercept" if self.intercepting else "native"))
-        tracer.span_here(sim, start_ps, "syscall", call.name,
-                         (("retval", getattr(result, "retval", 0)),
-                          ("role", role)))
+        if handler is not None:
+            result = yield from handler(task, call)
+        else:
+            result = yield from task.kernel.native(task, call)
+        if tracer is not None:
+            role = (getattr(self, "_varan_role", None)
+                    or ("intercept" if self.intercepting else "native"))
+            tracer.span_here(task.kernel.sim, start_ps, "syscall", call.name,
+                             (("retval", getattr(result, "retval", 0)),
+                              ("role", role)))
         return result
 
 

@@ -155,8 +155,8 @@ class LockstepSession:
         task.gate.table = {}
         task.gate.default_handler = ptrace_dispatch
         # ptrace has no per-site dispatch cost: the trap cost is charged
-        # inside _lockstep_call, so zero out the rewrite-path charge.
-        task.gate.intercept_cost = lambda call: 0
+        # inside _lockstep_call.
+        task.gate.charge_no_interception()
 
     # -- the hot path --------------------------------------------------------
 

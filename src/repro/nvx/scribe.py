@@ -70,7 +70,8 @@ class ScribeSession:
         task.gate.intercepting = True
         task.gate.table = {}
         task.gate.default_handler = recording_dispatch
-        task.gate.intercept_cost = lambda call: 0
+        # Scribe logs inside the kernel: no rewritten call sites.
+        task.gate.charge_no_interception()
 
     # -- observability ------------------------------------------------------
 

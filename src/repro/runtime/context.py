@@ -39,13 +39,12 @@ class ProcessContext:
     def syscall(self, name: str, *args, site: Optional[str] = None,
                 data: bytes = b"", nbytes: int = 0):
         """Generator: issue a raw syscall, returning the SysResult."""
-        call = Syscall(name, args, site=site or name, data=data,
-                       nbytes=nbytes)
-        return self.task.gate.dispatch(call)
+        return self.task.gate.dispatch(
+            Syscall(name, args, site or name, data, nbytes))
 
     def _checked(self, name: str, *args, site=None, data=b"", nbytes=0):
-        result = yield from self.syscall(name, *args, site=site, data=data,
-                                         nbytes=nbytes)
+        result = yield from self.task.gate.dispatch(
+            Syscall(name, args, site or name, data, nbytes))
         if result.retval < 0:
             raise SysError(result.errno, name)
         return result

@@ -63,9 +63,6 @@ class Machine:
                 raise SimulationError(
                     f"{self.name}: more cores released than exist")
 
-    def has_core_waiters(self) -> bool:
-        return bool(self._ready)
-
     @property
     def busy_cores(self) -> int:
         return self.spec.logical_cores - self.free_cores

@@ -134,7 +134,7 @@ class ShardedSimulator(Simulator):
     def _push(self, index: int, delay_ps: int, owner, token: int,
               fn, arg) -> None:
         self._seq += 1
-        when = self._now + delay_ps
+        when = self.now + delay_ps
         entry = (when, self._seq, owner, token, fn, arg)
         if delay_ps == 0:
             imm = self._imms[index]
@@ -196,7 +196,7 @@ class ShardedSimulator(Simulator):
         handle._shard_index = index
         seq = self._seq + 1
         self._seq = seq
-        when = self._now + delay_ps
+        when = self.now + delay_ps
         entry = (when, seq, handle, 0, _call0, fn)
         if delay_ps == 0:
             imm = self._imms[index]
@@ -241,7 +241,7 @@ class ShardedSimulator(Simulator):
                 index = 0
         seq = self._seq + 1
         self._seq = seq
-        when = self._now + delay_ps
+        when = self.now + delay_ps
         entry = (when, seq, owner, token, fn, arg)
         if delay_ps == 0:
             imm = self._imms[index]
@@ -323,13 +323,13 @@ class ShardedSimulator(Simulator):
                         continue  # lazily cancelled: clock frozen
                     when = e[0]
                     if until_ps is not None and when > until_ps:
-                        self._now = until_ps
+                        self.now = until_ps
                         if use_imm:
                             imm.appendleft(e)
                         else:
                             heappush(heap, e)
                         return
-                    self._now = when
+                    self.now = when
                     e[4](e[5])
                     events += 1
                     if events >= max_events:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.costmodel import DEFAULT_COSTS, cycles
 from repro.kernel.task import PATCH_INT, PATCH_JMP, PATCH_VDSO
 from repro.kernel.uapi import Syscall, SysResult
@@ -65,6 +66,83 @@ class TestGateDispatch:
         expected = cycles(DEFAULT_COSTS.intercept.vdso_stub
                           + DEFAULT_COSTS.syscalls.native("time"))
         assert world.now == pytest.approx(expected, abs=300)
+
+    @pytest.mark.parametrize("call, kind, charge", [
+        ("close", PATCH_JMP, "fast_path"),
+        ("close", PATCH_INT, "slow_path"),
+        ("close", None, "fast_path"),  # unpatched site: JMP by default
+        ("time", PATCH_INT, "vdso_stub"),  # vDSO wins over the site kind
+    ])
+    def test_charge_follows_the_site_not_the_call_name(self, call, kind,
+                                                       charge):
+        # One gate, one call name, two sites patched differently: the
+        # prebuilt command is picked per site, never cached per name.
+        def main(ctx):
+            yield from ctx.syscall(call, -1, site="other")
+            yield from ctx.syscall(call, -1, site="hot")
+
+        def configure(task):
+            task.gate.intercepting = True
+            task.gate.patch_kinds = {"other": PATCH_JMP}
+            if kind is not None:
+                task.gate.patch_kinds["hot"] = kind
+
+        _, world, task = run_main(main, configure)
+        native = cycles(DEFAULT_COSTS.syscalls.native(call))
+        first = "vdso_stub" if charge == "vdso_stub" else "fast_path"
+        expected = 2 * native + sum(
+            cycles(getattr(DEFAULT_COSTS.intercept, name))
+            for name in (first, charge))
+        assert task.threads[0].cpu_ps == world.now == expected
+
+    def test_gate_without_interception_charge_is_still_a_dispatch(self):
+        def main(ctx):
+            yield from ctx.syscall("close", -1, site="hot")
+            yield from ctx.time()
+
+        def configure(task):
+            task.gate.intercepting = True
+            task.gate.patch_kinds = {"hot": PATCH_INT}
+            task.gate.charge_no_interception()
+
+        _, world, task = run_main(main, configure)
+        _, native_world, native_task = run_main(main)
+        assert task.threads[0].cpu_ps == native_task.threads[0].cpu_ps
+        assert world.now == native_world.now
+        # The zero-length charge is still yielded: one scheduling point
+        # (engine event) per intercepted call.
+        assert (world.sim.events_processed
+                == native_world.sim.events_processed + 2)
+
+    def test_traced_and_untraced_dispatch_end_at_the_same_time(self):
+        def main(ctx):
+            yield from ctx.syscall("close", -1, site="hot")
+            yield from ctx.time()
+            result = yield from ctx.syscall("getpid")
+            return result.retval
+
+        def handled(task, call):
+            return SysResult(4242)
+            yield  # pragma: no cover
+
+        def configure(task):
+            task.gate.intercepting = True
+            task.gate.patch_kinds = {"hot": PATCH_INT}
+            task.gate.table = {"getpid": handled}
+
+        plain, world, _ = run_main(main, configure)
+        with obs.tracing() as tracer:
+            traced, traced_world, _ = run_main(main, configure)
+        assert plain == traced == 4242
+        assert traced_world.now == world.now
+        assert (traced_world.sim.events_processed
+                == world.sim.events_processed)
+        spans = [(r.name, r.ts, r.dur, dict(r.args)["role"])
+                 for r in tracer.records if r.cat == "syscall"]
+        slow = cycles(DEFAULT_COSTS.intercept.slow_path
+                      + DEFAULT_COSTS.syscalls.native("close"))
+        assert spans[0] == ("close", 0, slow, "intercept")
+        assert [name for name, *_ in spans] == ["close", "time", "getpid"]
 
     def test_installed_table_handles_call(self):
         seen = []

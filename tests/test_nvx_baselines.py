@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.coordinator import VersionSpec
-from repro.costmodel import SEC_PS
+from repro.costmodel import DEFAULT_COSTS, SEC_PS, cycles
 from repro.errors import DivergenceError
+from repro.kernel.task import PATCH_INT
 from repro.kernel.uapi import O_RDWR
 from repro.nvx import (
     MX_PROFILE,
@@ -105,8 +106,50 @@ class TestLockstep:
         # centralized monitor.
         assert session.stats_stops == 2 * session.stats_syscalls
 
+    def test_gate_charges_no_interception(self):
+        # ptrace traps instead of rewriting: the gate's per-site charge
+        # must be zero, for trapped calls and for the vDSO calls that
+        # never reach the monitor.
+        def trapped(ctx):
+            yield from ctx.getpid(site="hot")
+
+        def virtual(ctx):
+            yield from ctx.time()
+
+        native = DEFAULT_COSTS.syscalls.native
+        for app, stops, call in ((trapped, 2, "getpid"),
+                                 (virtual, 0, "time")):
+            world = World()
+            session = LockstepSession(
+                world, [VersionSpec("a", app), VersionSpec("b", app)])
+            session.start()
+            for task in session.tasks:
+                task.gate.patch_kinds = {"hot": PATCH_INT}
+            world.run()
+            executor = session.tasks[0].threads[0]
+            assert executor.cpu_ps == (
+                stops * cycles(session._stop_overhead)
+                + cycles(native(call)))
+            if not stops:
+                assert world.now == cycles(native(call))
+
 
 class TestScribe:
+    def test_gate_charges_no_interception(self):
+        def app(ctx):
+            yield from ctx.getpid(site="hot")
+            yield from ctx.time()
+
+        world = World()
+        session = ScribeSession(world, [VersionSpec("a", app)]).start()
+        session.tasks[0].gate.patch_kinds = {"hot": PATCH_INT}
+        world.run()
+        costs = DEFAULT_COSTS
+        expected = sum(cycles(costs.syscalls.native(call))
+                       + cycles(costs.scribe.per_event)
+                       for call in ("getpid", "time"))
+        assert session.tasks[0].threads[0].cpu_ps == world.now == expected
+
     def test_recording_overhead_charged(self):
         def run_once(monitored):
             world = World()
