@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import compress
 from typing import Callable, Dict, List, Tuple
 
 from repro.core import NvxSession, VersionSpec
@@ -77,6 +78,32 @@ def _digest(parts) -> str:
             h.update(str(part).encode())
         h.update(b"|")
     return h.hexdigest()[:16]
+
+
+#: Byte 1 of a sampled word -> accepted?  Its bit 0 is bit 8 of the
+#: 9-bit sample, and ``randrange(256)`` rejects samples >= 256.
+_ACCEPTED = bytes(1 - (b & 1) for b in range(256))
+
+
+def draw_bytes(rng: random.Random, n: int) -> bytes:
+    """Exactly ``bytes(rng.randrange(256) for _ in range(n))`` — same
+    bytes, same generator state after — without a call per byte.
+
+    ``randrange(256)`` redraws the top 9 bits of one 32-bit generator
+    word while they read >= 256; ``getrandbits(32 * need) >> 23``, laid
+    out little-endian, holds word *i*'s sample in byte ``4i`` (the
+    value) and bit 0 of byte ``4i + 1`` (set = rejected).  A word
+    yields at most one byte, so drawing as many words as bytes are
+    missing never overshoots.  Not ``Random.randbytes`` (a different
+    stream); tests/test_bulk_draw.py is the contract (DESIGN.md §6).
+    """
+    data = b""
+    while len(data) < n:
+        need = n - len(data)
+        raw = (rng.getrandbits(32 * need) >> 23).to_bytes(4 * need,
+                                                          "little")
+        data += bytes(compress(raw[0::4], raw[1::4].translate(_ACCEPTED)))
+    return data
 
 
 def _reads(rng: random.Random, n_lo: int = 3, n_hi: int = 8
@@ -229,9 +256,11 @@ WORKLOADS: Tuple[Callable, ...] = (
 
 # -- one plan = baseline run + faulted run ------------------------------------
 
-def _run_workload(build, data: bytes, n_variants: int, plan,
-                  checker: InvariantChecker, placement: str = "local"):
-    """One session run; returns (session, world, outputs, deadlock)."""
+def run_workload(build, data: bytes, n_variants: int, plan,
+                 checker: InvariantChecker, placement: str = "local",
+                 rules=None):
+    """One workload run as an NVX session, for chaos plans and fuzz
+    scenarios; returns (session, world, outputs, deadlock)."""
     if placement == "remote":
         world = World(machine_names=("server", "client") + REMOTE_MACHINES)
         placement_map = _remote_placement(n_variants)
@@ -249,7 +278,7 @@ def _run_workload(build, data: bytes, n_variants: int, plan,
     specs = [VersionSpec(f"v{i}", main) for i in range(n_variants)]
     config = SessionConfig(fault_plan=plan, invariants=checker,
                            ring_capacity=RING_CAPACITY,
-                           placement=placement_map)
+                           placement=placement_map, rules=rules)
     session = NvxSession(world, specs, config=config).start()
     deadlock = None
     try:
@@ -269,7 +298,7 @@ def run_plan(seed: int, index: int, placement: str = "local"
     # int-arithmetic derivation: identical across processes and runs.
     rng = random.Random(seed * 1000003 + index)
     n_variants = rng.randint(2, 3)
-    data = bytes(rng.randrange(256) for _ in range(DATA_SIZE))
+    data = draw_bytes(rng, DATA_SIZE)
     name, build = WORKLOADS[rng.randrange(len(WORKLOADS))](rng)
 
     where = "" if placement == "local" else f" placement={placement}"
@@ -279,7 +308,7 @@ def run_plan(seed: int, index: int, placement: str = "local"
 
     # Baseline: expected outputs + the horizon faults are drawn from.
     base_checker = InvariantChecker(roundtrip_every=1)
-    base_session, base_world, base_outputs, base_dead = _run_workload(
+    base_session, base_world, base_outputs, base_dead = run_workload(
         build, data, n_variants, None, base_checker, placement)
     horizon = base_world.sim.now
     lines.append(f"  baseline: horizon={horizon}ps "
@@ -311,7 +340,7 @@ def run_plan(seed: int, index: int, placement: str = "local"
         plan = FaultPlan.random(rng, n_variants, max(2, horizon))
     lines.append(f"  plan: {plan.describe()}")
     fault_checker = InvariantChecker(roundtrip_every=1)
-    session, _world, outputs, dead = _run_workload(
+    session, _world, outputs, dead = run_workload(
         build, data, n_variants, plan, fault_checker, placement)
     for entry in session.injector.log:
         lines.append(f"  inject: {entry}")

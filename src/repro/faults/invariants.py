@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.events import Event
-from repro.recordreplay.logfile import decode_records, encode_event
+from repro.recordreplay.logfile import decode_record, encode_event
 
 #: Round-trip every N-th published event through the log codec in the
 #: always-on configuration (1 = every event, used by chaos runs).
@@ -133,7 +133,7 @@ class InvariantChecker:
         payload = b"" if event.payload is None else bytes(event.payload.data)
         try:
             first = encode_event(event, payload)
-            decoded, decoded_payload = next(iter(decode_records(first)))
+            decoded, decoded_payload, _end = decode_record(first)
             second = encode_event(decoded, decoded_payload)
         except Exception as exc:  # noqa: BLE001 - any codec failure is a finding
             self.violation(

@@ -30,10 +30,10 @@ from repro.core.config import SessionConfig
 from repro.costmodel import SEC_PS
 from repro.errors import DeadlockError
 from repro.faults.chaos import (
-    DATA_PATH,
     DATA_SIZE,
-    RING_CAPACITY,
     WORKLOADS,
+    draw_bytes,
+    run_workload,
 )
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
@@ -109,38 +109,19 @@ def _wrap_divergence(build, profile: str):
     return build_wrapped
 
 
-def _run_nvx_workload(build, data: bytes, n_variants: int, plan,
-                      checker: InvariantChecker, rules):
-    world = World()
-    world.kernel.fs(world.server).create(DATA_PATH, data)
-    outputs: Dict = {}
-    main = build(outputs)
-    specs = [VersionSpec(f"v{i}", main) for i in range(n_variants)]
-    config = SessionConfig(fault_plan=plan, invariants=checker,
-                           ring_capacity=RING_CAPACITY, rules=rules)
-    session = NvxSession(world, specs, config=config).start()
-    deadlock = None
-    try:
-        world.run()
-    except DeadlockError as exc:
-        deadlock = str(exc)
-    checker.final_check()
-    return session, outputs, deadlock
-
-
 def _run_workload_scenario(scenario: Scenario, rules) -> ScenarioResult:
     result = ScenarioResult(scenario)
     name = WORKLOAD_NAMES[scenario.workload]
     rng = random.Random(scenario.sub_seed)
-    data = bytes(rng.randrange(256) for _ in range(DATA_SIZE))
+    data = draw_bytes(rng, DATA_SIZE)
     # Parameters are drawn ONCE so baseline and scenario run the
     # identical program (the chaos discipline).
     _wl_name, build = WORKLOADS[scenario.workload](rng)
 
     base_checker = InvariantChecker(roundtrip_every=1)
-    base_session, base_outputs, base_dead = _run_nvx_workload(
-        build, data, scenario.n_variants, None, base_checker, None)
-    horizon = max(2, base_session.world.sim.now)
+    _session, base_world, base_outputs, base_dead = run_workload(
+        build, data, scenario.n_variants, None, base_checker)
+    horizon = max(2, base_world.sim.now)
     reference = {tag: digest
                  for (vid, tag), digest in sorted(base_outputs.items())
                  if vid == 0}
@@ -153,8 +134,8 @@ def _run_workload_scenario(scenario: Scenario, rules) -> ScenarioResult:
             if scenario.fault else None)
     run_build = _wrap_divergence(build, scenario.divergence)
     checker = InvariantChecker(roundtrip_every=1)
-    session, outputs, dead = _run_nvx_workload(
-        run_build, data, scenario.n_variants, plan, checker, rules)
+    session, _world, outputs, dead = run_workload(
+        run_build, data, scenario.n_variants, plan, checker, rules=rules)
 
     for variant_name, call_name, event_name in \
             session.stats.fatal_divergences:

@@ -7,6 +7,7 @@ repeating host-work counts per dispatched event on one fixed cell, (d) a
 monitor's pre-bound wake predicate reads only its own ring and vid.
 """
 
+import gc
 import sys
 
 import pytest
@@ -297,6 +298,9 @@ def _counted_cell():
         elif event == "c_call":
             counts["calls"] += 1
 
+    # An earlier cell's world is cyclic garbage; were it collected in
+    # the counted window, every generator closed would count as a call.
+    gc.collect()
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:

@@ -8,7 +8,12 @@ from repro.core.ringbuffer import RingBuffer
 from repro.core.shm import BUCKET_SIZES, SharedMemoryPool
 from repro.costmodel import DEFAULT_COSTS
 from repro.isa import assemble, disassemble
-from repro.recordreplay.logfile import decode_records, encode_event
+from repro.errors import RecordReplayError
+from repro.recordreplay.logfile import (
+    decode_record,
+    decode_records,
+    encode_event,
+)
 from repro.sim import Machine, Simulator
 
 
@@ -156,6 +161,56 @@ class TestLogRoundtrip:
             assert back.retval == orig.retval
             assert back.args == orig.args
             assert back_payload == payload
+
+
+_I64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
+_AUX = st.one_of(
+    st.lists(_I64, max_size=4).map(tuple),
+    st.lists(st.tuples(_I64, _I64), min_size=1, max_size=3).map(tuple))
+_FDS = st.lists(st.integers(-(2 ** 31), 2 ** 31 - 1), max_size=3).map(tuple)
+
+
+@st.composite
+def _shaped_record(draw):
+    """An event of any (nargs, aux kind, naux, nfds) shape + payload."""
+    event = draw(_EVENT)
+    event.aux = draw(_AUX)
+    event.fd_numbers = draw(_FDS)
+    event.fd_count = len(event.fd_numbers)
+    return event, draw(st.binary(max_size=80))
+
+
+class TestLogShapesAndDamage:
+    @given(st.lists(_shaped_record(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_every_shape_is_a_fixed_point(self, items):
+        blob = b"".join(encode_event(e, p) for e, p in items)
+        offset = 0
+        for event, payload in items:
+            start = offset
+            back, back_payload, offset = decode_record(blob, offset)
+            assert (back.args, back.aux, back.fd_numbers, back_payload) \
+                == (event.args, event.aux, event.fd_numbers, payload)
+            assert back.fd_count == len(event.fd_numbers)
+            assert encode_event(back, back_payload) == blob[start:offset]
+        assert offset == len(blob)
+
+    @given(st.lists(_shaped_record(), min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                    max_size=4),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=120, deadline=None)
+    def test_damage_is_a_typed_failure_or_a_decode(self, items, pokes, cut):
+        blob = bytearray(b"".join(encode_event(e, p) for e, p in items))
+        for offset, value in pokes:
+            blob[offset % len(blob)] = value
+        damaged = bytes(blob[:len(blob) - cut % len(blob)])
+        try:
+            records = list(decode_records(damaged))
+        except RecordReplayError:
+            return
+        for event, payload in records:
+            encode_event(event, payload)  # the oracle's re-encode
 
 
 # -- BPF: the verifier accepts whatever the assembler emits -------------------------

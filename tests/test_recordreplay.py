@@ -1,17 +1,27 @@
 """Tests for the record-replay clients (§5.4) and the log format."""
 
+import struct
+
 import pytest
 
 from repro.core import NvxSession, VersionSpec
-from repro.core.events import EV_EXIT, Event, syscall_event
+from repro.core.events import (
+    ETYPE_NAMES,
+    EV_EXIT,
+    EV_FORK,
+    Event,
+    syscall_event,
+)
 from repro.errors import RecordReplayError
-from repro.kernel.uapi import O_RDWR, Segfault
+from repro.kernel.uapi import O_RDWR, SYSCALL_NAMES, Segfault
 from repro.recordreplay import (
     Recorder,
     ReplaySession,
     decode_records,
     encode_event,
+    logfile,
 )
+from repro.recordreplay.logfile import decode_record
 from repro.world import World
 
 
@@ -52,6 +62,226 @@ class TestLogFormat:
     def test_bad_magic_rejected(self):
         with pytest.raises(RecordReplayError):
             list(decode_records(b"\x00" * 16))
+
+
+def decode_body_reference(body: bytes):
+    """The original field-at-a-time decoder, kept as the oracle for the
+    one-Struct-per-shape decoder (the encoder's twin lives in
+    ``benchmarks/check_encoding.py``)."""
+    etype_code, nr, clock, tindex, retval = struct.unpack_from("<BiqHq",
+                                                               body, 0)
+    offset = struct.calcsize("<BiqHq")
+    (nargs,) = struct.unpack_from("<B", body, offset)
+    offset += 1
+    args = struct.unpack_from(f"<{nargs}q", body, offset)
+    offset += 8 * nargs
+    aux_kind, naux = struct.unpack_from("<BB", body, offset)
+    offset += 2
+    if aux_kind == 1:
+        flat = struct.unpack_from(f"<{2 * naux}q", body, offset)
+        offset += 16 * naux
+        aux = tuple(tuple(flat[i:i + 2]) for i in range(0, len(flat), 2))
+    else:
+        aux = struct.unpack_from(f"<{naux}q", body, offset)
+        offset += 8 * naux
+    (nfds,) = struct.unpack_from("<B", body, offset)
+    offset += 1
+    fd_numbers = struct.unpack_from(f"<{nfds}i", body, offset)
+    offset += 4 * nfds
+    (payload_len,) = struct.unpack_from("<I", body, offset)
+    offset += 4
+    payload = body[offset:offset + payload_len]
+    return (ETYPE_NAMES[etype_code], nr, SYSCALL_NAMES.get(
+        nr, ETYPE_NAMES[etype_code]), tindex, clock, retval, args, aux,
+        len(fd_numbers), fd_numbers), payload
+
+
+def event_fields(event: Event):
+    return (event.etype, event.nr, event.name, event.tindex, event.clock,
+            event.retval, event.args, event.aux, event.fd_count,
+            event.fd_numbers)
+
+
+def with_fds(event: Event, fds) -> Event:
+    event.fd_numbers = tuple(fds)
+    event.fd_count = len(fds)
+    return event
+
+
+def check_encoding_shapes():
+    """The five shapes ``benchmarks/check_encoding.py`` pins."""
+    return [
+        (with_fds(syscall_event("read", 1, 7, 512, args=(3, 512),
+                                aux=(9,)), (4, 5)), b"the-payload"),
+        (syscall_event("epoll_wait", 0, 11, 2, args=(5, 0, 8, -1),
+                       aux=((6, 1), (7, 4))), b""),
+        (syscall_event("open", 2, 19, -2, args=(0, O_RDWR)), b""),
+        (with_fds(Event(EV_FORK, -1, "fork", 0, 23, retval=41), (3,)),
+         b""),
+        (Event(EV_EXIT, -1, "exit", 3, 29, retval=-7), b""),
+    ]
+
+
+def shape_grid():
+    """nargs × aux (none / flat / pairs) × fds × payload size."""
+    shapes = check_encoding_shapes()
+    auxes = ((), (9,), (-1, 2 ** 40, 3), ((6, 1),), ((6, 1), (7, -4)))
+    clock = 100
+    for nargs in range(7):
+        for aux in auxes:
+            for fds in ((), (4,), (4, 5, -1)):
+                for size in (0, 1, 4096):
+                    clock += 1
+                    event = syscall_event(
+                        "pread", nargs % 3, clock, size,
+                        args=tuple(range(-1, nargs - 1)), aux=aux)
+                    shapes.append((with_fds(event, fds),
+                                   bytes([clock & 0xFF]) * size))
+    return shapes
+
+
+class TestOneStructPerShape:
+    def test_every_shape_roundtrips_and_matches_the_reference(self):
+        shapes = shape_grid()
+        assert len(shapes) == 5 + 7 * 5 * 3 * 3
+        for event, payload in shapes:
+            blob = encode_event(event, payload)
+            decoded, back, end = decode_record(blob, 0)
+            assert end == len(blob)
+            assert back == payload and type(back) is bytes
+            assert event_fields(decoded) == event_fields(event)
+            assert (event_fields(decoded), back) \
+                == decode_body_reference(blob[8:])
+            for field in (decoded.args, decoded.aux, decoded.fd_numbers):
+                assert type(field) is tuple  # ReplaySession relies on it
+            assert decoded.fd_count == len(decoded.fd_numbers)
+            assert encode_event(decoded, back) == blob
+
+    def test_walks_a_concatenation_to_exactly_its_end(self):
+        shapes = shape_grid()
+        records = [shapes[i % len(shapes)] for i in range(1000)]
+        blob = b"".join(encode_event(e, p) for e, p in records)
+        offset = 0
+        for event, payload in records:
+            decoded, back, offset = decode_record(blob, offset)
+            assert event_fields(decoded) == event_fields(event)
+            assert back == payload
+        assert offset == len(blob)
+        assert len(list(decode_records(blob))) == 1000
+
+    def test_encoder_and_decoder_fetch_the_same_struct(self, monkeypatch):
+        fetched = []
+        real = logfile._body_packer
+
+        def spy(*shape):
+            fetched.append((shape, real(*shape)))
+            return fetched[-1][1]
+
+        monkeypatch.setattr(logfile, "_body_packer", spy)
+        for event, payload in check_encoding_shapes():
+            del fetched[:]
+            decode_record(encode_event(event, payload))
+            (enc_shape, enc_struct), (dec_shape, dec_struct) = fetched
+            assert enc_shape == dec_shape
+            assert enc_struct is dec_struct
+            assert enc_struct is logfile._BODY_PACKERS[enc_shape]
+
+    def test_unknown_aux_kind_decodes_flat_and_reencodes_differently(self):
+        event = syscall_event("read", 0, 5, 3, args=(3,), aux=(9, 8))
+        blob = bytearray(encode_event(event))
+        kind_at = 8 + 23 + 1 + 8 * 1
+        assert blob[kind_at] == 0
+        blob[kind_at] = 2
+        decoded, payload, _end = decode_record(bytes(blob))
+        assert decoded.aux == (9, 8)
+        assert encode_event(decoded, payload) != bytes(blob)
+
+    def test_accepts_bytearray_and_memoryview(self):
+        event, payload = check_encoding_shapes()[0]
+        blob = encode_event(event, payload)
+        for view in (bytearray(blob), memoryview(blob)):
+            decoded, back, end = decode_record(view)
+            assert event_fields(decoded) == event_fields(event)
+            assert back == payload and type(back) is bytes
+
+
+def decodes_or_raises_typed(blob: bytes):
+    """Decode ``blob``; the only failure allowed is RecordReplayError.
+    Whatever decodes must re-encode without crashing the oracle."""
+    try:
+        records = list(decode_records(blob))
+    except RecordReplayError:
+        return None
+    for event, payload in records:
+        assert type(encode_event(event, payload)) is bytes
+    return records
+
+
+class TestDamagedLogIsATypedFailure:
+    RECORDS = [encode_event(event, payload)
+               for event, payload in check_encoding_shapes()] + [
+        encode_event(syscall_event("pread", 0, 3, 3, args=(3, 100)),
+                     b"abc")]
+
+    @pytest.mark.parametrize("record", RECORDS,
+                             ids=lambda r: f"{len(r)}B")
+    def test_every_truncation_prefix(self, record):
+        assert decodes_or_raises_typed(record) is not None
+        assert decodes_or_raises_typed(b"") == []
+        for cut in range(1, len(record)):
+            with pytest.raises(RecordReplayError):
+                list(decode_records(record[:cut]))
+            # ... and the same prefix behind an intact record.
+            with pytest.raises(RecordReplayError):
+                list(decode_records(record + record[:cut]))
+
+    @pytest.mark.parametrize("record", RECORDS,
+                             ids=lambda r: f"{len(r)}B")
+    def test_every_single_byte_substitution(self, record):
+        outcomes = set()
+        for offset in range(len(record)):
+            for value in (0, 1, 7, 255):
+                damaged = bytearray(record)
+                damaged[offset] = value
+                for blob in (bytes(damaged), bytes(damaged) + record):
+                    result = decodes_or_raises_typed(blob)
+                    outcomes.add(result is None)
+        assert outcomes == {True, False}  # both paths were exercised
+
+    def test_count_byte_overrunning_the_body(self):
+        record = bytearray(self.RECORDS[-1])
+        nargs_at = 8 + 23
+        assert record[nargs_at] == 2
+        for nargs in (7, 200, 255):
+            record[nargs_at] = nargs
+            with pytest.raises(RecordReplayError, match="truncated"):
+                list(decode_records(bytes(record)))
+            # Bytes of a following record must not be read as this one's.
+            with pytest.raises(RecordReplayError, match="truncated"):
+                list(decode_records(bytes(record) + self.RECORDS[0]))
+
+    def test_wellformed_record_with_seven_args(self):
+        body = struct.pack("<BiqHqB7qBBBI", 0, 17, 1, 0, 0, 7,
+                           *range(7), 0, 0, 0, 0)
+        blob = struct.pack("<II", logfile.MAGIC, len(body)) + body
+        with pytest.raises(RecordReplayError, match="bad arg count 7"):
+            list(decode_records(blob))
+
+    def test_payload_length_past_the_record(self):
+        record = bytearray(self.RECORDS[-1])
+        len_at = len(record) - 3 - 4
+        assert struct.unpack_from("<I", record, len_at) == (3,)
+        struct.pack_into("<I", record, len_at, 4)
+        with pytest.raises(RecordReplayError, match="truncated payload"):
+            list(decode_records(bytes(record)))
+        with pytest.raises(RecordReplayError, match="truncated payload"):
+            list(decode_records(bytes(record) + self.RECORDS[0]))
+
+    def test_unknown_event_type(self):
+        record = bytearray(self.RECORDS[-1])
+        record[8] = 0xEE
+        with pytest.raises(RecordReplayError, match="unknown event type"):
+            list(decode_records(bytes(record)))
 
 
 def app(ctx):
