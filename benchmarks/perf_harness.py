@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Wall-clock performance harness for the simulation substrate.
 
-Four suites:
+Three suites:
 
 ``substrate``
     Microbenchmarks of the DES engine hot path — events processed per
@@ -23,16 +23,6 @@ Four suites:
     through :mod:`repro.experiments.runner`, serial and with ``--jobs``.
     Results go to ``benchmarks/BENCH_sweep.json``.
 
-``loadgen``
-    Engine churn at load-generation occupancy: 10k+ concurrent client
-    processes, each parking a request watchdog plus retransmit timers
-    that are cancelled on response — the standing lazily-cancelled
-    population that bloats the single global heap.  Measures
-    events/sec under the sharded engine and the single-heap engine on
-    the *same* workload; results go to ``benchmarks/BENCH_load.json``
-    and ``--check`` enforces both an events/sec floor and the
-    sharded/heap speedup ratio (machine-independent, floor 3x).
-
 Wall-clock only: none of this touches virtual time.  The invariant that
 these optimizations never shift simulated results is enforced
 separately by ``python -m repro sweep --check-reference`` and
@@ -46,8 +36,6 @@ Usage::
     python benchmarks/perf_harness.py cpu --check
     python benchmarks/perf_harness.py cpu --profile   # cProfile hot paths
     python benchmarks/perf_harness.py sweep --jobs 2
-    python benchmarks/perf_harness.py loadgen --repeats 1
-    python benchmarks/perf_harness.py loadgen --repeats 1 --check
     python benchmarks/perf_harness.py all
 """
 
@@ -67,7 +55,6 @@ SUBSTRATE_JSON = os.path.join(_REPO_ROOT, "benchmarks",
                               "BENCH_substrate.json")
 CPU_JSON = os.path.join(_REPO_ROOT, "benchmarks", "BENCH_cpu.json")
 SWEEP_JSON = os.path.join(_REPO_ROOT, "benchmarks", "BENCH_sweep.json")
-LOAD_JSON = os.path.join(_REPO_ROOT, "benchmarks", "BENCH_load.json")
 
 #: The cached/per-step guest-MIPS ratio the cpu gate enforces.  Wall
 #: clocks differ across machines but the *ratio* is stable, so this part
@@ -89,22 +76,6 @@ PR3_RATIO_FLOOR = 3.0
 #: broad enough to exercise servers, failover and the ring ablations.
 SWEEP_SLICE = ("ablations", "failover-5.1", "figure6", "sanitization-5.3")
 SWEEP_SCALE = 0.008
-
-#: Sharded-engine events/sec over the single-heap engine on the same
-#: 10k-process load-generation workload.  Wall clocks differ across
-#: machines but the ratio is stable, so this part of the gate travels.
-LOADGEN_RATIO_FLOOR = 3.0
-
-#: Load-generation churn shape: 16 machine groups x 625 client actors
-#: (10,000 concurrent processes), each request parking three staggered
-#: retransmit timers that are cancelled when the response arrives.
-LOADGEN_MACHINES = 16
-LOADGEN_ACTORS = 625
-LOADGEN_CYCLES = 80
-LOADGEN_RETRIES = 3
-LOADGEN_SHARDS = 8
-LOADGEN_INTERVAL_US = 50
-LOADGEN_TIMEOUT_INTERVALS = 60
 
 
 # -- substrate workloads ----------------------------------------------------
@@ -358,126 +329,6 @@ def check_cpu(measured: dict, tolerance: float) -> int:
     return status
 
 
-# -- load-generation churn --------------------------------------------------
-
-def loadgen_churn(sim) -> int:
-    """Engine churn at open-loop load-generation occupancy.
-
-    10,000 concurrent client actors (16 machine groups x 625) follow the
-    request/watchdog shape of :mod:`repro.clients.loadgen`: every
-    request parks a Block watchdog plus three staggered retransmit
-    timers (``timeout >> 3``, ``>> 2``, ``>> 1``) that are cancelled
-    when the per-machine responder wakes the actor.  The cancelled
-    timers are lazily dead — the single global heap must push every one
-    through an O(log 1-2M) heap and pop the stale survivors at expiry,
-    while the sharded engine keeps them in small per-shard heaps and
-    compacts them in bulk.  Returns events processed (identical for
-    both engines: dispatch order is bit-identical by construction).
-    """
-    from repro.costmodel import US_PS, MachineSpec
-    from repro.sim.core import Block, Sleep
-    from repro.sim.machine import Machine
-
-    interval = LOADGEN_INTERVAL_US * US_PS
-    timeout_ps = LOADGEN_TIMEOUT_INTERVALS * interval
-    spec = MachineSpec(logical_cores=64, physical_cores=32)
-    machines = [Machine(sim, spec, name=f"m{i}")
-                for i in range(LOADGEN_MACHINES)]
-
-    def noop():
-        pass
-
-    def actor():
-        while True:
-            handles = [sim.schedule(timeout_ps >> (LOADGEN_RETRIES - r),
-                                    noop)
-                       for r in range(LOADGEN_RETRIES)]
-            response = yield Block(timeout_ps=timeout_ps)
-            for handle in handles:
-                handle.cancel()
-            if response is None:
-                break
-
-    def responder(mine):
-        for cycle in range(LOADGEN_CYCLES):
-            yield Sleep(interval)
-            for proc in mine:
-                proc.wake(cycle)
-        yield Sleep(interval)
-        for proc in mine:
-            proc.wake(None)
-
-    for machine in machines:
-        mine = [machine.spawn(actor(), name="a", daemon=True)
-                for _ in range(LOADGEN_ACTORS)]
-        machine.spawn(responder(mine), name="r")
-    sim.run()
-    return sim.events_processed
-
-
-def measure_loadgen(repeats: int = 2) -> dict:
-    """Best-of-``repeats`` events/sec, sharded vs single-heap engine."""
-    from repro.sim.core import Simulator
-    from repro.sim.shard import ShardedSimulator
-
-    rates = {}
-    events = 0
-    stale_dropped = 0
-    for label, make in (("sharded",
-                         lambda: ShardedSimulator(shards=LOADGEN_SHARDS)),
-                        ("heap", Simulator)):
-        best = 0.0
-        for _ in range(repeats):
-            sim = make()
-            started = time.perf_counter()
-            events = loadgen_churn(sim)
-            elapsed = time.perf_counter() - started
-            best = max(best, events / elapsed)
-            if label == "sharded":
-                stale_dropped = sim.stale_dropped
-        rates[label] = best
-    return {
-        "loadgen_churn": {
-            "procs": LOADGEN_MACHINES * LOADGEN_ACTORS,
-            "shards": LOADGEN_SHARDS,
-            "events": events,
-            "stale_dropped": stale_dropped,
-            "sharded_events_per_sec": round(rates["sharded"], 1),
-            "heap_events_per_sec": round(rates["heap"], 1),
-            "sharded_vs_heap_x": round(rates["sharded"] / rates["heap"], 2),
-        }
-    }
-
-
-def check_loadgen(measured: dict, tolerance: float) -> int:
-    """Exit status 1 on events/sec regression or ratio below the floor."""
-    try:
-        with open(LOAD_JSON) as fh:
-            committed = json.load(fh)
-    except FileNotFoundError:
-        print(f"no committed baseline at {LOAD_JSON}; "
-              f"run without --check first", file=sys.stderr)
-        return 2
-    status = 0
-    for name, entry in committed["workloads"].items():
-        baseline = entry["sharded_events_per_sec"]
-        current = measured[name]["sharded_events_per_sec"]
-        floor = baseline * (1.0 - tolerance)
-        verdict = "ok" if current >= floor else "REGRESSED"
-        print(f"{name}: {current:.0f} ev/s sharded vs baseline "
-              f"{baseline:.0f} (floor {floor:.0f}) {verdict}")
-        if current < floor:
-            status = 1
-        ratio = measured[name]["sharded_vs_heap_x"]
-        verdict = "ok" if ratio >= LOADGEN_RATIO_FLOOR else "REGRESSED"
-        print(f"{name}: sharded/heap ratio {ratio:.2f}x at "
-              f"{measured[name]['procs']} procs "
-              f"(floor {LOADGEN_RATIO_FLOOR:.1f}x) {verdict}")
-        if ratio < LOADGEN_RATIO_FLOOR:
-            status = 1
-    return status
-
-
 # -- sweep wall-clock -------------------------------------------------------
 
 def measure_sweep(jobs: int) -> dict:
@@ -556,9 +407,9 @@ def _profiled(fn, *args, **kwargs):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("suite", choices=("substrate", "cpu", "sweep",
-                                          "loadgen", "all"))
+                                          "all"))
     parser.add_argument("--repeats", type=int, default=3,
-                        help="substrate/cpu/loadgen: repetitions, "
+                        help="substrate/cpu: repetitions, "
                              "best kept")
     parser.add_argument("--jobs", type=int, default=2,
                         help="sweep: parallel worker count to time")
@@ -608,19 +459,6 @@ def main(argv=None) -> int:
         elif not args.profile:
             write_json(CPU_JSON, {"meta": _meta(), "workloads": measured,
                                   "event_codec": codec})
-    if status == 0 and args.suite in ("loadgen", "all"):
-        measured = measure(measure_loadgen, repeats=args.repeats)
-        for name, entry in measured.items():
-            print(f"{name}: {entry['sharded_events_per_sec']:.0f} ev/s "
-                  f"sharded ({entry['shards']} shards) vs "
-                  f"{entry['heap_events_per_sec']:.0f} single-heap = "
-                  f"{entry['sharded_vs_heap_x']:.2f}x at "
-                  f"{entry['procs']} procs ({entry['events']} events, "
-                  f"{entry['stale_dropped']} stale compacted)")
-        if args.check:
-            status = check_loadgen(measured, args.tolerance)
-        elif not args.profile:
-            write_json(LOAD_JSON, {"meta": _meta(), "workloads": measured})
     if status == 0 and args.suite in ("sweep", "all"):
         timed = measure_sweep(jobs=args.jobs)
         for label, entry in timed.items():

@@ -11,7 +11,8 @@ follower pinpoints it while production traffic is unaffected.
 Run:  python examples/live_sanitization.py
 """
 
-from repro import ASAN, NvxSession, VersionSpec, World, sanitized_spec
+from repro import (ASAN, NvxSession, SessionConfig, VersionSpec, World,
+                   sanitized_spec)
 from repro.apps import ServerStats, make_redis, redis_image
 from repro.apps.redis import BUGGY_REVISION
 from repro.clients import make_redis_benchmark, make_redis_command_probe
@@ -27,7 +28,7 @@ def main():
             image=redis_image()),
         sanitized_spec("redis-7f77235", make_redis(
             stats=ServerStats(), background_thread=False), ASAN, reports),
-    ], daemon=True, sample_distances=True).start()
+    ], config=SessionConfig(daemon=True, sample_distances=True)).start()
 
     mains, bench = make_redis_benchmark(clients=10, requests=700,
                                         scale=1.0)
@@ -54,7 +55,7 @@ def main():
         sanitized_spec("redis-buggy", make_redis(
             stats=ServerStats(), revision=BUGGY_REVISION,
             background_thread=False), ASAN, reports),
-    ], daemon=True).start()
+    ], config=SessionConfig(daemon=True)).start()
     mains, probe = make_redis_command_probe(b"HMGET missing f1\r\n")
     for main_fn in mains:
         world.kernel.spawn_task(world.client, main_fn, name="probe")

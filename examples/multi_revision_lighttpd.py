@@ -10,7 +10,8 @@ its additional calls locally and stay in sync.
 Run:  python examples/multi_revision_lighttpd.py
 """
 
-from repro import NvxSession, RewriteRules, VersionSpec, World, assemble_bpf
+from repro import (NvxSession, RewriteRules, SessionConfig, VersionSpec,
+                   World, assemble_bpf)
 from repro.apps import ServerStats
 from repro.apps.httpd import lighttpd_revision
 from repro.clients import make_apachebench
@@ -59,7 +60,8 @@ def main():
     world.kernel.fs(world.server).create("/var/www/index.html",
                                          b"x" * 4096)
     rules = RewriteRules([assemble_bpf(LISTING_1, name="listing1")])
-    session = NvxSession(world, specs(), rules=rules, daemon=True).start()
+    session = NvxSession(world, specs(), config=SessionConfig(
+        rules=rules, daemon=True)).start()
     report = drive_clients(world)
     world.run()
     print("=== Varan + BPF rewrite rules ===")
@@ -73,8 +75,9 @@ def main():
     world = World()
     world.kernel.fs(world.server).create("/var/www/index.html",
                                          b"x" * 4096)
-    lockstep = LockstepSession(world, specs(), profile=MX_PROFILE,
-                               daemon=True).start()
+    lockstep = LockstepSession(world, specs(),
+                               config=SessionConfig(daemon=True),
+                               profile=MX_PROFILE).start()
     drive_clients(world, requests=4)
     try:
         world.run(until_ps=2_000_000_000_000)

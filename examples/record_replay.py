@@ -12,7 +12,8 @@ the paper sketches.
 Run:  python examples/record_replay.py
 """
 
-from repro import NvxSession, Recorder, ReplaySession, VersionSpec, World
+from repro import (NvxSession, Recorder, ReplaySession, SessionConfig,
+                   VersionSpec, World)
 from repro.apps import ServerStats, make_redis, redis_image
 from repro.apps.redis import BUGGY_REVISION, REVISIONS
 from repro.clients import make_redis_benchmark
@@ -25,7 +26,7 @@ def main():
         VersionSpec("redis-prod", make_redis(
             stats=ServerStats(), revision=REVISIONS[0],
             background_thread=False), image=redis_image()),
-    ], daemon=True)
+    ], config=SessionConfig(daemon=True))
     recorder = Recorder(session, "/var/prod.log")
     session.start()
 

@@ -11,7 +11,7 @@ its answer — over the very same TCP connection.
 Run:  python examples/transparent_failover.py
 """
 
-from repro import NvxSession, VersionSpec, World
+from repro import NvxSession, SessionConfig, VersionSpec, World
 from repro.apps import ServerStats, make_redis, redis_image
 from repro.apps.redis import BUGGY_REVISION, REVISIONS
 from repro.clients import make_redis_command_probe
@@ -26,7 +26,8 @@ def run(buggy_leads: bool):
                                     background_thread=False),
                          image=redis_image())
              for rev in order]
-    session = NvxSession(world, specs, daemon=True).start()
+    session = NvxSession(world, specs,
+                         config=SessionConfig(daemon=True)).start()
 
     mains, report = make_redis_command_probe(b"HMGET missing f1 f2\r\n")
     for main in mains:

@@ -13,7 +13,7 @@ Usage::
     python -m repro chaos --seed 7 --plans 20
     python -m repro chaos --seed 7 --plans 20 --placement remote
     python -m repro load --clients 1000 --rate 20000
-    python -m repro load --scale 0.02 --engine sharded --out curves.txt
+    python -m repro load --scale 0.02 --out curves.txt
     python -m repro fuzz --seed 1 --budget 12
     python -m repro fuzz --seed 1 --budget 12 --out journal.txt
 """
@@ -68,16 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="(chaos/trace) follower placement: 'local' "
                              "(shared-memory ring, default) or 'remote' "
                              "(networked transport to replica machines)")
-    parser.add_argument("--engine", choices=("heap", "sharded"),
-                        default=None,
-                        help="(load/chaos) DES engine: 'heap' (single "
-                             "event heap, default) or 'sharded' "
-                             "(per-machine-group shards; bit-identical "
-                             "results, faster at high client counts)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="(load/chaos) shard count for "
-                             "--engine sharded; default: one per "
-                             "machine, capped at 8")
     parser.add_argument("--clients", type=int, default=None,
                         help="(load) open-loop client pool size before "
                              "--scale (default 1000)")
@@ -132,11 +122,9 @@ def run_chaos_command(args) -> int:
     invariant was violated.
     """
     from repro.faults.chaos import run_chaos
-    from repro.world import default_engine
 
-    with default_engine(args.engine or "heap", shards=args.shards):
-        journal, failures = run_chaos(args.seed, args.plans,
-                                      placement=args.placement or "local")
+    journal, failures = run_chaos(args.seed, args.plans,
+                                  placement=args.placement or "local")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(journal)
@@ -149,12 +137,10 @@ def run_chaos_command(args) -> int:
 def run_load_command(args) -> int:
     """Drive the open-loop load-generation plane and print its curves.
 
-    Deterministic: the same flags produce a byte-identical report
-    whichever engine runs it — CI compares --engine heap against
-    --engine sharded output with cmp.
+    Deterministic: the same flags produce a byte-identical report run
+    to run — CI compares two runs with cmp.
     """
     from repro.experiments.registry import ExperimentConfig, run_experiment
-    from repro.world import default_engine
 
     options = [("seed", args.seed)]
     if args.clients is not None:
@@ -163,16 +149,14 @@ def run_load_command(args) -> int:
         options.append(("rate_rps", args.rate))
     config = ExperimentConfig(scale=args.scale,
                               options=tuple(sorted(options)))
-    engine = args.engine or "heap"
     started = time.time()
-    with default_engine(engine, shards=args.shards):
-        result = run_experiment("loadcurve", config=config)
+    result = run_experiment("loadcurve", config=config)
     report = result.render() + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report)
         print(f"[load curves written to {args.out} in "
-              f"{time.time() - started:.1f}s with --engine {engine}]")
+              f"{time.time() - started:.1f}s]")
     else:
         print(report, end="")
     return 0

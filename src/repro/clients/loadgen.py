@@ -17,15 +17,13 @@ the opposite design, the one production load tests use:
   :class:`~repro.clients.topology.LoadTopology` of load-generator
   machines, each with connection churn (periodic reconnects) and a
   per-request retransmit watchdog that is scheduled on issue and
-  cancelled on response — the lazily-cancelled timer population this
-  pattern leaves behind is precisely the load the sharded engine's
-  compaction exists for.
+  cancelled on response.
 * **Bounded, per-class measurement.**  Results land in a
   :class:`~repro.clients.base.ClientReport` whose digests give
   p50/p99/p999 per request class without holding per-sample lists.
 
 Everything is deterministic: the same topology, config and seed yield
-byte-identical reports on either engine.
+byte-identical reports.
 """
 
 from __future__ import annotations

@@ -4,11 +4,8 @@ A load-generation run wants *thousands* of client actors, far more than
 one simulated machine would realistically host.  A
 :class:`LoadTopology` describes a pool of load-generator machines and
 deterministically spreads the actor pool across them round-robin, so
-
-* the actor → machine map is a pure function of the topology (no
-  registration order dependence), and
-* under the sharded engine each load-generator machine's actors land in
-  that machine's shard, which is exactly the partition the engine wants.
+the actor → machine map is a pure function of the topology (no
+registration order dependence).
 
 The topology only *names* machines; the caller builds the
 :class:`~repro.world.World` from :meth:`machine_names` and spawns each

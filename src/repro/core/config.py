@@ -7,16 +7,11 @@ session kinds (:class:`~repro.core.coordinator.NvxSession`,
 previously-divergent keyword soups.  Each session consumes the fields it
 cares about and ignores the rest, so one config can be reused across
 monitor kinds when an experiment swaps them.
-
-The old per-session keywords keep working through
-:func:`resolve_session_config`, which folds them into a config and
-emits a single DeprecationWarning per process.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import NvxError
@@ -68,38 +63,13 @@ class SessionConfig:
         return replace(self, **overrides)
 
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(SessionConfig))
-
-#: Single-warning flag for the deprecation shim (process-wide).
-_legacy_warned = False
-
-
 def resolve_session_config(session_cls: str,
-                           config: Optional[SessionConfig],
-                           legacy: dict) -> SessionConfig:
-    """Combine an explicit config with legacy keyword arguments.
-
-    ``legacy`` is the ``**kwargs`` a session constructor collected; any
-    recognised option is folded over ``config`` (or the defaults) after
-    a one-time DeprecationWarning.  Unknown keywords raise TypeError,
-    matching what the old explicit signatures did.
-    """
-    global _legacy_warned
-    if config is not None and not isinstance(config, SessionConfig):
+                           config: Optional[SessionConfig]) -> SessionConfig:
+    """The session's config: ``config`` itself, or the defaults when
+    None; anything else is rejected with an error naming the session."""
+    if config is None:
+        return SessionConfig()
+    if not isinstance(config, SessionConfig):
         raise NvxError(f"{session_cls}: config must be a SessionConfig, "
                        f"got {type(config).__name__}")
-    resolved = config if config is not None else SessionConfig()
-    if legacy:
-        unknown = sorted(set(legacy) - _CONFIG_FIELDS)
-        if unknown:
-            raise TypeError(f"{session_cls}: unexpected keyword "
-                            f"argument(s) {unknown}")
-        if not _legacy_warned:
-            warnings.warn(
-                f"{session_cls}({', '.join(sorted(legacy))}=...): passing "
-                "session options as keywords is deprecated; pass "
-                "config=SessionConfig(...) instead",
-                DeprecationWarning, stacklevel=3)
-            _legacy_warned = True
-        resolved = replace(resolved, **legacy)
-    return resolved
+    return config

@@ -97,15 +97,14 @@ class SessionStats:
 class NvxSession:
     """One Varan NVX group: N versions behaving as a single process.
 
-    Options arrive through a shared :class:`SessionConfig`; the old
-    per-option keywords still work via a deprecation shim.
+    Options arrive through a shared :class:`SessionConfig`.
     """
 
     def __init__(self, world, specs: List[VersionSpec],
-                 config: Optional[SessionConfig] = None, **kwargs) -> None:
+                 config: Optional[SessionConfig] = None) -> None:
         if not specs:
             raise NvxError("session needs at least one version")
-        cfg = resolve_session_config("NvxSession", config, kwargs)
+        cfg = resolve_session_config("NvxSession", config)
         self.world = world
         self.costs = world.costs
         self.machine = cfg.machine or world.server

@@ -45,7 +45,6 @@ existed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -154,47 +153,24 @@ def local_transport() -> TransportFactory:
     return build
 
 
-#: Single-warning flag for the legacy transport shim (process-wide),
-#: mirroring the SessionConfig kwarg deprecation pattern.
-_legacy_transport_warned = False
-
-
 def resolve_transport(transport, has_remote: bool) -> TransportFactory:
     """Normalise a ``transport=`` argument into a factory.
 
     ``None`` selects the local ring — unless the placement puts some
     follower on a different machine, in which case the networked
     transport is the only one that makes sense and becomes the default.
-    Passing a transport *class* (the old ``RingBuffer``-style direct
-    construction) still works through a warn-once deprecation shim.
+    A transport *class* is not a factory and is rejected.
     """
-    global _legacy_transport_warned
     if transport is None:
         if has_remote:
             from repro.core.netring import net_transport
             return net_transport()
         return local_transport()
-    if isinstance(transport, type):
-        # Legacy: sessions used to construct the ring class directly.
-        if not _legacy_transport_warned:
-            warnings.warn(
-                f"transport={transport.__name__}: passing a ring class is "
-                "deprecated; pass a transport factory "
-                "(repro.core.transport.local_transport() or "
-                "repro.core.netring.net_transport())",
-                DeprecationWarning, stacklevel=3)
-            _legacy_transport_warned = True
-        ring_cls = transport
-
-        def build(ctx: TransportContext) -> EventTransport:
-            return ring_cls(ctx.sim, ctx.costs, capacity=ctx.capacity,
-                            name=ctx.name, tracer=ctx.tracer)
-
-        return build
-    if callable(transport):
+    if callable(transport) and not isinstance(transport, type):
         return transport
-    raise NvxError(f"transport must be a factory, got "
-                   f"{type(transport).__name__}")
+    raise NvxError(f"transport must be a factory such as "
+                   f"local_transport() or net_transport(), got "
+                   f"{transport!r}")
 
 
 def resolve_placement(placement, specs, world, default_machine) -> List:

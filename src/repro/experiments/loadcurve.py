@@ -11,8 +11,8 @@ Two curves the paper's closed-loop tools cannot draw:
   sits relative to native.
 
 Both are driven by :mod:`repro.clients.loadgen`: open-loop arrivals
-with seeded determinism, so every cell is byte-stable across runs,
-engines ("heap" vs "sharded") and sweep parallelism.
+with seeded determinism, so every cell is byte-stable across runs and
+sweep parallelism.
 """
 
 from __future__ import annotations

@@ -73,10 +73,10 @@ class LockstepSession:
 
     def __init__(self, world, specs: List,
                  config: Optional[SessionConfig] = None,
-                 profile: MonitorProfile = MX_PROFILE, **kwargs) -> None:
+                 profile: MonitorProfile = MX_PROFILE) -> None:
         if not specs:
             raise NvxError("lockstep session needs at least one version")
-        cfg = resolve_session_config("LockstepSession", config, kwargs)
+        cfg = resolve_session_config("LockstepSession", config)
         self.world = world
         self.costs: CostModel = world.costs
         self.machine = cfg.machine or world.server

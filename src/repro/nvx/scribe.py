@@ -23,10 +23,10 @@ class ScribeSession:
     """Run versions with Scribe-style kernel recording enabled."""
 
     def __init__(self, world, specs: List,
-                 config: Optional[SessionConfig] = None, **kwargs) -> None:
+                 config: Optional[SessionConfig] = None) -> None:
         if not specs:
             raise NvxError("scribe session needs at least one version")
-        cfg = resolve_session_config("ScribeSession", config, kwargs)
+        cfg = resolve_session_config("ScribeSession", config)
         self.world = world
         self.costs: CostModel = world.costs
         self.machine = cfg.machine or world.server

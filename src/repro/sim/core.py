@@ -105,14 +105,10 @@ class EventHandle:
     pop time when its captured token no longer matches ``_wake_token``.
     """
 
-    __slots__ = ("_wake_token", "_shard_index")
+    __slots__ = ("_wake_token",)
 
     def __init__(self) -> None:
         self._wake_token = 0
-        #: Which event shard holds this handle's entry.  Always 0 under
-        #: the single-heap engine; the sharded engine assigns it at
-        #: schedule time so cancellation stays O(1)-lazy per shard.
-        self._shard_index = 0
 
     @property
     def cancelled(self) -> bool:
@@ -149,20 +145,6 @@ class Simulator:
         #: is-None check when tracing is off.
         self.tracer = _obs_trace.active()
 
-    def _register_machine(self, machine) -> None:
-        """Assign the machine's event shard.  The single-heap engine has
-        exactly one shard; :class:`repro.sim.shard.ShardedSimulator`
-        overrides this to spread machines across shards."""
-        machine._shard_index = 0
-
-    def schedule_on(self, machine, delay_ps: int,
-                    fn: Callable[[], None]) -> EventHandle:
-        """Like :meth:`schedule`, but hints which machine the callback
-        belongs to.  The single-heap engine ignores the hint; the sharded
-        engine routes the entry to the machine's shard (this is how
-        cross-machine network deliveries become cross-shard edges)."""
-        return self.schedule(delay_ps, fn)
-
     def schedule(self, delay_ps: int, fn: Callable[[], None]) -> EventHandle:
         """Run ``fn`` after ``delay_ps`` picoseconds of virtual time."""
         if delay_ps < 0:
@@ -194,9 +176,15 @@ class Simulator:
             max_events: int = 500_000_000) -> None:
         """Drain the event heap, optionally stopping at ``until_ps``.
 
+        ``until_ps`` is an absolute horizon; one earlier than ``now``
+        would run the clock backwards and raises :class:`SimulationError`.
         Raises :class:`DeadlockError` if events run out while some process
         is still blocked — unless every remaining process is a daemon.
         """
+        if until_ps is not None and until_ps < self.now:
+            raise SimulationError(
+                f"run(until_ps={until_ps}) is earlier than now={self.now}: "
+                f"the clock cannot run backwards")
         heap = self._heap
         heappop = heapq.heappop
         events = 0
@@ -252,7 +240,6 @@ class Process:
 
     __slots__ = ("machine", "sim", "gen", "name", "daemon", "state",
                  "result", "exception", "cpu_ps", "_done_callbacks",
-                 "_shard_index",
                  "_wake_token", "_resume_value", "_resume_throw",
                  "_cb_after_compute", "_cb_after_sleep", "_cb_on_timeout",
                  "_cb_spin_resume", "_cb_granted_core", "__weakref__")
@@ -261,9 +248,6 @@ class Process:
                  daemon: bool = False) -> None:
         self.machine = machine
         self.sim: Simulator = machine.sim
-        #: A process's events always live in its machine's shard, so the
-        #: sharded engine's ``_post`` routes by one attribute load.
-        self._shard_index = machine._shard_index
         self.gen = gen
         self.name = name
         self.daemon = daemon

@@ -19,8 +19,7 @@ class Machine:
     (see :mod:`repro.apps.spec`).
     """
 
-    __slots__ = ("sim", "spec", "name", "free_cores", "_ready",
-                 "_shard_index")
+    __slots__ = ("sim", "spec", "name", "free_cores", "_ready")
 
     def __init__(self, sim: Simulator, spec: Optional[MachineSpec] = None,
                  name: str = "machine") -> None:
@@ -29,9 +28,6 @@ class Machine:
         self.name = name
         self.free_cores = self.spec.logical_cores
         self._ready: Deque[Process] = deque()
-        # Sets self._shard_index: which event shard this machine's
-        # processes schedule into (always 0 on the single-heap engine).
-        sim._register_machine(self)
 
     def spawn(self, gen, name: str = "proc", daemon: bool = False,
               start: bool = True) -> Process:

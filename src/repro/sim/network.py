@@ -52,7 +52,7 @@ class Network:
         if src is dst:
             # Loopback: negligible latency, no bandwidth cap.
             arrival = max(self.sim.now + 1000, floor_ps)
-            self.sim.schedule_on(dst, arrival - self.sim.now, fn)
+            self.sim.schedule(arrival - self.sim.now, fn)
             return arrival
         tx = nbytes * self.spec.ps_per_byte
         if self.serialize:
@@ -68,8 +68,5 @@ class Network:
         arrival = max(arrival, floor_ps)
         self.bytes_sent += nbytes
         self.messages_sent += 1
-        # Route the arrival to the destination machine's event shard:
-        # cross-machine deliveries are the cross-shard edges of the
-        # sharded engine (see repro.sim.shard).
-        self.sim.schedule_on(dst, arrival - self.sim.now, fn)
+        self.sim.schedule(arrival - self.sim.now, fn)
         return arrival

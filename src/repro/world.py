@@ -10,7 +10,6 @@ not import session classes directly.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Optional
 
 from repro.core.config import SessionConfig
@@ -22,51 +21,7 @@ from repro.sim.core import Simulator
 from repro.sim.machine import Machine
 from repro.sim.network import Network
 
-__all__ = ["World", "SessionConfig", "default_engine"]
-
-#: Engine used when ``World(engine=None)``: "heap" (the single global
-#: event heap) or "sharded" (:class:`repro.sim.shard.ShardedSimulator`,
-#: bit-identical results, faster at high process counts).
-_DEFAULT_ENGINE = "heap"
-_DEFAULT_SHARDS: Optional[int] = None
-
-
-@contextmanager
-def default_engine(name: str, shards: Optional[int] = None):
-    """Context manager: make every World built inside use ``name``.
-
-    This is how whole experiment drivers (which construct their own
-    worlds) run under the sharded engine without threading an argument
-    through every call site — the identity tests and the CLI use it.
-    ``shards`` optionally pins the shard count (else one per machine,
-    capped).
-    """
-    global _DEFAULT_ENGINE, _DEFAULT_SHARDS
-    previous = (_DEFAULT_ENGINE, _DEFAULT_SHARDS)
-    _DEFAULT_ENGINE = name
-    _DEFAULT_SHARDS = shards
-    try:
-        yield
-    finally:
-        _DEFAULT_ENGINE, _DEFAULT_SHARDS = previous
-
-
-def _build_simulator(engine: Optional[str], shards: Optional[int],
-                     n_machines: int) -> Simulator:
-    engine = engine or _DEFAULT_ENGINE
-    if engine == "heap":
-        return Simulator()
-    if engine == "sharded":
-        from repro.sim.shard import ShardedSimulator
-        if shards is None:
-            shards = _DEFAULT_SHARDS
-        if shards is None:
-            # One shard per machine up to a cache-friendly cap: beyond
-            # ~8 the per-switch head scan starts eating the win.
-            shards = max(2, min(8, n_machines))
-        return ShardedSimulator(shards=shards)
-    raise NvxError(f"unknown engine {engine!r} "
-                   f"(choose 'heap' or 'sharded')")
+__all__ = ["World", "SessionConfig"]
 
 
 class World:
@@ -74,10 +29,9 @@ class World:
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS,
                  machine_names=("server", "client"), seed: int = 0,
-                 tracer=None, engine: Optional[str] = None,
-                 shards: Optional[int] = None) -> None:
+                 tracer=None) -> None:
         self.costs = costs
-        self.sim = _build_simulator(engine, shards, len(machine_names))
+        self.sim = Simulator()
         if tracer is not None:
             # Explicit per-world tracer overrides the process-wide one
             # the simulator picked up (if any).
@@ -127,10 +81,8 @@ class World:
     @staticmethod
     def _fold(config: Optional[SessionConfig], placement, transport
               ) -> Optional[SessionConfig]:
-        """Fold the first-class ``placement=``/``transport=`` facade
-        arguments into the config.  These are the *new* API — unlike the
-        legacy per-option keywords they carry no deprecation warning —
-        and explicit fields already set on the config win."""
+        """Fold the ``placement=``/``transport=`` facade arguments into
+        the config; explicit fields already set on the config win."""
         if placement is None and transport is None:
             return config
         resolved = config if config is not None else SessionConfig()
@@ -142,35 +94,35 @@ class World:
         return resolved.replace(**overrides) if overrides else resolved
 
     def nvx(self, specs, config: Optional[SessionConfig] = None,
-            placement=None, transport=None, **kwargs):
+            placement=None, transport=None):
         """Build a Varan :class:`NvxSession` over this world.
 
         ``placement`` maps variant index/name to a machine (name or
         object); ``transport`` is an event-transport factory
         (:func:`repro.core.netring.net_transport` for remote followers).
-        Direct ring construction by sessions is gone — transports come
-        from factories now.
         """
         from repro.core.coordinator import NvxSession
 
         config = self._fold(config, placement, transport)
-        return NvxSession(self, specs, config=config, **kwargs)
+        return NvxSession(self, specs, config=config)
 
     def lockstep(self, specs, config: Optional[SessionConfig] = None,
-                 placement=None, transport=None, **kwargs):
-        """Build a centralized lockstep-monitor baseline session."""
-        from repro.nvx.lockstep import LockstepSession
+                 placement=None, transport=None, profile=None):
+        """Build a centralized lockstep-monitor baseline session
+        (``profile`` defaults to the mx monitor)."""
+        from repro.nvx.lockstep import MX_PROFILE, LockstepSession
 
         config = self._fold(config, placement, transport)
-        return LockstepSession(self, specs, config=config, **kwargs)
+        return LockstepSession(self, specs, config=config,
+                               profile=profile or MX_PROFILE)
 
     def scribe(self, specs, config: Optional[SessionConfig] = None,
-               placement=None, transport=None, **kwargs):
+               placement=None, transport=None):
         """Build a Scribe-style record/replay baseline session."""
         from repro.nvx.scribe import ScribeSession
 
         config = self._fold(config, placement, transport)
-        return ScribeSession(self, specs, config=config, **kwargs)
+        return ScribeSession(self, specs, config=config)
 
     def run(self, **kwargs) -> None:
         self.sim.run(**kwargs)

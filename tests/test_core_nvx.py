@@ -5,6 +5,7 @@ import pytest
 
 from repro.bpf import NVX_RET_SKIP, RewriteRules, assemble_bpf
 from repro.core import NvxSession, VersionSpec
+from repro.core.config import SessionConfig
 from repro.kernel.uapi import O_RDWR, SYSCALL_NUMBERS, Segfault
 from repro.world import World
 
@@ -24,13 +25,13 @@ good: ret #0x7fff0000
 """
 
 
-def run_session(specs, world=None, files=None, **kwargs):
+def run_session(specs, world=None, files=None, config=None):
     w = world or World()
     if files:
         fs = w.kernel.fs(w.server)
         for path, data in files.items():
             fs.create(path, data)
-    session = NvxSession(w, specs, **kwargs).start()
+    session = NvxSession(w, specs, config=config).start()
     w.run()
     return session, w
 
@@ -91,7 +92,7 @@ class TestReplayFidelity:
 
         session, _ = run_session(
             [VersionSpec("a", app), VersionSpec("b", app)],
-            sample_distances=True)
+            config=SessionConfig(sample_distances=True))
         stats = session.root_tuple.ring.stats
         assert stats.published >= 21  # 20 times + exit
         assert stats.median_distance() >= 1
@@ -246,7 +247,7 @@ class TestDivergence:
         rules = RewriteRules([assemble_bpf(LISTING_1)])
         session, _ = run_session(
             [VersionSpec("2435", rev2435), VersionSpec("2436", rev2436)],
-            rules=rules)
+            config=SessionConfig(rules=rules))
         assert result_of(session.variants[0]) == \
             result_of(session.variants[1])
         assert session.stats.divergences == 2
@@ -282,7 +283,7 @@ class TestDivergence:
             name="skip-uid-calls")
         session, _ = run_session(
             [VersionSpec("newer", newer), VersionSpec("older", older)],
-            rules=RewriteRules([skip_rule]))
+            config=SessionConfig(rules=RewriteRules([skip_rule])))
         assert result_of(session.variants[1]) == "older"
         assert session.variants[1].alive
         assert session.stats.divergences_skipped == 2

@@ -32,10 +32,10 @@ def healthy(n_calls=10):
     return main
 
 
-def run_session(specs, **kwargs):
+def run_session(specs, config=None):
     world = World()
     world.kernel.fs(world.server).create("/tmp/data", b"still-here")
-    session = NvxSession(world, specs, **kwargs).start()
+    session = NvxSession(world, specs, config=config).start()
     world.run()
     return session, world
 
@@ -104,7 +104,7 @@ class TestTinyRing:
     def test_capacity_one_ring_still_correct(self):
         session, _ = run_session(
             [VersionSpec("a", healthy(5)), VersionSpec("b", healthy(5))],
-            ring_capacity=1)
+            config=SessionConfig(ring_capacity=1))
         assert session.variants[0].root_task.threads[0].result == \
             session.variants[1].root_task.threads[0].result
         assert session.root_tuple.ring.stats.producer_stalls > 0
@@ -113,7 +113,7 @@ class TestTinyRing:
         session, _ = run_session(
             [VersionSpec("a", healthy(8)),
              VersionSpec("b", crash_after(2))],
-            ring_capacity=1)
+            config=SessionConfig(ring_capacity=1))
         assert session.variants[0].root_task.threads[0].result == \
             b"still-here"
 
@@ -134,7 +134,7 @@ class TestFollowerLag:
         world = World()
         session = NvxSession(world, [VersionSpec("fast", fast),
                                      VersionSpec("slow", slow)],
-                             ring_capacity=16).start()
+                             config=SessionConfig(ring_capacity=16)).start()
         world.run()
         assert session.root_tuple.ring.stats.producer_stalls > 0
         assert session.variants[0].root_task.threads[0].result == "done"
@@ -156,7 +156,7 @@ class TestFollowerLag:
         world = World()
         session = NvxSession(world, [VersionSpec("l", leader),
                                      VersionSpec("f", follower)],
-                             ring_capacity=8).start()
+                             config=SessionConfig(ring_capacity=8)).start()
         world.run()
         assert session.variants[0].root_task.threads[0].result == \
             "finished"

@@ -1,8 +1,7 @@
 """Open-loop load-generation plane: determinism, digests, topology.
 
 The plane's contract is byte-stable measurement: the same topology,
-config and seed must produce identical reports on either DES engine,
-because ``python -m repro load`` output is compared with ``cmp`` in CI
+config and seed must produce identical reports run to run, because ``python -m repro load`` output is compared with ``cmp`` in CI
 and the loadcurve experiment feeds the reference sweep.
 """
 
@@ -21,7 +20,7 @@ from repro.clients.loadgen import (
 from repro.clients.topology import LoadTopology
 from repro.costmodel import SEC_PS, US_PS
 from repro.errors import NvxError
-from repro.world import World, default_engine
+from repro.world import World
 
 
 # -- LatencyDigest -----------------------------------------------------------
@@ -126,12 +125,11 @@ class TestConfig:
 
 # -- open-loop determinism ---------------------------------------------------
 
-def _drive(seed: int, engine: str, arrivals: str = "poisson"):
+def _drive(seed: int, arrivals: str = "poisson"):
     """One tiny open-loop run against the simulated redis; returns a
     comparable snapshot of everything the plane measured."""
     topology = LoadTopology(clients=8, machines=2)
-    with default_engine(engine, shards=3):
-        world = World(machine_names=topology.machine_names())
+    world = World(machine_names=topology.machine_names())
     world.spawn(make_redis(), name="redis", daemon=True)
     duration_ps = SEC_PS // 4
     config = OpenLoopConfig(rate_rps=400.0, duration_ps=duration_ps,
@@ -157,23 +155,19 @@ def _drive(seed: int, engine: str, arrivals: str = "poisson"):
 
 class TestOpenLoopDeterminism:
     def test_same_seed_same_journal(self):
-        assert _drive(3, "heap") == _drive(3, "heap")
-
-    def test_engines_agree(self):
-        assert _drive(3, "heap") == _drive(3, "sharded")
+        assert _drive(3) == _drive(3)
 
     def test_uniform_arrivals_deterministic(self):
-        assert _drive(5, "heap", "uniform") == _drive(
-            5, "sharded", "uniform")
+        assert _drive(5, "uniform") == _drive(5, "uniform")
 
     def test_different_seed_different_arrivals(self):
-        a = _drive(1, "heap")
-        b = _drive(2, "heap")
+        a = _drive(1)
+        b = _drive(2)
         assert a["requests"] > 0 and b["requests"] > 0
         assert a != b
 
     def test_pool_actually_measures(self):
-        snap = _drive(3, "heap")
+        snap = _drive(3)
         assert snap["requests"] > 10
         assert snap["errors"] == 0
         assert set(snap["per_command"]) == {"ping", "get", "set"}
@@ -182,20 +176,17 @@ class TestOpenLoopDeterminism:
 
 # -- loadcurve experiment ----------------------------------------------------
 
-def test_loadcurve_smoke_identical_across_engines():
-    """The registry-level experiment renders byte-identically on both
-    engines at sweep scale (the CI cmp gate in miniature)."""
+def test_loadcurve_smoke_deterministic():
+    """The registry-level experiment renders byte-identically run to
+    run at sweep scale (the CI cmp gate in miniature)."""
     from repro.experiments import loadcurve
 
-    def render(engine):
-        with default_engine(engine, shards=4):
-            return loadcurve.run(scale=0.008, followers=1,
-                                 duration_s=0.25,
-                                 offered_multipliers=(0.5,)).render()
+    def render():
+        return loadcurve.run(scale=0.008, followers=1, duration_s=0.25,
+                             offered_multipliers=(0.5,)).render()
 
-    heap = render("heap")
-    sharded = render("sharded")
-    assert sharded == heap
-    assert "native" in heap
-    assert "varan local f1" in heap
-    assert "varan remote f1" in heap
+    first = render()
+    assert render() == first
+    assert "native" in first
+    assert "varan local f1" in first
+    assert "varan remote f1" in first

@@ -21,6 +21,7 @@ from repro.clients import (
     make_wrk,
 )
 from repro.core import NvxSession, VersionSpec
+from repro.core.config import SessionConfig
 from repro.costmodel import SEC_PS
 from repro.world import World
 
@@ -33,7 +34,8 @@ def run_nvx_server(server_factory, client_factory, followers=2,
     specs = [VersionSpec(f"v{i}", server_factory(),
                          image=image_factory() if image_factory else None)
              for i in range(followers + 1)]
-    session = NvxSession(world, specs, daemon=True).start()
+    session = NvxSession(world, specs,
+                         config=SessionConfig(daemon=True)).start()
     mains, report = client_factory()
     for index, main in enumerate(mains):
         world.kernel.spawn_task(world.client, main, name=f"cli{index}")

@@ -1,16 +1,14 @@
 """Observability stack (repro.obs): trace determinism, Chrome export,
-metrics merging across sweep fragments, the SessionConfig shim and the
+metrics merging across sweep fragments, SessionConfig validation and the
 World session facade."""
 
 import json
-import warnings
 
 import pytest
 
 from repro import obs
 from repro.core import NvxSession, VersionSpec
 from repro.core.config import SessionConfig
-import repro.core.config as core_config
 from repro.errors import NvxError
 from repro.experiments import figure4, runner
 from repro.obs import metrics as obs_metrics
@@ -25,7 +23,7 @@ def _traced_figure4_lines():
             obs.chrome_trace_json(tracer.records)
 
 
-def _micro_session(tracer=None, **kwargs):
+def _micro_session(tracer=None, config=None):
     """Two-version session issuing a handful of syscalls."""
 
     def app(ctx):
@@ -37,7 +35,7 @@ def _micro_session(tracer=None, **kwargs):
     world = World(tracer=tracer)
     world.kernel.fs(world.server).create("/tmp/f", b"payload!")
     specs = [VersionSpec("a", app), VersionSpec("b", app)]
-    session = world.nvx(specs, **kwargs).start()
+    session = world.nvx(specs, config=config).start()
     world.run()
     return session
 
@@ -165,24 +163,9 @@ class TestSessionConfigShim:
         assert session.ring_capacity == 32
         assert session.root_tuple.ring.capacity == 32
 
-    def test_legacy_kwargs_warn_once_then_stay_quiet(self):
-        core_config._legacy_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _micro_session(ring_capacity=64)
-            _micro_session(ring_capacity=64)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "SessionConfig" in str(deprecations[0].message)
-
-    def test_legacy_kwargs_still_take_effect(self):
-        session = _micro_session(ring_capacity=16)
-        assert session.ring_capacity == 16
-
     def test_unknown_kwarg_raises_type_error(self):
         with pytest.raises(TypeError, match="bogus"):
-            _micro_session(bogus=1)
+            World().nvx([VersionSpec("a", lambda ctx: iter(()))], bogus=1)
 
     def test_config_must_be_session_config(self):
         world = World()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import NvxSession, VersionSpec
+from repro.core.config import SessionConfig
 from repro.sanitizers import (
     ASAN,
     MSAN,
@@ -165,7 +166,8 @@ class TestSlowdown:
                 specs.append(VersionSpec(
                     "plain2", make_redis(stats=ServerStats(),
                                          background_thread=False)))
-            NvxSession(world, specs, daemon=True).start()
+            NvxSession(world, specs,
+                       config=SessionConfig(daemon=True)).start()
 
             from repro.clients import make_redis_benchmark
 

@@ -67,6 +67,71 @@ class TestClock:
         assert seen == [1] and sim.now == 100
 
 
+def _staged(sim):
+    """A small fixed program with events straddling t=500."""
+    machine = Machine(sim, name="m0")
+    log = []
+
+    def worker():
+        for step in range(6):
+            log.append((sim.now, step))
+            yield Sleep(200)
+
+    machine.spawn(worker(), name="w", daemon=True)
+    return log
+
+
+class TestRunEdges:
+    def test_until_ps_pause_and_resume(self):
+        straight = Simulator()
+        straight_log = _staged(straight)
+        straight.run()
+
+        sim = Simulator()
+        log = _staged(sim)
+        sim.run(until_ps=500)
+        assert sim.now == 500  # clock parked exactly at the deadline
+        assert log == [(0, 0), (200, 1), (400, 2)]
+        sim.run()
+        assert (log, sim.now, sim.events_processed) == (
+            straight_log, straight.now, straight.events_processed)
+
+    def test_clock_never_runs_backwards(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(50, lambda: seen.append(sim.now))
+        sim.run(until_ps=40)
+        with pytest.raises(SimulationError, match="20.*40"):
+            sim.run(until_ps=20)
+        assert sim.now == 40 and seen == []
+        sim.run(until_ps=40)  # same horizon again: nothing to do
+        assert sim.now == 40 and seen == [] and sim.events_processed == 0
+        sim.run()
+        assert seen == [50]
+
+    def test_max_events_stops_after_exactly_n(self):
+        sim = Simulator()
+
+        def tick():
+            sim.schedule(10, tick)
+
+        tick()
+        with pytest.raises(SimulationError, match="max_events=100"):
+            sim.run(max_events=100)
+        assert sim.events_processed == 100
+
+    def test_events_processed_excludes_cancelled(self):
+        sim = Simulator()
+        fired = []
+        for i in range(500):
+            handle = sim.schedule(100 + i, lambda i=i: fired.append(i))
+            if i % 3:
+                handle.cancel()
+        sim.run()
+        assert fired == list(range(0, 500, 3))
+        assert sim.events_processed == len(fired)
+
+
 class TestCompute:
     def test_compute_advances_process_time(self):
         sim, m = world()

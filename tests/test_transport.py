@@ -2,8 +2,6 @@
 factories, placement resolution, frames/acks/flow control, selective
 replication, compression, and failover re-anchoring."""
 
-import warnings
-
 import pytest
 
 from repro.core import (
@@ -91,22 +89,11 @@ class TestTransportAPI:
                                consumer_machines={1: b})
         assert type(resolve_transport(None, True)(ctx)) is NetRing
 
-    def test_legacy_class_shim_warns_once(self):
-        import repro.core.transport as mod
-        mod._legacy_transport_warned = False
-        sim = Simulator()
-        ctx = TransportContext(sim=sim, costs=DEFAULT_COSTS, capacity=8,
-                               name="r")
-        with pytest.warns(DeprecationWarning):
-            factory = resolve_transport(RingBuffer, False)
-        assert type(factory(ctx)) is RingBuffer
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolve_transport(RingBuffer, False)
-
     def test_resolve_rejects_non_callable(self):
         with pytest.raises(NvxError):
             resolve_transport(42, False)
+        with pytest.raises(NvxError, match="factory"):
+            resolve_transport(RingBuffer, False)  # a class, not a factory
 
     def test_netring_requires_network(self):
         sim = Simulator()
