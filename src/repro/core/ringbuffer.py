@@ -137,7 +137,7 @@ class RingBuffer(EventTransport):
         self.capacity = capacity
         self.name = name
         #: Observability hook; inherits the simulator's tracer so rings
-        #: built outside a session (ablations, perf harness) still show
+        #: built outside a session (ablations, bench probes) still show
         #: up under `python -m repro trace`.
         self.tracer = tracer if tracer is not None else sim.tracer
         self.slots: List[Optional[Event]] = [None] * capacity

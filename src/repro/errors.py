@@ -18,6 +18,10 @@ class DeadlockError(SimulationError):
     """The simulator ran out of events while processes were still blocked."""
 
 
+class StallError(SimulationError):
+    """A bounded run reached its horizon with processes still live."""
+
+
 class ProcessKilled(ReproError):
     """Thrown into a simulated process that is being killed.
 

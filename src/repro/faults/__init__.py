@@ -55,17 +55,4 @@ __all__ = [
     "TORN_WRITE",
     "VARIANT_KINDS",
     "process_violations",
-    "run_chaos",
-    "run_plan",
 ]
-
-
-def run_chaos(seed: int, plans: int):
-    """Lazy re-export: chaos pulls in the whole session stack."""
-    from repro.faults.chaos import run_chaos as _run
-    return _run(seed, plans)
-
-
-def run_plan(seed: int, index: int):
-    from repro.faults.chaos import run_plan as _run
-    return _run(seed, index)

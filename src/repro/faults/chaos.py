@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.core import NvxSession, VersionSpec
 from repro.core.config import SessionConfig
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, StallError
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.world import World
@@ -256,11 +256,21 @@ WORKLOADS: Tuple[Callable, ...] = (
 
 # -- one plan = baseline run + faulted run ------------------------------------
 
+#: A faulted run is bounded at this many baseline horizons of virtual
+#: time; a run still going there has stalled (DESIGN.md §6).  Every
+#: faulted run that ends by itself ends before 4 horizons.
+HORIZON_FACTOR = 64
+
+
 def run_workload(build, data: bytes, n_variants: int, plan,
                  checker: InvariantChecker, placement: str = "local",
-                 rules=None):
+                 rules=None, until_ps=None):
     """One workload run as an NVX session, for chaos plans and fuzz
-    scenarios; returns (session, world, outputs, deadlock)."""
+    scenarios; returns (session, world, outputs, failure).
+
+    ``failure`` is None, the run's :class:`DeadlockError`, or a
+    :class:`StallError` when ``until_ps`` passed with started non-daemon
+    processes still unfinished."""
     if placement == "remote":
         world = World(machine_names=("server", "client") + REMOTE_MACHINES)
         placement_map = _remote_placement(n_variants)
@@ -280,13 +290,20 @@ def run_workload(build, data: bytes, n_variants: int, plan,
                            ring_capacity=RING_CAPACITY,
                            placement=placement_map, rules=rules)
     session = NvxSession(world, specs, config=config).start()
-    deadlock = None
+    failure = None
     try:
-        world.run()
-    except DeadlockError as exc:
-        deadlock = str(exc)
+        world.run(until_ps=until_ps)
+        live = world.sim.blocked()
+        if live:
+            names = ", ".join(p.name for p in live[:8])
+            raise StallError(
+                f"still live at now={world.sim.now}ps, bound {until_ps}ps "
+                f"= {HORIZON_FACTOR} x baseline horizon "
+                f"{until_ps // HORIZON_FACTOR}ps: {names}")
+    except (DeadlockError, StallError) as exc:
+        failure = exc
     checker.final_check()
-    return session, world, outputs, deadlock
+    return session, world, outputs, failure
 
 
 def run_plan(seed: int, index: int, placement: str = "local"
@@ -340,12 +357,14 @@ def run_plan(seed: int, index: int, placement: str = "local"
         plan = FaultPlan.random(rng, n_variants, max(2, horizon))
     lines.append(f"  plan: {plan.describe()}")
     fault_checker = InvariantChecker(roundtrip_every=1)
-    session, _world, outputs, dead = run_workload(
-        build, data, n_variants, plan, fault_checker, placement)
+    session, _world, outputs, failure = run_workload(
+        build, data, n_variants, plan, fault_checker, placement,
+        until_ps=HORIZON_FACTOR * max(2, horizon))
     for entry in session.injector.log:
         lines.append(f"  inject: {entry}")
-    if dead is not None:
-        lines.append(f"  fault-run DEADLOCK: {dead}")
+    if failure is not None:
+        kind = "STALL" if isinstance(failure, StallError) else "DEADLOCK"
+        lines.append(f"  fault-run {kind}: {failure}")
         mismatches += 1
 
     survivors = [v for v in session.variants if v.alive]

@@ -28,9 +28,10 @@ from repro.clients.loadgen import spawn_pool
 from repro.core import NvxSession, VersionSpec
 from repro.core.config import SessionConfig
 from repro.costmodel import SEC_PS
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, StallError
 from repro.faults.chaos import (
     DATA_SIZE,
+    HORIZON_FACTOR,
     WORKLOADS,
     draw_bytes,
     run_workload,
@@ -134,8 +135,9 @@ def _run_workload_scenario(scenario: Scenario, rules) -> ScenarioResult:
             if scenario.fault else None)
     run_build = _wrap_divergence(build, scenario.divergence)
     checker = InvariantChecker(roundtrip_every=1)
-    session, _world, outputs, dead = run_workload(
-        run_build, data, scenario.n_variants, plan, checker, rules=rules)
+    session, _world, outputs, failure = run_workload(
+        run_build, data, scenario.n_variants, plan, checker, rules=rules,
+        until_ps=HORIZON_FACTOR * horizon)
 
     for variant_name, call_name, event_name in \
             session.stats.fatal_divergences:
@@ -148,8 +150,11 @@ def _run_workload_scenario(scenario: Scenario, rules) -> ScenarioResult:
         result.records.append(("crash", f"{name}: {reason}"))
     for _variant, message, _ps in session.stats.ring_faults:
         result.records.append(("ring-fault", f"{name}: {message}"))
-    if dead is not None:
-        result.records.append(("deadlock", f"{name}: {dead}"))
+    if failure is not None:
+        # A stall keeps the deadlock kind, so the journal footer's
+        # fixed set of classes does not grow.
+        stall = "stall: " if isinstance(failure, StallError) else ""
+        result.records.append(("deadlock", f"{stall}{name}: {failure}"))
         result.mismatches += 1
 
     survivors = [v for v in session.variants if v.alive]

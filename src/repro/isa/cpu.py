@@ -8,7 +8,7 @@ generators (so they may block on kernel objects or Varan's ring buffer)
 and return the value to place in RAX.
 
 Execution normally runs through a :class:`~repro.isa.translator.
-TranslationCache`: code is decoded once into basic blocks of pre-bound
+TranslationCache`: code is decoded once into superblocks of pre-bound
 micro-ops and each block's cycles are charged as one batch.  Pass
 ``translate=False`` to get the original decode-every-instruction loop —
 the two are observably identical (same registers, cycles, faults and
@@ -85,7 +85,7 @@ class Cpu:
     """One hardware thread executing VX86 code."""
 
     def __init__(self, space: AddressSpace, entry: int, stack_top: int,
-                 name: str = "cpu", translate=True) -> None:
+                 name: str = "cpu", translate: bool = True) -> None:
         self.space = space
         self.regs = [0] * len(REGISTERS)
         self.rip = entry
@@ -96,12 +96,9 @@ class Cpu:
         self.insns_retired = 0
         self.regs[_RSP] = stack_top
         # translate=True: superblocks + chaining + fused hot blocks.
-        # translate="blocks": PR 3 basic-block cache (the benchmark
-        # baseline the CI speedup ratio is measured against).
         # translate=False: per-step decode (the differential oracle).
         self.tcache: Optional[TranslationCache] = (
-            TranslationCache(space, superblocks=translate != "blocks")
-            if translate else None)
+            TranslationCache(space) if translate else None)
         self._fault_cycles = 0
         # Handler hooks — generator functions taking (cpu,) or (cpu, idx).
         self.syscall_handler: Optional[Callable] = None
@@ -196,7 +193,6 @@ class Cpu:
         lookup = tcache.lookup
         stats = tcache.stats
         space = self.space
-        superblocks = tcache.superblocks
         fuse_threshold = tcache.fuse_threshold
         # Chain/dispatch tallies accumulate in locals and flush in the
         # finally, keeping the per-block path free of attribute stores.
@@ -256,7 +252,7 @@ class Cpu:
                         raise ExecutionFault(
                             f"{self.name}: exceeded {max_insns} insns")
                     fn = block.fn
-                    if fn is None and superblocks and n:
+                    if fn is None and n:
                         hot = block.hot = block.hot + 1
                         if hot >= fuse_threshold:
                             fn = block.fn = fuse_block(self, block)
@@ -344,8 +340,7 @@ class Cpu:
                         follows += 1
                         block = nxt
                         continue
-                    if superblocks:
-                        chain_src = block
+                    chain_src = block
                     break
             if pending:
                 yield Compute(pending * CYCLE_PS)

@@ -1,19 +1,19 @@
 """Translation cache for the VX86 interpreter.
 
 This is the interpreter-side analogue of the paper's load-time binary
-rewriting (§3.2): pay the decode cost *once* per basic block instead of
-once per retired instruction.  Each executable region is decoded into
-basic blocks of pre-bound micro-ops — Python closures with operands,
+rewriting (§3.2): pay the decode cost *once* per block instead of once
+per retired instruction.  Each executable region is decoded into
+superblocks of pre-bound micro-ops — Python closures with operands,
 register indices and memory accessors resolved at translate time,
 selected through a numeric opcode table rather than a mnemonic string
 chain — keyed by entry address and looked up by ``Cpu.run``.
 
 Semantics are preserved per instruction, not per block:
 
-* blocks end at control transfers and *before* any ``syscall`` /
-  ``int0`` / ``vsys`` / ``vmcall`` / ``hlt``, so handler invocation
-  order, ``max_insns`` accounting and sim-time interleavings are exactly
-  those of per-step decode;
+* blocks end at conditional or indirect control transfers and *before*
+  any ``syscall`` / ``int0`` / ``vsys`` / ``vmcall`` / ``hlt``, so
+  handler invocation order, ``max_insns`` accounting and sim-time
+  interleavings are exactly those of per-step decode;
 * every micro-op that can fault records the faulting instruction's
   address and the cycles retired before it, so a fault leaves ``rip``
   and ``cycles`` exactly as the per-step interpreter would;
@@ -164,7 +164,7 @@ GLOBAL_STATS = CacheStats()
 
 
 class CodeBlock:
-    """One translated superblock (or basic block in ``blocks`` mode)."""
+    """One translated superblock."""
 
     __slots__ = ("entry", "ops", "n_ops", "cycles", "cum", "bounds",
                  "terminator", "term_arg", "term_addr", "term_end",
@@ -607,27 +607,20 @@ _PAGE_MASK = ~0xFFF
 class TranslationCache:
     """Entry-address-keyed cache of :class:`CodeBlock` for one Cpu.
 
-    ``superblocks=True`` (the default) builds traces that span direct
-    branches and fall-throughs, chains block exits directly to successor
-    blocks, and promotes hot blocks to fused compiled bodies.
-    ``superblocks=False`` reproduces the PR 3 behaviour — one basic
-    block per control transfer, every entry through the dispatch loop —
-    and is kept as the machine-independent benchmark baseline
-    (``Cpu(translate="blocks")``).
+    Builds traces that span direct branches and fall-throughs, chains
+    block exits directly to successor blocks, and promotes hot blocks to
+    fused compiled bodies.
     """
 
     __slots__ = ("space", "blocks", "by_segment", "stats",
-                 "max_block_insns", "superblocks", "fuse_threshold",
-                 "_mapping_gen")
+                 "max_block_insns", "fuse_threshold", "_mapping_gen")
 
-    def __init__(self, space, max_block_insns: int = 128,
-                 superblocks: bool = True) -> None:
+    def __init__(self, space, max_block_insns: int = 128) -> None:
         self.space = space
         self.blocks: Dict[int, CodeBlock] = {}
         self.by_segment: Dict[int, Set[int]] = {}
         self.stats = CacheStats()
         self.max_block_insns = max_block_insns
-        self.superblocks = superblocks
         self.fuse_threshold = FUSE_THRESHOLD
         self._mapping_gen = space.mapping_gen
 
@@ -701,16 +694,14 @@ class TranslationCache:
         GLOBAL_STATS.chains_broken += broken
 
     def translate(self, cpu, rip: int) -> CodeBlock:
-        """Decode one superblock (or basic block) starting at ``rip``.
+        """Decode one superblock starting at ``rip``.
 
-        In superblock mode the trace continues *through* direct
-        ``jmp``/``call`` (the jump becomes an accounting no-op, the call
-        pushes its return address and resumes decoding at the callee)
-        and ends only at conditionals and indirect transfers (covered by
-        chaining), handler/hlt instructions, the insn cap, a revisited
-        address, or the edge of the entry's 4 KiB page.  In basic-block
-        mode (``superblocks=False``) every control transfer ends the
-        block — the PR 3 shape, byte-for-byte.
+        The trace continues *through* direct ``jmp``/``call`` (the jump
+        becomes an accounting no-op, the call pushes its return address
+        and resumes decoding at the callee) and ends only at
+        conditionals and indirect transfers (covered by chaining),
+        handler/hlt instructions, the insn cap, a revisited address, or
+        the edge of the entry's 4 KiB page.
         """
         space = self.space
         segment = space.find(rip)
@@ -737,7 +728,6 @@ class TranslationCache:
         offset = rip - base
         addr = rip
         limit = self.max_block_insns
-        span = self.superblocks
         page_start = rip & _PAGE_MASK
         page_end = page_start + 0x1000
         visited: Set[int] = set()
@@ -773,7 +763,7 @@ class TranslationCache:
             next_addr = insn.end
             compiler = _COMPILERS[op_id]
             spanned = False
-            if span and (op_id == OP_JMP or op_id == OP_CALL):
+            if op_id == OP_JMP or op_id == OP_CALL:
                 target = insn.end + insn.operands[0]
                 if (base <= target < segment.end
                         and page_start <= target < page_end
@@ -798,8 +788,7 @@ class TranslationCache:
                 break
             addr = next_addr
             offset = addr - base
-            if span and (addr in visited
-                         or not page_start <= addr < page_end):
+            if addr in visited or not page_start <= addr < page_end:
                 # Loop closed or page edge: stop here and let chaining
                 # thread this exit to the successor block.
                 break

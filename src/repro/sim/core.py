@@ -137,7 +137,7 @@ class Simulator:
         #: The process whose generator is executing right now.
         self.current_process: Optional["Process"] = None
         self.processes: List["Process"] = []
-        #: Non-stale heap entries dispatched so far (perf-harness metric).
+        #: Non-stale heap entries dispatched so far (bench's sim.events).
         self.events_processed = 0
         #: Observability hook (repro.obs).  Defaults to the process-wide
         #: active tracer (None outside `python -m repro trace` / tests),
@@ -206,18 +206,18 @@ class Simulator:
                 self.events_processed += events
                 raise SimulationError(f"exceeded max_events={max_events}")
         self.events_processed += events
+        # blocked(), inlined: the run loop calls nothing but event
+        # callbacks (the sim.events boundary of DESIGN.md §5d).
         stuck = [p for p in self.processes
                  if not p.done and not p.daemon and p.state != NEW]
         if stuck:
             names = ", ".join(p.name for p in stuck[:8])
             raise DeadlockError(f"no events left but processes blocked: {names}")
 
-    def run_until_done(self, procs, **kwargs) -> None:
-        """Run until every process in ``procs`` has finished."""
-        self.run(**kwargs)
-        missing = [p.name for p in procs if not p.done]
-        if missing:
-            raise DeadlockError(f"processes never finished: {missing}")
+    def blocked(self) -> List["Process"]:
+        """Started, unfinished, non-daemon processes, in spawn order."""
+        return [p for p in self.processes
+                if not p.done and not p.daemon and p.state != NEW]
 
 
 # Process lifecycle states.

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import NvxSession, VersionSpec
 from repro.core.config import SessionConfig
-from repro.errors import NvxError
+from repro.errors import DeadlockError, NvxError, StallError
 from repro.faults import (
     BITFLIP,
     CORRUPT_SLOT,
@@ -20,8 +20,14 @@ from repro.faults import (
     FaultPlan,
     InvariantChecker,
     NetworkFaults,
-    run_plan,
 )
+from repro.faults.chaos import (
+    HORIZON_FACTOR,
+    run_chaos,
+    run_plan,
+    run_workload,
+)
+from repro.sim import Sleep
 from repro.world import World
 
 
@@ -441,11 +447,42 @@ class TestChaosDeterminism:
 
     @pytest.mark.slow
     def test_chaos_journal_byte_identical(self):
-        from repro.faults import run_chaos
-
         journal_a, failures_a = run_chaos(11, 4)
         journal_b, failures_b = run_chaos(11, 4)
         assert journal_a == journal_b
         assert failures_a == 0 and failures_b == 0
         assert journal_a.endswith("0 output mismatches, "
                                   "0 invariant violations\n")
+
+
+
+class TestBoundedFaultedRun:
+    BOUND = HORIZON_FACTOR * 10_000_000
+
+    def _run(self, daemon):
+        def build(_outputs):
+            def main(ctx):
+                def tick():
+                    while True:
+                        yield Sleep(1_000_000)
+
+                ctx.task.machine.spawn(tick(), name="ticker", daemon=daemon)
+                yield from ctx.getuid()
+            return main
+
+        _session, world, _outputs, failure = run_workload(
+            build, b"", 2, None, InvariantChecker(), until_ps=self.BOUND)
+        assert world.sim.now == self.BOUND
+        return world, failure
+
+    def test_a_live_non_daemon_comes_back_as_a_stall_naming_it(self):
+        world, failure = self._run(daemon=False)
+        assert isinstance(failure, StallError)
+        assert not isinstance(failure, DeadlockError)
+        assert [p.name for p in world.sim.blocked()] == ["ticker"] * 2
+        assert (f"now={self.BOUND}ps, bound {self.BOUND}ps = 64 x baseline "
+                f"horizon 10000000ps: ticker, ticker") in str(failure)
+
+    def test_a_live_daemon_is_not_a_stall(self):
+        world, failure = self._run(daemon=True)
+        assert failure is None and world.sim.blocked() == []

@@ -3,7 +3,8 @@ and engine commands are yielded by reference (DESIGN.md §5d).
 
 Four groups: (a) commands are read-only values, (b) the inlined compute
 resume keeps :meth:`Process._step`'s order of effects, (c) exactly
-repeating host-work counts per dispatched event on one fixed cell, (d) a
+repeating host-work counts per dispatched event on one fixed cell and
+per unit of work on the engine, ring and guest-CPU shapes, (d) a
 monitor's pre-bound wake predicate reads only its own ring and vid.
 """
 
@@ -16,12 +17,14 @@ from repro import obs
 from repro.apps import LIGHTTPD, ServerStats, httpd_image, make_httpd
 from repro.clients import make_wrk
 from repro.core import NvxSession, VersionSpec
+from repro.core.events import syscall_event
 from repro.core.ringbuffer import RingBuffer
-from repro.costmodel import SEC_PS
+from repro.costmodel import DEFAULT_COSTS, SEC_PS
 from repro.errors import SimulationError
 from repro.experiments.harness import MONITOR_VARAN, run_server_benchmark
+from repro.isa import AddressSpace, Cpu, Segment, assemble
 from repro.kernel.uapi import Segfault
-from repro.sim import Block, Compute, Machine, Simulator, WaitQueue
+from repro.sim import Block, Compute, Machine, Simulator, Sleep, WaitQueue
 from repro.sim.core import BLOCKED, Process
 from repro.world import World
 
@@ -286,7 +289,9 @@ def _varan_f2_cell():
         server_files={"/var/www/index.html": b"x" * LIGHTTPD.page_size})
 
 
-def _counted_cell():
+def _counted(run):
+    """``run()``'s result, with the profiled call + c_call events and
+    the ``Compute`` constructions it made."""
     compute_init = Compute.__init__.__code__
     counts = {"calls": 0, "computes": 0}
 
@@ -298,15 +303,20 @@ def _counted_cell():
         elif event == "c_call":
             counts["calls"] += 1
 
-    # An earlier cell's world is cyclic garbage; were it collected in
+    # An earlier run's world is cyclic garbage; were it collected in
     # the counted window, every generator closed would count as a call.
     gc.collect()
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        run = _varan_f2_cell()
+        result = run()
     finally:
         sys.setprofile(previous)
+    return counts, result
+
+
+def _counted_cell():
+    counts, run = _counted(_varan_f2_cell)
     assert run.report.requests > 0 and run.report.errors == 0
     return counts, run.world.sim.events_processed
 
@@ -319,6 +329,120 @@ class TestHostWorkPerEvent:
         assert events > 4000
         assert counts["computes"] / events < MAX_COMPUTES_PER_EVENT
         assert counts["calls"] / events < MAX_CALLS_PER_EVENT
+
+
+# Shapes that once had wall-clock gates against other hosts' baselines;
+# their call counts repeat exactly (CPython 3.11 reads: churn 8.11 per
+# event, pump 23.25, cached guest loop 0.80 per insn, per-step 9.50).
+
+
+def _engine_churn():
+    sim, machine = world()
+
+    def worker(k):
+        for i in range(2000):
+            yield Compute(100 + (i + k) % 7)
+            if i % 5 == 0:
+                yield Sleep(50)
+            if i % 11 == 0:
+                yield Block(timeout_ps=25)
+
+    for k in range(20):
+        machine.spawn(worker(k), name=f"w{k}")
+    sim.run()
+    return sim.events_processed
+
+
+def _ring_pump():
+    sim, machine = world()
+    events = 3000
+    ring = RingBuffer(sim, DEFAULT_COSTS, capacity=256)
+
+    def producer():
+        for i in range(events):
+            yield from ring.publish(syscall_event("close", 0, i + 1, 0))
+
+    def consumer(vid):
+        for _ in range(events):
+            while ring.peek(vid) is None:
+                yield from ring.wait_published(
+                    False, lambda: ring.peek(vid) is not None)
+            ring.advance(vid)
+
+    machine.spawn(producer(), name="leader")
+    for vid in (1, 2, 3):
+        ring.add_consumer(vid)
+        machine.spawn(consumer(vid), name=f"follower{vid}")
+    sim.run()
+    return sim.events_processed
+
+
+#: Arithmetic + memory + stack + branch mix, 10 instructions a trip.
+_CPU_LOOP = """
+    movi rbx, {iterations}
+    movi rcx, 0x20000000
+    movi rdx, 7
+    movi rsi, 3
+loop:
+    add rdx, rsi
+    store [rcx+0], rdx
+    load rax, [rcx+0]
+    add rax, rdx
+    push rax
+    pop rdi
+    addi rdx, 13
+    cmp rdx, rsi
+    subi rbx, 1
+    jnz loop
+    hlt
+"""
+
+
+def _cpu_loop(iterations, translate):
+    def run():
+        space = AddressSpace()
+        code = assemble(_CPU_LOOP.format(iterations=iterations), origin=0x1000)
+        space.map(Segment(0x1000, code, perms="rx", name="text"))
+        space.map(Segment(0x2000_0000, bytes(0x1000), perms="rw"))
+        space.map(Segment(0x7FF0_0000, bytes(0x4000), perms="rw"))
+        cpu = Cpu(space, 0x1000, 0x7FF0_4000, translate=translate)
+        cpu.run_sync()
+        return cpu
+    return run
+
+
+def _second_count(run):
+    """Calls of a run after a warm-up (the first imports), which must
+    repeat exactly, and its result."""
+    run()
+    counts, result = _counted(run)
+    assert _counted(run)[0] == counts
+    return counts["calls"], result
+
+
+class TestSubstrateWork:
+    @pytest.mark.parametrize("shape, events, ceiling", [
+        (_engine_churn, 103_230, 9.0), (_ring_pump, 12_004, 25.0)],
+        ids=["engine_churn", "ring_pump"])
+    def test_calls_per_event_repeat_and_stay_under_ceiling(
+            self, shape, events, ceiling):
+        calls, dispatched = _second_count(shape)
+        assert dispatched == events and calls / events < ceiling
+
+    def test_cached_cpu_loop_chains_one_fused_block(self):
+        calls, cpu = _second_count(_cpu_loop(60_000, True))
+        stats = cpu.tcache.stats
+        assert (stats.fused_blocks, stats.dispatch_blocks,
+                stats.chain_follows) == (1, 4, 59_997)
+        assert calls / cpu.insns_retired < 1.0 and cpu.insns_retired == 600_005
+
+    def test_per_step_decode_costs_8x_the_cached_path(self):
+        # The deterministic form of the old "cached >= 3x per-step" MIPS
+        # ratio, on a shorter loop so the per-step run stays cheap.
+        cached_calls, cached = _second_count(_cpu_loop(3_000, True))
+        step_calls, step = _second_count(_cpu_loop(3_000, False))
+        assert step.regs == cached.regs and step.insns_retired == 30_005
+        assert step_calls >= 8 * cached_calls
 
 
 # -- (d) monitor state is plain, and each predicate is its own ----------------

@@ -404,21 +404,3 @@ class TestDifferential:
         # compiled bodies, against the per-step oracle.
         assert_equivalent(source, max_insns=max_insns, batch_cycles=batch,
                           text_perms="rwx")
-
-    @settings(max_examples=40, deadline=None)
-    @given(source=_programs(), max_insns=st.sampled_from([37, 4000]))
-    def test_block_mode_equals_per_step(self, source, max_insns):
-        # translate="blocks" is the CI speedup baseline (PR 3 basic-block
-        # behavior): it must stay observably exact too.
-        blocks = build_cpu(source, translate="blocks", text_perms="rwx")
-        interp = build_cpu(source, translate=False, text_perms="rwx")
-        b_ret, b_exc, b_ps = drive(blocks, max_insns)
-        i_ret, i_exc, i_ps = drive(interp, max_insns)
-        assert (b_ret, b_exc) == (i_ret, i_exc)
-        assert blocks.regs == interp.regs
-        assert blocks.rip == interp.rip
-        assert blocks.cycles == interp.cycles
-        if b_exc is None:
-            assert b_ps == i_ps == blocks.cycles * CYCLE_PS
-        assert blocks.tcache.stats.chains_linked == 0
-        assert blocks.tcache.stats.fused_blocks == 0
