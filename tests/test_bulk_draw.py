@@ -9,18 +9,24 @@ whose ``randrange`` samples differently these tests fail loudly.
 
 Three groups: (a) the differential contract, (b) the journals it must
 not move (``tests/test_corpus.py`` pins the corpus entries; the first 20
-plans of seed 7 are pinned here), (c) exactly-repeating counts that trip
+plans of seed 7, two fuzz reports and a remote chaos campaign are
+pinned here), (c) exactly-repeating counts that trip
 if a per-byte loop or a per-field decode comes back.
 """
 
 import hashlib
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.chaos import DATA_SIZE, draw_bytes, run_plan
+from repro.fuzz import run_fuzz
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SIZES = (0, 1, 2, 3, 63, 64, DATA_SIZE, 10_000)
 
@@ -133,6 +139,36 @@ class TestJournalsUnmoved:
         assert (mismatches, violations) == (0, 0), text
         assert hashlib.sha256(text.encode()).hexdigest() \
             == SEED7_JOURNALS[index], text
+
+
+#: sha256 of ``run_fuzz(seed, 8).render()``, recorded with CPython 3.11.
+FUZZ_REPORTS = {
+    1: "f063c1a4166325696faf0e919e471ebbb55f11c6b56944fc3a43b533fcf94d2e",
+    2: "e39c9a9421ab10ebf144e3235999c7d8f2663a6e9cdda3f273271086e4c6eab9",
+}
+
+#: sha256 of ``python -m repro chaos --seed 7 --plans 10 --placement
+#: remote``'s stdout (the distributed fault family).
+REMOTE_CHAOS_STDOUT = (
+    "38eaf68a0a8bdcccc19f24da1e109b956ca5bc8728382118aebbdfc0f2be48cc")
+
+
+class TestCampaignsUnmoved:
+    @pytest.mark.parametrize("seed", sorted(FUZZ_REPORTS))
+    def test_fuzz_report(self, seed):
+        text = run_fuzz(seed, 8).render()
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == FUZZ_REPORTS[seed], text
+
+    def test_remote_chaos_cli_stdout(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--seed", "7",
+             "--plans", "10", "--placement", "remote"],
+            capture_output=True, cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin"})
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() \
+            == REMOTE_CHAOS_STDOUT, proc.stdout.decode()
 
 
 # -- (c) exactly-repeating host-work counts -----------------------------------
