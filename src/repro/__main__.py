@@ -25,6 +25,16 @@ import sys
 import time
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -56,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7,
                         help="(chaos/fuzz) master seed for workloads, "
                              "fault plans and scenario sampling")
-    parser.add_argument("--budget", type=int, default=12,
+    parser.add_argument("--budget", type=_at_least_one, default=12,
                         help="(fuzz) number of scenarios to run")
     parser.add_argument("--no-synthesis", action="store_true",
                         help="(fuzz) skip the BPF rule-synthesis pass")
-    parser.add_argument("--plans", type=int, default=20,
+    parser.add_argument("--plans", type=_at_least_one, default=20,
                         help="(chaos) number of (workload, fault plan) "
                              "pairs to run")
     parser.add_argument("--placement", choices=("local", "remote"),

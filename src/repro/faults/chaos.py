@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import NvxSession, VersionSpec
 from repro.core.config import SessionConfig
-from repro.errors import DeadlockError, StallError
+from repro.errors import DeadlockError, NvxError, StallError
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
 from repro.world import World
@@ -59,10 +60,8 @@ def _remote_placement(n_variants: int) -> Dict[int, str]:
             for index in range(1, n_variants)}
 
 
-def _placement_names(n_variants: int, placement: str) -> Tuple[str, ...]:
-    """The machine hosting each variant, in variant order."""
-    if placement != "remote":
-        return ("server",) * n_variants
+def _placement_names(n_variants: int) -> Tuple[str, ...]:
+    """The machine hosting each remote-session variant, in order."""
     mapping = _remote_placement(n_variants)
     return tuple(mapping.get(index, "server")
                  for index in range(n_variants))
@@ -117,7 +116,7 @@ def _reads(rng: random.Random, n_lo: int = 3, n_hi: int = 8
 # Each builder draws its parameters from ``rng`` ONCE (so baseline and
 # faulted runs execute the identical program) and returns a factory
 # producing a fresh ``main`` bound to a per-run ``outputs`` dict keyed
-# by ``(vid, tag)``.
+# by ``(vid, tag)``.  ``WORKLOADS`` names them; fuzz scenarios index it.
 
 def _wl_pread_mix(rng: random.Random):
     reads = _reads(rng)
@@ -133,7 +132,7 @@ def _wl_pread_mix(rng: random.Random):
             outputs[(vid, "main")] = _digest(parts)
             return outputs[(vid, "main")]
         return main
-    return "pread-mix", build
+    return build
 
 
 def _wl_rw_cycle(rng: random.Random):
@@ -162,7 +161,7 @@ def _wl_rw_cycle(rng: random.Random):
             outputs[(vid, "main")] = _digest(parts)
             return outputs[(vid, "main")]
         return main
-    return "rw-cycle", build
+    return build
 
 
 def _wl_spin_sleep(rng: random.Random):
@@ -183,7 +182,7 @@ def _wl_spin_sleep(rng: random.Random):
             outputs[(vid, "main")] = _digest(parts)
             return outputs[(vid, "main")]
         return main
-    return "spin-sleep", build
+    return build
 
 
 def _wl_threads(rng: random.Random):
@@ -215,7 +214,7 @@ def _wl_threads(rng: random.Random):
             outputs[(vid, "main")] = _digest(parts)
             return outputs[(vid, "main")]
         return main
-    return "threads", build
+    return build
 
 
 def _wl_fork_child(rng: random.Random):
@@ -245,16 +244,17 @@ def _wl_fork_child(rng: random.Random):
             outputs[(vid, "main")] = _digest(parts)
             return outputs[(vid, "main")]
         return main
-    return "fork-child", build
+    return build
 
 
-WORKLOADS: Tuple[Callable, ...] = (
-    _wl_pread_mix, _wl_rw_cycle, _wl_spin_sleep, _wl_threads,
-    _wl_fork_child,
+WORKLOADS: Tuple[Tuple[str, Callable], ...] = (
+    ("pread-mix", _wl_pread_mix), ("rw-cycle", _wl_rw_cycle),
+    ("spin-sleep", _wl_spin_sleep), ("threads", _wl_threads),
+    ("fork-child", _wl_fork_child),
 )
 
 
-# -- one plan = baseline run + faulted run ------------------------------------
+# -- one case = baseline run + faulted run ------------------------------------
 
 #: A faulted run is bounded at this many baseline horizons of virtual
 #: time; a run still going there has stalled (DESIGN.md §6).  Every
@@ -264,13 +264,14 @@ HORIZON_FACTOR = 64
 
 def run_workload(build, data: bytes, n_variants: int, plan,
                  checker: InvariantChecker, placement: str = "local",
-                 rules=None, until_ps=None):
-    """One workload run as an NVX session, for chaos plans and fuzz
-    scenarios; returns (session, world, outputs, failure).
+                 rules=None, horizon=None):
+    """One workload run as an NVX session; returns (session, world,
+    outputs, failure).
 
-    ``failure`` is None, the run's :class:`DeadlockError`, or a
-    :class:`StallError` when ``until_ps`` passed with started non-daemon
-    processes still unfinished."""
+    ``failure`` is None, the run's :class:`DeadlockError`, or — when a
+    baseline ``horizon`` bounds the run at ``HORIZON_FACTOR`` of it — a
+    :class:`StallError` for started non-daemon processes still live
+    there."""
     if placement == "remote":
         world = World(machine_names=("server", "client") + REMOTE_MACHINES)
         placement_map = _remote_placement(n_variants)
@@ -291,6 +292,7 @@ def run_workload(build, data: bytes, n_variants: int, plan,
                            placement=placement_map, rules=rules)
     session = NvxSession(world, specs, config=config).start()
     failure = None
+    until_ps = None if horizon is None else HORIZON_FACTOR * max(2, horizon)
     try:
         world.run(until_ps=until_ps)
         live = world.sim.blocked()
@@ -299,11 +301,104 @@ def run_workload(build, data: bytes, n_variants: int, plan,
             raise StallError(
                 f"still live at now={world.sim.now}ps, bound {until_ps}ps "
                 f"= {HORIZON_FACTOR} x baseline horizon "
-                f"{until_ps // HORIZON_FACTOR}ps: {names}")
+                f"{max(2, horizon)}ps: {names}")
     except (DeadlockError, StallError) as exc:
         failure = exc
     checker.final_check()
     return session, world, outputs, failure
+
+
+def _with_divergence(build, divergence: str):
+    """Fold a divergence profile into a workload build: the chosen
+    side issues one extra benign ``getuid`` before the real program.
+    The retval is never digested, so outputs stay baseline-comparable
+    whether the call is killed, allowed or skipped."""
+    if divergence == "none":
+        return build
+
+    def build_wrapped(outputs: Dict):
+        inner = build(outputs)
+
+        def main(ctx):
+            vid = ctx.task.monitor_state.variant.vid
+            if divergence == "follower-extra" and vid != 0:
+                yield from ctx.getuid()
+            elif divergence == "leader-extra" and vid == 0:
+                yield from ctx.getuid()
+            return (yield from inner(ctx))
+        return main
+    return build_wrapped
+
+
+@dataclass
+class CaseResult:
+    """Both runs of one case, for the chaos journal and fuzz records.
+
+    Mismatches are ``(vid, tag, got, expected)`` against ``reference``,
+    the baseline leader's digest per output tag."""
+
+    base_checker: InvariantChecker
+    base_failure: Optional[Exception]
+    #: Virtual time the baseline ended at (the faulted run's yardstick).
+    horizon: int
+    base_outputs: Dict
+    reference: Dict[str, str]
+    #: Clean variants must already agree with the leader (NVX correctness).
+    base_mismatches:List[Tuple[int, str, Optional[str], str]]
+    plan: Optional[FaultPlan]
+    session: NvxSession
+    failure: Optional[Exception]
+    checker: InvariantChecker
+    survivors: List
+    mismatches: List[Tuple[int, str, Optional[str], str]]
+
+    @property
+    def violations(self) -> List[str]:
+        return self.base_checker.violations + self.checker.violations
+
+
+def _diff(outputs: Dict, vids, reference: Dict[str, str]):
+    return [(vid, tag, outputs.get((vid, tag)), expected)
+            for vid in vids for tag, expected in reference.items()
+            if outputs.get((vid, tag)) != expected]
+
+
+def run_case(rng: random.Random, data: bytes, build, n_variants: int, *,
+             fault: bool, divergence: str = "none",
+             placement: str = "local", rules=None) -> CaseResult:
+    """The baseline → faulted → diff loop of chaos plans and fuzz
+    workload scenarios: run ``build`` clean, then under a plan drawn
+    from ``rng`` (when ``fault``), ``divergence`` and ``rules``, and
+    diff the survivors against the clean leader.  Callers draw
+    ``data`` and the parameters in their own journal-pinned order."""
+    if placement not in ("local", "remote"):
+        raise NvxError(f"placement must be 'local' or 'remote', "
+                       f"not {placement!r}")
+    base_checker = InvariantChecker(roundtrip_every=1)
+    _session, base_world, base_outputs, base_failure = run_workload(
+        build, data, n_variants, None, base_checker, placement)
+    horizon = base_world.sim.now
+    reference = {tag: digest
+                 for (vid, tag), digest in sorted(base_outputs.items())
+                 if vid == 0}
+
+    plan = None
+    if fault and placement == "remote":
+        # Whole-machine crashes and partitions need the machine names.
+        plan = FaultPlan.random_distributed(
+            rng, n_variants, max(2, horizon), _placement_names(n_variants))
+    elif fault:
+        plan = FaultPlan.random(rng, n_variants, max(2, horizon))
+    checker = InvariantChecker(roundtrip_every=1)
+    session, _world, outputs, failure = run_workload(
+        _with_divergence(build, divergence), data, n_variants, plan,
+        checker, placement, rules, horizon)
+    survivors = [v for v in session.variants if v.alive]
+    return CaseResult(
+        base_checker, base_failure, horizon, base_outputs, reference,
+        _diff(base_outputs, range(n_variants), reference), plan, session,
+        failure, checker, survivors,
+        _diff(outputs, [v.vid for v in survivors], reference))
 
 
 def run_plan(seed: int, index: int, placement: str = "local"
@@ -316,81 +411,46 @@ def run_plan(seed: int, index: int, placement: str = "local"
     rng = random.Random(seed * 1000003 + index)
     n_variants = rng.randint(2, 3)
     data = draw_bytes(rng, DATA_SIZE)
-    name, build = WORKLOADS[rng.randrange(len(WORKLOADS))](rng)
+    name, draw = WORKLOADS[rng.randrange(len(WORKLOADS))]
+    case = run_case(rng, data, draw(rng), n_variants, fault=True,
+                    placement=placement)
 
     where = "" if placement == "local" else f" placement={placement}"
     lines = [f"plan {index}: workload={name} variants={n_variants} "
-             f"data={_digest([data])}{where}"]
-    mismatches = 0
-
-    # Baseline: expected outputs + the horizon faults are drawn from.
-    base_checker = InvariantChecker(roundtrip_every=1)
-    base_session, base_world, base_outputs, base_dead = run_workload(
-        build, data, n_variants, None, base_checker, placement)
-    horizon = base_world.sim.now
-    lines.append(f"  baseline: horizon={horizon}ps "
-                 f"outputs={len(base_outputs)} ({base_checker.summary()})")
-    if base_dead is not None:
-        lines.append(f"  baseline DEADLOCK: {base_dead}")
-        mismatches += 1
-
-    # The expected output per tag is the baseline leader's digest; every
-    # baseline variant must already agree with it (NVX correctness).
-    reference: Dict[str, str] = {
-        tag: digest for (vid, tag), digest in sorted(base_outputs.items())
-        if vid == 0}
-    for vid in range(n_variants):
-        for tag, expected in reference.items():
-            if base_outputs.get((vid, tag)) != expected:
-                lines.append(f"  baseline MISMATCH: v{vid}/{tag}: "
-                             f"{base_outputs.get((vid, tag))} != "
-                             f"{expected}")
-                mismatches += 1
-
-    # Faulted run of the identical workload.  Remote sessions draw from
-    # the distributed family (whole-machine crashes, partitions).
-    if placement == "remote":
-        plan = FaultPlan.random_distributed(
-            rng, n_variants, max(2, horizon),
-            _placement_names(n_variants, placement))
-    else:
-        plan = FaultPlan.random(rng, n_variants, max(2, horizon))
-    lines.append(f"  plan: {plan.describe()}")
-    fault_checker = InvariantChecker(roundtrip_every=1)
-    session, _world, outputs, failure = run_workload(
-        build, data, n_variants, plan, fault_checker, placement,
-        until_ps=HORIZON_FACTOR * max(2, horizon))
-    for entry in session.injector.log:
+             f"data={_digest([data])}{where}",
+             f"  baseline: horizon={case.horizon}ps "
+             f"outputs={len(case.base_outputs)} "
+             f"({case.base_checker.summary()})"]
+    if case.base_failure is not None:
+        lines.append(f"  baseline DEADLOCK: {case.base_failure}")
+    for vid, tag, got, expected in case.base_mismatches:
+        lines.append(f"  baseline MISMATCH: v{vid}/{tag}: {got} != "
+                     f"{expected}")
+    lines.append(f"  plan: {case.plan.describe()}")
+    for entry in case.session.injector.log:
         lines.append(f"  inject: {entry}")
-    if failure is not None:
-        kind = "STALL" if isinstance(failure, StallError) else "DEADLOCK"
-        lines.append(f"  fault-run {kind}: {failure}")
-        mismatches += 1
+    if case.failure is not None:
+        kind = "STALL" if isinstance(case.failure, StallError) else "DEADLOCK"
+        lines.append(f"  fault-run {kind}: {case.failure}")
 
-    survivors = [v for v in session.variants if v.alive]
-    if not survivors:
+    if not case.survivors:
         lines.append("  survivors: none (cascading faults)")
     else:
         tags = ["{}v{}".format("*" if v.is_leader else "", v.vid)
-                for v in survivors]
+                for v in case.survivors]
         lines.append(f"  survivors: {' '.join(tags)}")
-        checked = 0
-        for variant in survivors:
-            for tag, expected in reference.items():
-                got = outputs.get((variant.vid, tag))
-                checked += 1
-                if got != expected:
-                    mismatches += 1
-                    lines.append(
-                        f"  output MISMATCH: v{variant.vid}/{tag}: "
-                        f"{got} != {expected}")
+        for vid, tag, got, expected in case.mismatches:
+            lines.append(f"  output MISMATCH: v{vid}/{tag}: "
+                         f"{got} != {expected}")
+        checked = len(case.survivors) * len(case.reference)
         lines.append(f"  outputs: {checked} survivor outputs checked "
                      f"against baseline")
-    lines.append(f"  fault-run {fault_checker.summary()}")
-    violations = (len(base_checker.violations)
-                  + len(fault_checker.violations))
-    for message in base_checker.violations + fault_checker.violations:
+    lines.append(f"  fault-run {case.checker.summary()}")
+    for message in case.violations:
         lines.append(f"  VIOLATION: {message}")
+    mismatches = ((case.base_failure is not None) + len(case.base_mismatches)
+                  + (case.failure is not None) + len(case.mismatches))
+    violations = len(case.violations)
     status = "OK" if not mismatches and not violations else "FAIL"
     lines.append(f"  result: {status}")
     return lines, mismatches, violations

@@ -8,14 +8,8 @@ from repro.fuzz.generator import (
     DIVERGENCE_PROFILES,
     Scenario,
     ScenarioGenerator,
-    WORKLOAD_NAMES,
 )
-from repro.fuzz.journal import (
-    GLOBAL_FUZZ_STATS,
-    FuzzStats,
-    Journal,
-    JournalEntry,
-)
+from repro.fuzz.journal import FuzzStats, Journal, JournalEntry
 from repro.fuzz.synthesis import (
     SynthesizedRule,
     attempt_absorb,
@@ -26,14 +20,12 @@ __all__ = [
     "DIVERGENCE_PROFILES",
     "FuzzReport",
     "FuzzStats",
-    "GLOBAL_FUZZ_STATS",
     "Journal",
     "JournalEntry",
     "Scenario",
     "ScenarioGenerator",
     "ScenarioResult",
     "SynthesizedRule",
-    "WORKLOAD_NAMES",
     "attempt_absorb",
     "run_fuzz",
     "run_scenario",

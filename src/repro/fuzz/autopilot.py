@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from repro.clients.adversaries import ADVERSARIES
 from repro.fuzz.executor import run_scenario
 from repro.fuzz.generator import ScenarioGenerator
-from repro.fuzz.journal import GLOBAL_FUZZ_STATS, Journal
+from repro.fuzz.journal import Journal
 from repro.fuzz.synthesis import SynthesizedRule, attempt_absorb
 
 __all__ = ["FuzzReport", "run_fuzz"]
@@ -67,7 +67,7 @@ def run_fuzz(seed: int, budget: int,
 
     for _step in range(budget):
         scenario = generator.next_scenario()
-        GLOBAL_FUZZ_STATS.scenarios += 1
+        journal.stats.scenarios += 1
         result = run_scenario(scenario)
         report.scenarios.append(scenario.describe())
 
@@ -76,9 +76,9 @@ def run_fuzz(seed: int, budget: int,
             if journal.record(kind, detail, scenario.index):
                 any_novel = True
             if kind == "divergence":
-                GLOBAL_FUZZ_STATS.divergences += 1
+                journal.stats.divergences += 1
             elif kind == "crash":
-                GLOBAL_FUZZ_STATS.crashes += 1
+                journal.stats.crashes += 1
         if any_novel:
             generator.note_novel(scenario)
 
@@ -91,9 +91,9 @@ def run_fuzz(seed: int, budget: int,
             attempted[key] = True
             winner, candidates = attempt_absorb(scenario, call_name,
                                                 event_name)
-            GLOBAL_FUZZ_STATS.rules_synthesized += len(candidates)
+            journal.stats.rules_synthesized += len(candidates)
             if winner is not None:
-                GLOBAL_FUZZ_STATS.rules_absorbed += 1
+                journal.stats.rules_absorbed += 1
                 report.rules.append(winner)
                 journal.record(
                     "rule-synthesis",

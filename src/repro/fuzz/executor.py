@@ -1,11 +1,13 @@
 """Scenario execution under the always-on invariant checker.
 
-Both scenario kinds follow the chaos plane's baseline-diff discipline
-(:mod:`repro.faults.chaos`): every scenario first runs a clean baseline
-that defines the expected observable outputs, then the scenario proper
-— divergence profiles, fault plans, byzantine clients — and everything
-the run *changed* relative to that baseline becomes a ``(kind, detail)``
-record for the journal.
+Both scenario kinds follow the chaos plane's baseline-diff discipline:
+every scenario first runs a clean baseline that defines the expected
+observable outputs, then the scenario proper — divergence profiles,
+fault plans, byzantine clients — and everything the run *changed*
+relative to that baseline becomes a ``(kind, detail)`` record for the
+journal.  Workload scenarios run through the chaos plans' own loop,
+:func:`repro.faults.chaos.run_case`; server scenarios run a Redis group
+against a native baseline here.
 
 Records derive only from sim state and seeds (variant names, syscall
 names, digests), never from wall clock or object identity, so a
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.apps import ServerStats, make_redis
 from repro.apps.redis import REVISIONS
@@ -29,16 +31,9 @@ from repro.core import NvxSession, VersionSpec
 from repro.core.config import SessionConfig
 from repro.costmodel import SEC_PS
 from repro.errors import DeadlockError, StallError
-from repro.faults.chaos import (
-    DATA_SIZE,
-    HORIZON_FACTOR,
-    WORKLOADS,
-    draw_bytes,
-    run_workload,
-)
+from repro.faults.chaos import DATA_SIZE, WORKLOADS, draw_bytes, run_case
 from repro.faults.invariants import InvariantChecker
-from repro.faults.plan import FaultPlan
-from repro.fuzz.generator import WORKLOAD_NAMES, Scenario
+from repro.fuzz.generator import Scenario
 from repro.kernel.uapi import SysError
 from repro.world import World
 
@@ -81,95 +76,63 @@ def run_scenario(scenario: Scenario, rules=None) -> ScenarioResult:
     ``(scenario, rules)``.  ``rules`` installs a
     :class:`repro.bpf.RewriteRules` for the scenario run — the
     rule-synthesis re-run path."""
-    if scenario.kind == "workload":
-        return _run_workload_scenario(scenario, rules)
-    return _run_server_scenario(scenario, rules)
-
-
-# -- workload scenarios -------------------------------------------------------
-
-def _wrap_divergence(build, profile: str):
-    """Fold the divergence profile into a workload build: the chosen
-    side issues one extra benign ``getuid`` before the real program.
-    The retval is never digested, so outputs stay baseline-comparable
-    whether the call is killed, allowed or skipped."""
-    if profile == "none":
-        return build
-
-    def build_wrapped(outputs: Dict):
-        inner = build(outputs)
-
-        def main(ctx):
-            vid = ctx.task.monitor_state.variant.vid
-            if profile == "follower-extra" and vid != 0:
-                yield from ctx.getuid()
-            elif profile == "leader-extra" and vid == 0:
-                yield from ctx.getuid()
-            return (yield from inner(ctx))
-        return main
-    return build_wrapped
-
-
-def _run_workload_scenario(scenario: Scenario, rules) -> ScenarioResult:
+    if scenario.kind == "server":
+        return _run_server_scenario(scenario, rules)
     result = ScenarioResult(scenario)
-    name = WORKLOAD_NAMES[scenario.workload]
+    name, draw = WORKLOADS[scenario.workload]
     rng = random.Random(scenario.sub_seed)
     data = draw_bytes(rng, DATA_SIZE)
-    # Parameters are drawn ONCE so baseline and scenario run the
-    # identical program (the chaos discipline).
-    _wl_name, build = WORKLOADS[scenario.workload](rng)
-
-    base_checker = InvariantChecker(roundtrip_every=1)
-    _session, base_world, base_outputs, base_dead = run_workload(
-        build, data, scenario.n_variants, None, base_checker)
-    horizon = max(2, base_world.sim.now)
-    reference = {tag: digest
-                 for (vid, tag), digest in sorted(base_outputs.items())
-                 if vid == 0}
-    if base_dead is not None:
+    case = run_case(rng, data, draw(rng), scenario.n_variants,
+                    fault=scenario.fault, divergence=scenario.divergence,
+                    rules=rules)
+    if case.base_failure is not None:
         result.records.append(("deadlock", f"{name}: baseline: "
-                               f"{base_dead}"))
+                               f"{case.base_failure}"))
         result.mismatches += 1
-
-    plan = (FaultPlan.random(rng, scenario.n_variants, horizon)
-            if scenario.fault else None)
-    run_build = _wrap_divergence(build, scenario.divergence)
-    checker = InvariantChecker(roundtrip_every=1)
-    session, _world, outputs, failure = run_workload(
-        run_build, data, scenario.n_variants, plan, checker, rules=rules,
-        until_ps=HORIZON_FACTOR * horizon)
-
-    for variant_name, call_name, event_name in \
-            session.stats.fatal_divergences:
-        result.fatal_divergences.append((variant_name, call_name,
-                                         event_name))
-        result.records.append(
-            ("divergence", f"{name}: follower call {call_name} vs "
-             f"leader event {event_name}"))
-    for _variant, reason, _ps in session.stats.crashes:
-        result.records.append(("crash", f"{name}: {reason}"))
-    for _variant, message, _ps in session.stats.ring_faults:
-        result.records.append(("ring-fault", f"{name}: {message}"))
-    if failure is not None:
+    findings = []
+    if case.failure is not None:
         # A stall keeps the deadlock kind, so the journal footer's
         # fixed set of classes does not grow.
-        stall = "stall: " if isinstance(failure, StallError) else ""
-        result.records.append(("deadlock", f"{stall}{name}: {failure}"))
-        result.mismatches += 1
-
-    survivors = [v for v in session.variants if v.alive]
-    for variant in survivors:
-        for tag, expected in reference.items():
-            got = outputs.get((variant.vid, tag))
-            if got != expected:
-                result.mismatches += 1
-                result.records.append(
-                    ("mismatch", f"{name}/v{variant.vid}/{tag}: "
-                     f"{got} != {expected}"))
-    for message in base_checker.violations + checker.violations:
-        result.violations += 1
-        result.records.append(("violation", f"{name}: {message}"))
+        stall = "stall: " if isinstance(case.failure, StallError) else ""
+        findings.append(("deadlock", f"{stall}{name}: {case.failure}"))
+    findings.extend(("mismatch", f"{name}/v{vid}/{tag}: {got} != "
+                     f"{expected}")
+                    for vid, tag, got, expected in case.mismatches)
+    _record_run(result, name, case.session,
+                ("divergence", "crash", "ring-fault"), findings,
+                case.violations)
     return result
+
+
+def _record_run(result: ScenarioResult, label: str, session,
+                order: Tuple[str, ...], findings: List[Tuple[str, str]],
+                violations: List[str]) -> None:
+    """Append a scenario run's records: what the session's stats saw,
+    by kind in ``order``; then ``findings``, each one mismatch; then
+    the invariant ``violations``.  The journal keeps discovery order,
+    so each scenario kind passes the ``order`` its journals pin."""
+    stats = session.stats
+    seen = {
+        "divergence": [f"{label}: follower call {call_name} vs leader "
+                       f"event {event_name}"
+                       for _v, call_name, event_name
+                       in stats.fatal_divergences],
+        "crash": [f"{label}: {reason}"
+                  for _v, reason, _ps in stats.crashes],
+        "promotion": [f"{label}: leader failover kept the service "
+                      f"answering the benign probe"]
+        if stats.promotions else [],
+        "ring-fault": [f"{label}: {message}"
+                       for _v, message, _ps in stats.ring_faults],
+    }
+    result.fatal_divergences.extend(stats.fatal_divergences)
+    for kind in order:
+        result.records.extend((kind, detail) for detail in seen[kind])
+    result.records.extend(findings)
+    result.mismatches += len(findings)
+    result.records.extend(("violation", f"{label}: {message}")
+                          for message in violations)
+    result.violations += len(violations)
 
 
 # -- server scenarios ---------------------------------------------------------
@@ -220,10 +183,9 @@ def _run_server(revisions: Tuple[str, ...], adversary_mix,
     responses: List[bytes] = []
     world.kernel.spawn_task(world.client, _probe_main(responses, port),
                             name="probe")
-    stats = None
     try:
         if adversary_mix:
-            placements, stats = make_adversaries(
+            placements, _stats = make_adversaries(
                 mix=adversary_mix, seed=sub_seed, port=port,
                 duration_ps=SERVER_HORIZON_PS)
             spawn_pool(world, placements)
@@ -237,7 +199,7 @@ def _run_server(revisions: Tuple[str, ...], adversary_mix,
         # response check is the health signal for server scenarios.
         pass
     checker.final_check()
-    return session, responses, stats
+    return session, responses
 
 
 def _run_server_scenario(scenario: Scenario, rules) -> ScenarioResult:
@@ -248,39 +210,24 @@ def _run_server_scenario(scenario: Scenario, rules) -> ScenarioResult:
     # Baseline: a clean single-variant group (effectively native), no
     # adversaries — the probe's native response bytes.
     base_checker = InvariantChecker(roundtrip_every=1)
-    _s, base_responses, _none = _run_server(
+    _session, base_responses = _run_server(
         (REVISIONS[0],), (), scenario.sub_seed, base_checker, None)
 
     # Scenario: the chosen leader revision with good-revision followers,
     # under the byzantine mix.  The probe must still see native bytes.
     revisions = (scenario.revision,) + (REVISIONS[0],) * scenario.followers
     checker = InvariantChecker(roundtrip_every=1)
-    session, responses, _stats = _run_server(
+    session, responses = _run_server(
         revisions, scenario.adversaries, scenario.sub_seed, checker,
         rules)
 
-    for _variant, reason, _ps in session.stats.crashes:
-        result.records.append(("crash", f"{label}: {reason}"))
-    if session.stats.promotions:
-        result.records.append(
-            ("promotion", f"{label}: leader failover kept the service "
-             f"answering the benign probe"))
-    for variant_name, call_name, event_name in \
-            session.stats.fatal_divergences:
-        result.fatal_divergences.append((variant_name, call_name,
-                                         event_name))
-        result.records.append(
-            ("divergence", f"{label}: follower call {call_name} vs "
-             f"leader event {event_name}"))
-    for _variant, message, _ps in session.stats.ring_faults:
-        result.records.append(("ring-fault", f"{label}: {message}"))
+    findings = []
     if responses != base_responses:
-        result.mismatches += 1
-        result.records.append(
+        findings.append(
             ("mismatch", f"{label}: probe answers diverged from the "
              f"native baseline ({len(responses)}/{len(base_responses)} "
              f"responses)"))
-    for message in base_checker.violations + checker.violations:
-        result.violations += 1
-        result.records.append(("violation", f"{label}: {message}"))
+    _record_run(result, label, session,
+                ("crash", "promotion", "divergence", "ring-fault"),
+                findings, base_checker.violations + checker.violations)
     return result

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.apps.redis import BUGGY_REVISION, REVISIONS
 from repro.clients.adversaries import ADVERSARIES
+from repro.faults.chaos import WORKLOADS
 
 __all__ = ["Scenario", "ScenarioGenerator", "DIVERGENCE_PROFILES"]
 
@@ -30,11 +31,6 @@ __all__ = ["Scenario", "ScenarioGenerator", "DIVERGENCE_PROFILES"]
 #: absorbed by ALLOW) or the leader does (the "removal" direction,
 #: absorbed by SKIP).
 DIVERGENCE_PROFILES = ("none", "follower-extra", "leader-extra")
-
-#: Names of the chaos workload family, index-aligned with
-#: ``repro.faults.chaos.WORKLOADS``.
-WORKLOAD_NAMES = ("pread-mix", "rw-cycle", "spin-sleep", "threads",
-                  "fork-child")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class Scenario:
 
     def describe(self) -> str:
         if self.kind == "workload":
-            return (f"workload={WORKLOAD_NAMES[self.workload]} "
+            return (f"workload={WORKLOADS[self.workload][0]} "
                     f"variants={self.n_variants} fault={self.fault} "
                     f"divergence={self.divergence}")
         return (f"server revision={self.revision} "
@@ -113,11 +109,11 @@ class ScenarioGenerator:
         qualitative region once before free sampling begins."""
         if index == 0:
             return Scenario(index, sub_seed, "workload",
-                            workload=rng.randrange(len(WORKLOAD_NAMES)),
+                            workload=rng.randrange(len(WORKLOADS)),
                             n_variants=3, divergence="follower-extra")
         if index == 1:
             return Scenario(index, sub_seed, "workload",
-                            workload=rng.randrange(len(WORKLOAD_NAMES)),
+                            workload=rng.randrange(len(WORKLOADS)),
                             n_variants=3, divergence="leader-extra")
         if index == 2:
             return Scenario(index, sub_seed, "server",
@@ -125,7 +121,7 @@ class ScenarioGenerator:
                             adversaries=self.mix)
         if index == 3:
             return Scenario(index, sub_seed, "workload",
-                            workload=rng.randrange(len(WORKLOAD_NAMES)),
+                            workload=rng.randrange(len(WORKLOADS)),
                             n_variants=rng.randint(2, 3), fault=True)
         return None
 
@@ -167,7 +163,7 @@ class ScenarioGenerator:
                 followers=rng.randint(1, 2), adversaries=chosen)
         return Scenario(
             index, sub_seed, "workload",
-            workload=rng.randrange(len(WORKLOAD_NAMES)),
+            workload=rng.randrange(len(WORKLOADS)),
             n_variants=rng.randint(2, 3),
             fault=rng.random() < 0.5,
             divergence=DIVERGENCE_PROFILES[rng.randrange(

@@ -21,7 +21,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-__all__ = ["JournalEntry", "Journal", "FuzzStats", "GLOBAL_FUZZ_STATS"]
+from repro.obs import metrics as obs_metrics
+
+__all__ = ["JournalEntry", "Journal", "FuzzStats"]
 
 #: Canonical order of record kinds in the journal footer; a kind absent
 #: from a run still renders (count 0) so footers stay fixed-shape.
@@ -30,12 +32,8 @@ KINDS = ("divergence", "crash", "promotion", "ring-fault", "mismatch",
 
 
 class FuzzStats:
-    """Process-global fuzz counters for the metrics drain.
-
-    Mirrors ``isa.translator.GLOBAL_STATS``: the sweep runner snapshots
-    these at ``start_collection`` and reports the delta, so the keys are
-    always present and zero for points that never fuzz.
-    """
+    """One campaign's fuzz counters; its :class:`Journal` owns them and
+    reports them to the metrics drain."""
 
     __slots__ = ("scenarios", "novel", "duplicates", "divergences",
                  "crashes", "rules_synthesized", "rules_absorbed")
@@ -52,9 +50,6 @@ class FuzzStats:
     def as_dict(self) -> Dict[str, int]:
         return {f"fuzz.{name}": getattr(self, name)
                 for name in self.__slots__}
-
-
-GLOBAL_FUZZ_STATS = FuzzStats()
 
 
 def _digest(kind: str, detail: str) -> str:
@@ -88,18 +83,25 @@ class Journal:
     budget: int
     entries: List[JournalEntry] = field(default_factory=list)
     duplicates: int = 0
+    stats: FuzzStats = field(default_factory=FuzzStats)
     _seen: Set[str] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        obs_metrics.register(self)
+
+    def metrics_snapshot(self) -> dict:
+        return {"counters": self.stats.as_dict()}
 
     def record(self, kind: str, detail: str, scenario: int) -> bool:
         """Record a finding; returns True when it is novel."""
         digest = _digest(kind, detail)
         if digest in self._seen:
             self.duplicates += 1
-            GLOBAL_FUZZ_STATS.duplicates += 1
+            self.stats.duplicates += 1
             return False
         self._seen.add(digest)
         self.entries.append(JournalEntry(kind, detail, scenario))
-        GLOBAL_FUZZ_STATS.novel += 1
+        self.stats.novel += 1
         return True
 
     def kinds(self) -> Tuple[str, ...]:

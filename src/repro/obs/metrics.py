@@ -138,19 +138,12 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
 _collecting = False
 _sessions: List = []
 _tcache_base: Dict[str, int] = {}
-_fuzz_base: Dict[str, int] = {}
 
 
 def _tcache_counters() -> Dict[str, int]:
     """Process-wide translation-cache counters (see isa.translator)."""
     from repro.isa.translator import GLOBAL_STATS
     return GLOBAL_STATS.as_dict()
-
-
-def _fuzz_counters() -> Dict[str, int]:
-    """Process-wide fuzz counters (see fuzz.journal)."""
-    from repro.fuzz.journal import GLOBAL_FUZZ_STATS
-    return GLOBAL_FUZZ_STATS.as_dict()
 
 
 def _net_counters(sessions) -> Dict[str, int]:
@@ -178,31 +171,30 @@ def _net_counters(sessions) -> Dict[str, int]:
 
 def start_collection() -> None:
     """Arm session registration for the sweep point about to run."""
-    global _collecting, _sessions, _tcache_base, _fuzz_base
+    global _collecting, _sessions, _tcache_base
     _collecting = True
     _sessions = []
     _tcache_base = _tcache_counters()
-    _fuzz_base = _fuzz_counters()
 
 
 def register(session) -> None:
-    """Called by session constructors; a no-op unless a sweep point is
-    collecting metrics in this process."""
+    """Called by session and fuzz-journal constructors; a no-op unless a
+    sweep point is collecting metrics in this process."""
     if _collecting:
         _sessions.append(session)
 
 
 def drain() -> dict:
-    """Snapshot every session registered since :func:`start_collection`,
-    merge, and disarm.
+    """Snapshot every session and fuzz journal registered since
+    :func:`start_collection`, merge, and disarm.
 
-    Translation-cache and fuzz counters are process-global, so the
-    snapshot carries the *delta* since :func:`start_collection` — what
-    this point's execution did, independent of which worker process ran
-    it.
+    Translation-cache counters are process-global, so the snapshot
+    carries the *delta* since :func:`start_collection` — what this
+    point's execution did, independent of which worker process ran it.
     Networked-transport counters are scoped per World and summed over
-    the sessions' worlds directly.  The keys are always present (zero
-    for points that execute no guest code / ship no frames) so serial
+    the sessions' worlds directly; fuzz counters are per campaign and
+    come with its journal.  The keys are always present (zero for points
+    that execute no guest code / ship no frames / never fuzz) so serial
     and parallel sweeps merge identically.
     """
     global _collecting, _sessions
@@ -211,12 +203,10 @@ def drain() -> dict:
     base = _tcache_base
     tcache = {"counters": {name: value - base.get(name, 0)
                            for name, value in _tcache_counters().items()}}
-    fuzz_base = _fuzz_base
-    fuzz = {"counters": {name: value - fuzz_base.get(name, 0)
-                         for name, value in _fuzz_counters().items()}}
+    from repro.fuzz.journal import FuzzStats
     net = {"counters": _net_counters(sessions)}
     snapshots = [s.metrics_snapshot() for s in sessions]
     snapshots.append(tcache)
-    snapshots.append(fuzz)
+    snapshots.append({"counters": FuzzStats().as_dict()})
     snapshots.append(net)
     return merge_snapshots(snapshots)

@@ -456,8 +456,23 @@ class TestChaosDeterminism:
 
 
 
+class TestEntryPoints:
+    def test_plans_below_one_is_rejected_naming_the_flag(self, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["chaos", "--plans", "-3"])
+        assert exit_info.value.code == 2
+        assert "argument --plans: must be >= 1" in capsys.readouterr().err
+
+    def test_unknown_placement_raises_naming_it(self):
+        with pytest.raises(NvxError, match="'bogus'"):
+            run_chaos(7, 2, placement="bogus")
+
+
 class TestBoundedFaultedRun:
-    BOUND = HORIZON_FACTOR * 10_000_000
+    HORIZON = 10_000_000
+    BOUND = HORIZON_FACTOR * HORIZON
 
     def _run(self, daemon):
         def build(_outputs):
@@ -471,7 +486,7 @@ class TestBoundedFaultedRun:
             return main
 
         _session, world, _outputs, failure = run_workload(
-            build, b"", 2, None, InvariantChecker(), until_ps=self.BOUND)
+            build, b"", 2, None, InvariantChecker(), horizon=self.HORIZON)
         assert world.sim.now == self.BOUND
         return world, failure
 

@@ -186,8 +186,31 @@ class TestMetricsIntegration:
         snapshot = obs_metrics.drain()
         assert snapshot["counters"]["fuzz.scenarios"] == 0
 
+    def test_drain_sums_the_campaigns_in_its_window_only(self):
+        from repro.obs import metrics as obs_metrics
+
+        obs_metrics.drain()  # disarm: the next campaign runs outside
+        outside = run_fuzz(seed=2, budget=1, synthesis=False)
+        obs_metrics.start_collection()
+        first = run_fuzz(seed=2, budget=2, synthesis=False)
+        second = run_fuzz(seed=5, budget=1, synthesis=False)
+        counters = obs_metrics.drain()["counters"]
+        assert outside.journal.stats.scenarios == 1
+        expected = {name: value + second.journal.stats.as_dict()[name]
+                    for name, value in first.journal.stats.as_dict().items()}
+        assert expected["fuzz.scenarios"] == 3
+        assert {name: counters[name] for name in expected} == expected
+
 
 class TestCli:
+    def test_budget_below_one_is_rejected_naming_the_flag(self, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fuzz", "--budget", "-2"])
+        assert exit_info.value.code == 2
+        assert "argument --budget: must be >= 1" in capsys.readouterr().err
+
     def test_fuzz_command_round_trip(self, tmp_path):
         out = tmp_path / "journal.txt"
         proc = subprocess.run(
