@@ -344,7 +344,7 @@ class CaseResult:
     base_outputs: Dict
     reference: Dict[str, str]
     #: Clean variants must already agree with the leader (NVX correctness).
-    base_mismatches:List[Tuple[int, str, Optional[str], str]]
+    base_mismatches: List[Tuple[int, str, Optional[str], str]]
     plan: Optional[FaultPlan]
     session: NvxSession
     failure: Optional[Exception]
