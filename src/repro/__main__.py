@@ -21,6 +21,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -35,6 +36,17 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -45,9 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "'fuzz'")
     parser.add_argument("target", nargs="?", default=None,
                         help="(trace) experiment id to trace")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_positive, default=None,
                         help="workload scale factor for server benchmarks")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_at_least_one, default=1,
                         help="(sweep) worker processes; 1 = serial")
     parser.add_argument("--out", default=None,
                         help="(sweep) write the report to this file "
@@ -78,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="(chaos/trace) follower placement: 'local' "
                              "(shared-memory ring, default) or 'remote' "
                              "(networked transport to replica machines)")
-    parser.add_argument("--clients", type=int, default=None,
+    parser.add_argument("--clients", type=_at_least_one, default=None,
                         help="(load) open-loop client pool size before "
                              "--scale (default 1000)")
-    parser.add_argument("--rate", type=float, default=None,
+    parser.add_argument("--rate", type=_positive, default=None,
                         help="(load) aggregate offered load in requests "
                              "per virtual second before --scale "
                              "(default 20000)")

@@ -8,12 +8,15 @@ generators (so they may block on kernel objects or Varan's ring buffer)
 and return the value to place in RAX.
 
 Execution normally runs through a :class:`~repro.isa.translator.
-TranslationCache`: code is decoded once into superblocks of pre-bound
-micro-ops and each block's cycles are charged as one batch.  Pass
-``translate=False`` to get the original decode-every-instruction loop —
-the two are observably identical (same registers, cycles, faults and
-sim-time totals; only wall-clock speed and Compute chunking differ),
-which ``tests/test_translator.py`` checks differentially.
+TranslationCache`: code is cut once into superblocks of decoded
+instructions, a cold block runs them on the per-step executor
+(:meth:`Cpu._execute_plain`), a hot one runs as a fused compiled body
+(:mod:`repro.isa.fuser`), and each block's cycles are charged as one
+batch.  Pass ``translate=False`` to get the original
+decode-every-instruction loop — the two are observably identical (same
+registers, cycles, faults and sim-time totals; only wall-clock speed
+and Compute chunking differ), which ``tests/test_translator.py`` checks
+differentially.
 
 For handler-free unit tests, :meth:`Cpu.run_sync` drives execution
 without a simulator.
@@ -59,7 +62,6 @@ from repro.isa.opcodes import (
 )
 from repro.isa.translator import (
     BlockExit,
-    GLOBAL_STATS,
     T_BRANCH,
     T_FALL,
     T_HLT,
@@ -135,7 +137,7 @@ class Cpu:
         return list(self.regs)
 
     def restore_regs(self, saved: list) -> None:
-        # In place: translated micro-ops hold a reference to this list.
+        # In place: fused bodies hold a reference to this list.
         self.regs[:] = saved
 
     # -- execution ---------------------------------------------------------
@@ -179,13 +181,14 @@ class Cpu:
         Retired-instruction and cycle accounting are per-instruction
         exact (see translator docstring); only the Compute chunking is
         coarser — one batch per block run instead of per instruction.
-        The inner loop follows direct-threaded chain links (validated
-        against segment version and mapping generation at every follow,
-        because a Compute yield can hand the sim to code that remaps or
-        rewrites memory), so hot loops never return to the dispatch
-        lookup; each exit taken through the dispatch loop patches a new
-        chain link into its predecessor.  Blocks that stay hot are
-        promoted to fused compiled bodies (repro.isa.fuser).
+        A cold block runs its decoded instructions on the per-step
+        executor; one that stays hot is promoted to a fused compiled
+        body (repro.isa.fuser).  The inner loop follows direct-threaded
+        chain links (validated against segment version and mapping
+        generation at every follow, because a Compute yield can hand the
+        sim to code that remaps or rewrites memory), so hot loops never
+        return to the dispatch lookup; each exit taken through the
+        dispatch loop patches a new chain link into its predecessor.
         """
         pending = 0
         executed = 0
@@ -193,6 +196,7 @@ class Cpu:
         lookup = tcache.lookup
         stats = tcache.stats
         space = self.space
+        execute = self._execute_plain
         fuse_threshold = tcache.fuse_threshold
         # Chain/dispatch tallies accumulate in locals and flush in the
         # finally, keeping the per-block path free of attribute stores.
@@ -213,51 +217,25 @@ class Cpu:
                     # the exit (no yields in between).
                     chain_src.chain[self.rip] = block
                     stats.chains_linked += 1
-                    GLOBAL_STATS.chains_linked += 1
                     chain_src = None
                 while True:
-                    n = block.n_ops
+                    n = block.n_insns
                     remaining = max_insns - executed
+                    fn = block.fn
+                    insns = block.insns
                     if remaining <= n:
                         # The max_insns budget expires inside this
-                        # block: run micro-ops one by one so the fault
-                        # carries the exact rip/cycles the per-step
-                        # interpreter would report.
-                        ops = block.ops
-                        i = 0
-                        try:
-                            while i < remaining:
-                                ops[i]()
-                                i += 1
-                        except BlockExit as bx:
-                            executed += bx.n_done
-                            self.cycles += bx.cycles_done
-                            pending += bx.cycles_done
-                            self.rip = bx.next_rip
-                            if pending >= batch_cycles:
-                                yield Compute(pending * CYCLE_PS)
-                                pending = 0
-                            break
-                        except BaseException:
-                            self.cycles += self._fault_cycles
-                            self.insns_retired = executed + i
-                            raise
-                        executed += remaining
-                        if remaining:
-                            self.cycles += block.cum[remaining - 1]
-                        if not (block.terminator == T_BRANCH
-                                and remaining == n):
-                            self.rip = block.bounds[remaining]
-                        self.insns_retired = executed
-                        raise ExecutionFault(
-                            f"{self.name}: exceeded {max_insns} insns")
-                    fn = block.fn
-                    if fn is None and n:
+                        # block: run its first `remaining` instructions
+                        # one by one so the fault carries the exact
+                        # rip/cycles the per-step interpreter reports.
+                        fn = None
+                        insns = insns[:remaining]
+                    elif fn is None and n:
                         hot = block.hot = block.hot + 1
                         if hot >= fuse_threshold:
                             fn = block.fn = fuse_block(self, block)
                             stats.fused_blocks += 1
-                            GLOBAL_STATS.fused_blocks += 1
+                    i = 0
                     try:
                         if fn is not None:
                             # Fused bodies return how many times they ran
@@ -268,8 +246,19 @@ class Cpu:
                             it = fn(remaining, batch_cycles - pending)
                         else:
                             it = 1
-                            for op in block.ops:
-                                op()
+                            segment = block.segment
+                            version = block.version
+                            for insn in insns:
+                                execute(insn)
+                                i += 1
+                                # Only a write can move the version; the
+                                # block's own closing branch needs no
+                                # bail, it leaves the block anyway.
+                                if (segment.version != version
+                                        and (i < n or block.terminator
+                                             != T_BRANCH)):
+                                    raise BlockExit(self.rip,
+                                                    block.cum[i - 1], i)
                     except BlockExit as bx:
                         # A store rewrote this block's own code: retire
                         # what ran and resume at the next instruction,
@@ -283,9 +272,20 @@ class Cpu:
                             pending = 0
                         break
                     except BaseException:
+                        # The executor left rip at the faulting
+                        # instruction; charge the cycles retired before
+                        # it (a fused body records them itself).
+                        if fn is None:
+                            self._fault_cycles = block.cum[i - 1] if i else 0
                         self.cycles += self._fault_cycles
-                        self.insns_retired = executed
+                        self.insns_retired = executed + i
                         raise
+                    if remaining <= n:
+                        executed += remaining
+                        self.cycles += block.cum[remaining - 1]
+                        self.insns_retired = executed
+                        raise ExecutionFault(
+                            f"{self.name}: exceeded {max_insns} insns")
                     executed += n * it
                     self.cycles += block.cycles * it
                     pending += block.cycles * it
@@ -295,7 +295,7 @@ class Cpu:
                     follows += it - 1
                     term = block.terminator
                     if term == T_BRANCH:
-                        pass  # the last micro-op set rip
+                        pass  # the last instruction set rip
                     elif term == T_FALL:
                         self.rip = block.end_rip
                     elif term == T_HLT:
@@ -349,8 +349,6 @@ class Cpu:
         finally:
             stats.chain_follows += follows
             stats.dispatch_blocks += dispatches
-            GLOBAL_STATS.chain_follows += follows
-            GLOBAL_STATS.dispatch_blocks += dispatches
 
     # -- the reference per-step loop -----------------------------------------
 

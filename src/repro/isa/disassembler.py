@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -52,6 +52,12 @@ class Insn:
     #: Dense numeric instruction id (see opcodes.OP_ID): interpreter and
     #: translator dispatch on this instead of the mnemonic string.
     op_id: int = -1
+    #: Address of the next instruction, ``addr + length``: computed once
+    #: here because both executors read it on every step.
+    end: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "end", self.addr + self.spec.length)
 
     @property
     def mnemonic(self) -> str:
@@ -60,10 +66,6 @@ class Insn:
     @property
     def length(self) -> int:
         return self.spec.length
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.spec.length
 
     def branch_target(self) -> Optional[int]:
         """Absolute target for rel32 control transfers, else None."""

@@ -1,8 +1,9 @@
-"""Fused code generation for hot superblocks (the translator's tier 2).
+"""Fused code generation for hot superblocks.
 
-A translated :class:`~repro.isa.translator.CodeBlock` executes as a list
-of per-instruction closures; every op pays a Python call and a
-``regs[i]`` list access per operand.  Once a block runs hot (see
+A cold :class:`~repro.isa.translator.CodeBlock` runs its decoded
+instructions one by one on the per-step executor
+(``Cpu._execute_plain``); every instruction pays a Python call and an
+opcode dispatch.  Once a block runs hot (see
 ``TranslationCache.fuse_threshold``) it is *fused*: the instruction
 sequence is compiled — ``compile``/``exec`` of generated source — into a
 single function with the touched guest registers held in Python locals
@@ -12,17 +13,20 @@ the per-step interpreter could observe partial state:
 * every faulting memory access spills the registers written so far (in
   interpreter update order: e.g. ``push`` spills the decremented rsp,
   ``pop`` the un-incremented one), then records the faulting rip and
-  pre-fault cycles exactly like the closure path;
-* every self-modification check (``store``/``push``/spanned ``call``
-  into the block's own segment) spills before raising its pre-built
+  pre-fault cycles in ``cpu._fault_cycles``;
+* every self-modification check (``store``/``push``/``pusha``/spanned
+  ``call`` into the block's own segment) spills before raising its
   :class:`~repro.isa.translator.BlockExit`;
 * ``pusha``/``popa`` — bulk ops whose cost is dominated by 15 memory
-  accesses anyway — spill, delegate to the original closure, and reload.
+  accesses anyway — spill, run on the per-step executor inside the same
+  fault guard, and reload.
 
-The generated function is observably identical to running the closure
-list: same registers, zf, rip, cycles and exceptions at every exit,
-which the differential property in ``tests/test_translator.py`` checks
-against the per-step interpreter with fusion forced on.
+The generated function is observably identical to running the block
+instruction by instruction: same registers, zf, rip, cycles and
+exceptions at every exit.  Fusion shares no instruction semantics with
+the per-step executor beyond ``pusha``/``popa``, so the differential
+property in ``tests/test_translator.py``, run with fusion forced on from
+the first execution, is the independent check of both.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ from repro.isa.translator import T_BRANCH, BlockExit
 _MASK = 2 ** 64 - 1
 _RSP = REG_INDEX["rsp"]
 
-#: Ops executed through their original closure even in fused code.
-_CLOSURE_OP_IDS = frozenset({OP_PUSHA, OP_POPA})
+#: Ops run on the per-step executor even in fused code.
+_EXECUTOR_OP_IDS = frozenset({OP_PUSHA, OP_POPA})
 
 #: Ops that read zf (conditional terminators) or write it.
 _ZF_WRITERS = frozenset({OP_SUB, OP_SUBI, OP_CMP, OP_CMPI})
@@ -83,7 +87,7 @@ def _insn_regs(insn) -> List[int]:
         return [ops[0], _RSP]
     if op_id in (OP_CALL, OP_RET):
         return [_RSP]
-    return []  # nop, jmp, jz, jnz, pusha/popa (closure-run)
+    return []  # nop, jmp, jz, jnz, pusha/popa (executor-run)
 
 
 class _Emitter:
@@ -118,7 +122,7 @@ class _Emitter:
 
     def emit_fault_guard(self, body: str, addr: int, cyc_before: int,
                          indent: int = 1) -> None:
-        """``try: <body>`` with the closure-identical fault epilogue."""
+        """``try: <body>`` with the per-step-identical fault epilogue."""
         self.emit("try:", indent)
         self.emit(body, indent + 1)
         self.emit("except BaseException:", indent)
@@ -132,7 +136,7 @@ class _Emitter:
     # The u64 fast paths of AddressSpace.read_u64/write_u64, inlined:
     # same page-cache lookup, same bounds + permission re-checks, with
     # the real accessor (and the fault epilogue) as the fallback — so a
-    # fused access is observably identical to the closure path while a
+    # fused access is observably identical to the per-step one while a
     # hit costs no Python call at all.
 
     def emit_load(self, dest: str, addr_expr: str, addr: int,
@@ -307,16 +311,20 @@ def fuse_block(cpu, block):
             bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
             em.emit_bail_check(version, i, block.bounds[i + 1], cum[i],
                                i + 1, n)
-        elif op_id in _CLOSURE_OP_IDS:
-            # Delegate to the original closure: spill so it sees (and on
-            # a fault leaves) exact state, then reload every local.
+        elif op_id in _EXECUTOR_OP_IDS:
+            # Run on the per-step executor: spill so it sees (and on a
+            # fault leaves) exact state, then reload every local.
             for line in em.spills():
                 em.emit(line)
             em.dirty.clear()
             em.zf_dirty = False
-            em.emit(f"ops[{i}]()")
+            em.emit_fault_guard(f"execute(insns[{i}])", addr, cyc_before)
             for r in sorted(localized):
                 em.emit(f"r{r} = regs[{r}]")
+            if op_id == OP_PUSHA:
+                bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
+                em.emit_bail_check(version, i, block.bounds[i + 1],
+                                   cum[i], i + 1, n)
         elif op_id == OP_JMP:
             if is_term:
                 # In a self-loop (where the target is the entry) rip
@@ -373,8 +381,9 @@ def fuse_block(cpu, block):
 
     header = ("def _fused(remaining, budget, cpu=_cpu, regs=_regs, "
               "read_u64=_read_u64, write_u64=_write_u64, seg=_seg, "
-              "ops=_ops, bails=_bails, pages=_pages, unpack=_unpack, "
-              "pack=_pack, BlockExit=_BlockExit):")
+              "insns=_insns, execute=_execute, bails=_bails, "
+              "pages=_pages, unpack=_unpack, pack=_pack, "
+              "BlockExit=_BlockExit):")
     source = header + "\n" + "\n".join(em.lines) + "\n"
     namespace = {
         "_cpu": cpu,
@@ -382,7 +391,8 @@ def fuse_block(cpu, block):
         "_read_u64": cpu.space.read_u64,
         "_write_u64": cpu.space.write_u64,
         "_seg": block.segment,
-        "_ops": block.ops,
+        "_insns": insns,
+        "_execute": cpu._execute_plain,
         "_bails": tuple(bails),
         "_pages": cpu.space._pages,
         "_unpack": _U64.unpack_from,

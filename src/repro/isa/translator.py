@@ -1,12 +1,13 @@
 """Translation cache for the VX86 interpreter.
 
 This is the interpreter-side analogue of the paper's load-time binary
-rewriting (§3.2): pay the decode cost *once* per block instead of once
-per retired instruction.  Each executable region is decoded into
-superblocks of pre-bound micro-ops — Python closures with operands,
-register indices and memory accessors resolved at translate time,
-selected through a numeric opcode table rather than a mnemonic string
-chain — keyed by entry address and looked up by ``Cpu.run``.
+rewriting (§3.2): pay the decode and block-formation cost *once* per
+block instead of once per retired instruction.  Each executable region
+is cut into superblocks of decoded instructions, keyed by entry address
+and looked up by ``Cpu.run``.  Translation builds nothing executable: a
+cold block runs its instructions on the per-step executor
+(``Cpu._execute_plain``), and a block that goes hot is compiled into one
+fused function (:mod:`repro.isa.fuser`).
 
 Semantics are preserved per instruction, not per block:
 
@@ -14,12 +15,13 @@ Semantics are preserved per instruction, not per block:
   any ``syscall`` / ``int0`` / ``vsys`` / ``vmcall`` / ``hlt``, so
   handler invocation order, ``max_insns`` accounting and sim-time
   interleavings are exactly those of per-step decode;
-* every micro-op that can fault records the faulting instruction's
-  address and the cycles retired before it, so a fault leaves ``rip``
-  and ``cycles`` exactly as the per-step interpreter would;
-* micro-ops that write memory re-check their segment's version after
-  the store and bail out of the block if the code under it changed
-  (self-modifying guest code), resuming at the next instruction.
+* a fault leaves ``rip`` at the faulting instruction and ``cycles`` at
+  the total retired before it (``cum[i - 1]``), exactly as the per-step
+  interpreter would;
+* after every instruction that wrote memory, the executor re-checks the
+  block's segment version and bails out of the block if the code under
+  it changed (self-modifying guest code), resuming at the next
+  instruction.
 
 Invalidation is driven by the write-tracking in
 :mod:`repro.isa.memory`: every mutation of a segment bumps
@@ -32,8 +34,8 @@ still match what it was translated from.
 from ``Segment.image()``, the per-version :class:`~repro.isa.
 disassembler.CodeImage` the rewriter and the per-step interpreter read
 too.  Only decoding is shared (across Cpus, address spaces and
-sessions); micro-ops, blocks, chains and fused bodies bind one Cpu's
-registers and stay private to it, as do all the counters.
+sessions); blocks, chains and fused bodies belong to one Cpu, as do the
+counters, which each cache reports through :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
@@ -44,44 +46,18 @@ from repro.errors import DisassemblyError, ExecutionFault
 from repro.isa.opcodes import (
     CONTROL_OP_IDS,
     HANDLER_OP_IDS,
-    OPCODE_TO_ID,
-    OP_ADD,
-    OP_ADDI,
     OP_CALL,
-    OP_CALLR,
-    OP_CMP,
-    OP_CMPI,
     OP_HLT,
     OP_INT0,
     OP_JMP,
-    OP_JNZ,
-    OP_JZ,
-    OP_LOAD,
-    OP_MOV,
-    OP_MOVI,
-    OP_NOP,
-    OP_POP,
-    OP_POPA,
-    OP_PUSH,
-    OP_PUSHA,
-    OP_RET,
-    OP_SPECS,
-    OP_STORE,
-    OP_SUB,
-    OP_SUBI,
     OP_SYSCALL,
     OP_VSYS,
-    REG_INDEX,
 )
-
-_MASK = 2 ** 64 - 1
-_RSP = REG_INDEX["rsp"]
-_PUSHA_ORDER = tuple(i for i in range(16) if i != _RSP)
-_POPA_ORDER = tuple(i for i in reversed(range(16)) if i != _RSP)
+from repro.obs import metrics as obs_metrics
 
 # Block terminator kinds.
 T_FALL = 0      # block ended at the insn cap or a decode boundary
-T_BRANCH = 1    # last micro-op transferred control (set cpu.rip)
+T_BRANCH = 1    # last instruction transferred control (set cpu.rip)
 T_HLT = 2
 T_SYSCALL = 3
 T_INT0 = 4
@@ -90,10 +66,10 @@ T_VMCALL = 6
 
 
 class BlockExit(Exception):
-    """Internal: a micro-op detected self-modified code mid-block.
+    """Internal: a write changed the code of the running block.
 
     Carries exact resume state so the executor retires precisely the
-    micro-ops that ran (including the store that did the modifying).
+    instructions that ran (including the store that did the modifying).
     """
 
     def __init__(self, next_rip: int, cycles_done: int,
@@ -111,7 +87,7 @@ SB_LEN_BUCKETS = 9
 
 
 class CacheStats:
-    """Hit/miss/invalidation counters for one cache (or the process)."""
+    """Hit/miss/invalidation counters for one cache."""
 
     __slots__ = ("hits", "misses", "invalidations", "blocks_translated",
                  "insns_translated", "chains_linked", "chains_broken",
@@ -158,28 +134,24 @@ class CacheStats:
         return counters
 
 
-#: Process-wide aggregate over every cache; ``repro.obs.metrics`` reads
-#: deltas of this so ``sweep --metrics`` surfaces translation activity.
-GLOBAL_STATS = CacheStats()
-
-
 class CodeBlock:
-    """One translated superblock."""
+    """One translated superblock: its decoded instructions and the
+    accounting the executors need, indexed alike."""
 
-    __slots__ = ("entry", "ops", "n_ops", "cycles", "cum", "bounds",
+    __slots__ = ("entry", "insns", "n_insns", "cycles", "cum", "bounds",
                  "terminator", "term_arg", "term_addr", "term_end",
-                 "term_cycles", "end_rip", "segment", "version", "insns",
-                 "chain", "hot", "fn")
+                 "term_cycles", "end_rip", "segment", "version", "chain",
+                 "hot", "fn")
 
-    def __init__(self, entry, ops, cycles, cum, bounds, terminator,
+    def __init__(self, entry, insns, cycles, cum, bounds, terminator,
                  term_arg, term_addr, term_end, term_cycles, end_rip,
-                 segment, version, insns=()) -> None:
+                 segment, version) -> None:
         self.entry = entry
-        self.ops = ops
-        self.n_ops = len(ops)
-        self.cycles = cycles          # total cycles of the straight ops
-        self.cum = cum                # cumulative cycles after op i
-        self.bounds = bounds          # addr of op i; bounds[n] = end
+        self.insns = insns            # decoded straight instructions
+        self.n_insns = len(insns)
+        self.cycles = cycles          # total cycles of the straight insns
+        self.cum = cum                # cumulative cycles after insn i
+        self.bounds = bounds          # addr of insn i; bounds[n] = end
         self.terminator = terminator
         self.term_arg = term_arg      # vsys index operand
         self.term_addr = term_addr    # address of the terminator insn
@@ -188,9 +160,6 @@ class CodeBlock:
         self.end_rip = end_rip        # resume address for T_FALL
         self.segment = segment
         self.version = version
-        #: Decoded instructions behind ``ops`` (same indexing), kept for
-        #: the fused-code generator.
-        self.insns = insns
         #: Direct-threaded chain: successor rip → successor CodeBlock,
         #: patched in on first execution of each exit and dropped when
         #: the successor is invalidated.  Validity is re-checked at every
@@ -201,394 +170,6 @@ class CodeBlock:
         self.hot = 0
         #: Fused compiled body (see repro.isa.fuser), or None while cold.
         self.fn = None
-
-
-class _OpCtx:
-    """Translate-time context handed to each micro-op compiler."""
-
-    __slots__ = ("cpu", "regs", "read_u64", "write_u64", "segment",
-                 "version", "cyc_before", "cyc_after", "n_done",
-                 "next_addr")
-
-    def __init__(self, cpu, regs, read_u64, write_u64, segment, version,
-                 cyc_before, cyc_after, n_done, next_addr) -> None:
-        self.cpu = cpu
-        self.regs = regs
-        self.read_u64 = read_u64
-        self.write_u64 = write_u64
-        self.segment = segment
-        self.version = version
-        self.cyc_before = cyc_before
-        self.cyc_after = cyc_after
-        self.n_done = n_done
-        self.next_addr = next_addr
-
-
-# -- micro-op compilers --------------------------------------------------
-#
-# One entry per instruction id; each returns a zero-argument closure with
-# everything pre-bound.  Handler/hlt ids stay None: they terminate blocks
-# and are interpreted by the executor in Cpu._run_cached.
-
-_COMPILERS: List = [None] * len(OP_SPECS)
-
-
-def _compiles(op_id: int):
-    def register(fn):
-        _COMPILERS[op_id] = fn
-        return fn
-    return register
-
-
-@_compiles(OP_NOP)
-def _c_nop(insn, ctx):
-    def op():
-        pass
-    return op
-
-
-@_compiles(OP_MOV)
-def _c_mov(insn, ctx):
-    regs = ctx.regs
-    d, s = insn.operands
-
-    def op():
-        regs[d] = regs[s]
-    return op
-
-
-@_compiles(OP_MOVI)
-def _c_movi(insn, ctx):
-    regs = ctx.regs
-    d = insn.operands[0]
-    value = insn.operands[1] & _MASK
-
-    def op():
-        regs[d] = value
-    return op
-
-
-@_compiles(OP_ADD)
-def _c_add(insn, ctx):
-    regs = ctx.regs
-    d, s = insn.operands
-
-    def op():
-        regs[d] = (regs[d] + regs[s]) & _MASK
-    return op
-
-
-@_compiles(OP_ADDI)
-def _c_addi(insn, ctx):
-    regs = ctx.regs
-    d, imm = insn.operands
-
-    def op():
-        regs[d] = (regs[d] + imm) & _MASK
-    return op
-
-
-@_compiles(OP_SUB)
-def _c_sub(insn, ctx):
-    cpu, regs = ctx.cpu, ctx.regs
-    d, s = insn.operands
-
-    def op():
-        result = (regs[d] - regs[s]) & _MASK
-        regs[d] = result
-        cpu.zf = result == 0
-    return op
-
-
-@_compiles(OP_SUBI)
-def _c_subi(insn, ctx):
-    cpu, regs = ctx.cpu, ctx.regs
-    d, imm = insn.operands
-
-    def op():
-        result = (regs[d] - imm) & _MASK
-        regs[d] = result
-        cpu.zf = result == 0
-    return op
-
-
-@_compiles(OP_CMP)
-def _c_cmp(insn, ctx):
-    cpu, regs = ctx.cpu, ctx.regs
-    d, s = insn.operands
-
-    def op():
-        cpu.zf = regs[d] == regs[s]
-    return op
-
-
-@_compiles(OP_CMPI)
-def _c_cmpi(insn, ctx):
-    cpu, regs = ctx.cpu, ctx.regs
-    d = insn.operands[0]
-    value = insn.operands[1] & _MASK
-
-    def op():
-        cpu.zf = regs[d] == value
-    return op
-
-
-@_compiles(OP_JMP)
-def _c_jmp(insn, ctx):
-    cpu = ctx.cpu
-    target = insn.end + insn.operands[0]
-
-    def op():
-        cpu.rip = target
-    return op
-
-
-@_compiles(OP_JZ)
-def _c_jz(insn, ctx):
-    cpu = ctx.cpu
-    taken = insn.end + insn.operands[0]
-    fallthrough = insn.end
-
-    def op():
-        cpu.rip = taken if cpu.zf else fallthrough
-    return op
-
-
-@_compiles(OP_JNZ)
-def _c_jnz(insn, ctx):
-    cpu = ctx.cpu
-    taken = insn.end + insn.operands[0]
-    fallthrough = insn.end
-
-    def op():
-        cpu.rip = fallthrough if cpu.zf else taken
-    return op
-
-
-@_compiles(OP_CALL)
-def _c_call(insn, ctx):
-    cpu, regs, write_u64 = ctx.cpu, ctx.regs, ctx.write_u64
-    ret_addr = insn.end
-    target = insn.end + insn.operands[0]
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-
-    def op():
-        rsp = (regs[_RSP] - 8) & _MASK
-        regs[_RSP] = rsp
-        try:
-            write_u64(rsp, ret_addr)
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        cpu.rip = target
-    return op
-
-
-@_compiles(OP_CALLR)
-def _c_callr(insn, ctx):
-    cpu, regs, write_u64 = ctx.cpu, ctx.regs, ctx.write_u64
-    ret_addr = insn.end
-    r = insn.operands[0]
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-
-    def op():
-        rsp = (regs[_RSP] - 8) & _MASK
-        regs[_RSP] = rsp
-        try:
-            write_u64(rsp, ret_addr)
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        # Read after the push, like the interpreter (matters for r==rsp).
-        cpu.rip = regs[r]
-    return op
-
-
-@_compiles(OP_RET)
-def _c_ret(insn, ctx):
-    cpu, regs, read_u64 = ctx.cpu, ctx.regs, ctx.read_u64
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-
-    def op():
-        rsp = regs[_RSP]
-        try:
-            value = read_u64(rsp)
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        regs[_RSP] = (rsp + 8) & _MASK
-        cpu.rip = value
-    return op
-
-
-@_compiles(OP_PUSH)
-def _c_push(insn, ctx):
-    cpu, regs, write_u64 = ctx.cpu, ctx.regs, ctx.write_u64
-    s = insn.operands[0]
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-    seg, version = ctx.segment, ctx.version
-    bail = BlockExit(ctx.next_addr, ctx.cyc_after, ctx.n_done)
-
-    def op():
-        # Read the source before moving rsp, like the interpreter does
-        # (matters for `push rsp`, which stores the *old* value).
-        value = regs[s]
-        rsp = (regs[_RSP] - 8) & _MASK
-        regs[_RSP] = rsp
-        try:
-            write_u64(rsp, value)
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        if seg.version != version:
-            raise bail
-    return op
-
-
-@_compiles(OP_POP)
-def _c_pop(insn, ctx):
-    cpu, regs, read_u64 = ctx.cpu, ctx.regs, ctx.read_u64
-    d = insn.operands[0]
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-
-    def op():
-        rsp = regs[_RSP]
-        try:
-            value = read_u64(rsp)
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        regs[_RSP] = (rsp + 8) & _MASK
-        regs[d] = value
-    return op
-
-
-@_compiles(OP_LOAD)
-def _c_load(insn, ctx):
-    cpu, regs, read_u64 = ctx.cpu, ctx.regs, ctx.read_u64
-    d, b, disp = insn.operands
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-
-    def op():
-        try:
-            regs[d] = read_u64(regs[b] + disp)
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-    return op
-
-
-@_compiles(OP_STORE)
-def _c_store(insn, ctx):
-    cpu, regs, write_u64 = ctx.cpu, ctx.regs, ctx.write_u64
-    s, b, disp = insn.operands
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-    seg, version = ctx.segment, ctx.version
-    bail = BlockExit(ctx.next_addr, ctx.cyc_after, ctx.n_done)
-
-    def op():
-        try:
-            write_u64(regs[b] + disp, regs[s])
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        if seg.version != version:
-            raise bail
-    return op
-
-
-@_compiles(OP_PUSHA)
-def _c_pusha(insn, ctx):
-    cpu, regs, write_u64 = ctx.cpu, ctx.regs, ctx.write_u64
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-    seg, version = ctx.segment, ctx.version
-    bail = BlockExit(ctx.next_addr, ctx.cyc_after, ctx.n_done)
-
-    def op():
-        try:
-            for i in _PUSHA_ORDER:
-                rsp = (regs[_RSP] - 8) & _MASK
-                regs[_RSP] = rsp
-                write_u64(rsp, regs[i])
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        if seg.version != version:
-            raise bail
-    return op
-
-
-@_compiles(OP_POPA)
-def _c_popa(insn, ctx):
-    cpu, regs, read_u64 = ctx.cpu, ctx.regs, ctx.read_u64
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-
-    def op():
-        try:
-            for i in _POPA_ORDER:
-                rsp = regs[_RSP]
-                value = read_u64(rsp)
-                regs[_RSP] = (rsp + 8) & _MASK
-                regs[i] = value
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-    return op
-
-
-# -- spanned direct transfers (superblock formation) ----------------------
-#
-# When a superblock continues *through* a direct jmp, the jump costs its
-# cycle but moves no architectural state the trace doesn't already know:
-# the op is an accounting placeholder so ops/bounds/cum stay parallel
-# arrays.  A spanned call does real work (pushes the return address) and
-# must bail to its *target* if the push modified this block's own code.
-
-
-def _noop():
-    pass
-
-
-def _c_call_span(insn, ctx):
-    """A direct call spanned mid-trace: push the return address and keep
-    going at the translate-time target (``ctx.next_addr``)."""
-    cpu, regs, write_u64 = ctx.cpu, ctx.regs, ctx.write_u64
-    ret_addr = insn.end
-    fault_addr = insn.addr
-    cyc_before = ctx.cyc_before
-    seg, version = ctx.segment, ctx.version
-    bail = BlockExit(ctx.next_addr, ctx.cyc_after, ctx.n_done)
-
-    def op():
-        rsp = (regs[_RSP] - 8) & _MASK
-        regs[_RSP] = rsp
-        try:
-            write_u64(rsp, ret_addr)
-        except BaseException:
-            cpu.rip = fault_addr
-            cpu._fault_cycles = cyc_before
-            raise
-        if seg.version != version:
-            raise bail
-    return op
 
 
 # -- the cache -----------------------------------------------------------
@@ -609,7 +190,9 @@ class TranslationCache:
 
     Builds traces that span direct branches and fall-throughs, chains
     block exits directly to successor blocks, and promotes hot blocks to
-    fused compiled bodies.
+    fused compiled bodies.  Registers itself with
+    :func:`repro.obs.metrics.register`, so a metrics window collects the
+    counters of every cache built inside it.
     """
 
     __slots__ = ("space", "blocks", "by_segment", "stats",
@@ -623,6 +206,10 @@ class TranslationCache:
         self.max_block_insns = max_block_insns
         self.fuse_threshold = FUSE_THRESHOLD
         self._mapping_gen = space.mapping_gen
+        obs_metrics.register(self)
+
+    def metrics_snapshot(self) -> dict:
+        return {"counters": self.stats.as_dict()}
 
     def lookup(self, cpu) -> CodeBlock:
         """Return a valid block for ``cpu.rip``, translating on miss.
@@ -644,11 +231,9 @@ class TranslationCache:
                     raise ExecutionFault(
                         f"{cpu.name}: rip {rip:#x} not executable")
                 self.stats.hits += 1
-                GLOBAL_STATS.hits += 1
                 return block
             self._evict_segment(segment)
         self.stats.misses += 1
-        GLOBAL_STATS.misses += 1
         block = self.translate(cpu, rip)
         self.blocks[rip] = block
         self.by_segment.setdefault(id(block.segment), set()).add(rip)
@@ -662,8 +247,6 @@ class TranslationCache:
             broken += len(block.chain)
         self.stats.invalidations += dropped
         self.stats.chains_broken += broken
-        GLOBAL_STATS.invalidations += dropped
-        GLOBAL_STATS.chains_broken += broken
         self.blocks.clear()
         self.by_segment.clear()
 
@@ -690,15 +273,14 @@ class TranslationCache:
             broken += len(stale)
         self.stats.invalidations += len(entries)
         self.stats.chains_broken += broken
-        GLOBAL_STATS.invalidations += len(entries)
-        GLOBAL_STATS.chains_broken += broken
 
     def translate(self, cpu, rip: int) -> CodeBlock:
         """Decode one superblock starting at ``rip``.
 
-        The trace continues *through* direct ``jmp``/``call`` (the jump
-        becomes an accounting no-op, the call pushes its return address
-        and resumes decoding at the callee) and ends only at
+        The trace continues *through* direct ``jmp``/``call`` (decoding
+        resumes at the target; executing the spanned instruction moves
+        ``rip`` there, and a call pushes its return address) and ends
+        only at
         conditionals and indirect transfers (covered by chaining),
         handler/hlt instructions, the insn cap, a revisited address, or
         the edge of the entry's 4 KiB page.
@@ -710,12 +292,7 @@ class TranslationCache:
                 f"{cpu.name}: rip {rip:#x} not executable")
         insn_at = segment.image().at
         base = segment.start
-        version = segment.version
-        regs = cpu.regs
-        read_u64 = space.read_u64
-        write_u64 = space.write_u64
 
-        ops: List = []
         insns: List = []
         bounds: List[int] = []
         cum: List[int] = []
@@ -731,11 +308,11 @@ class TranslationCache:
         page_start = rip & _PAGE_MASK
         page_end = page_start + 0x1000
         visited: Set[int] = set()
-        while len(ops) < limit:
+        while len(insns) < limit:
             try:
                 insn = insn_at(offset)
             except DisassemblyError:
-                if not ops:
+                if not insns:
                     # The per-step interpreter would fault right here,
                     # with nothing retired; re-raise its exact error.
                     raise
@@ -759,25 +336,18 @@ class TranslationCache:
                 term_end = insn.end
                 term_cycles = insn.spec.cycles
                 break
-            cycles = insn.spec.cycles
             next_addr = insn.end
-            compiler = _COMPILERS[op_id]
             spanned = False
             if op_id == OP_JMP or op_id == OP_CALL:
                 target = insn.end + insn.operands[0]
                 if (base <= target < segment.end
                         and page_start <= target < page_end
                         and target not in visited
-                        and len(ops) + 1 < limit):
+                        and len(insns) + 1 < limit):
                     # Continue the trace through the direct transfer.
                     spanned = True
                     next_addr = target
-                    compiler = None if op_id == OP_JMP else _c_call_span
-            ctx = _OpCtx(cpu, regs, read_u64, write_u64, segment,
-                         version, total, total + cycles, len(ops) + 1,
-                         next_addr)
-            total += cycles
-            ops.append(_noop if compiler is None else compiler(insn, ctx))
+            total += insn.spec.cycles
             insns.append(insn)
             bounds.append(insn.addr)
             cum.append(total)
@@ -795,12 +365,9 @@ class TranslationCache:
 
         stats = self.stats
         stats.blocks_translated += 1
-        stats.insns_translated += len(ops)
-        stats.observe_length(len(ops))
-        GLOBAL_STATS.blocks_translated += 1
-        GLOBAL_STATS.insns_translated += len(ops)
-        GLOBAL_STATS.observe_length(len(ops))
-        return CodeBlock(rip, tuple(ops), total, tuple(cum),
+        stats.insns_translated += len(insns)
+        stats.observe_length(len(insns))
+        return CodeBlock(rip, tuple(insns), total, tuple(cum),
                          tuple(bounds) + (addr,), terminator, term_arg,
                          term_addr, term_end, term_cycles, addr, segment,
-                         version, tuple(insns))
+                         segment.version)

@@ -9,9 +9,9 @@ order and get the same numbers whether the points ran serially or over
 a process pool.
 
 The module also carries the per-process collection registry the sweep
-runner drives: :func:`start_collection` arms it, sessions register
-themselves at construction, and :func:`drain` snapshots + merges every
-registered session.  Worker processes run points one at a time, so the
+runner drives: :func:`start_collection` arms it, sessions, translation
+caches and fuzz journals register themselves at construction, and
+:func:`drain` snapshots + merges every registered one.  Worker processes run points one at a time, so the
 registry needs no locking.
 """
 
@@ -137,13 +137,6 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
 
 _collecting = False
 _sessions: List = []
-_tcache_base: Dict[str, int] = {}
-
-
-def _tcache_counters() -> Dict[str, int]:
-    """Process-wide translation-cache counters (see isa.translator)."""
-    from repro.isa.translator import GLOBAL_STATS
-    return GLOBAL_STATS.as_dict()
 
 
 def _net_counters(sessions) -> Dict[str, int]:
@@ -171,42 +164,40 @@ def _net_counters(sessions) -> Dict[str, int]:
 
 def start_collection() -> None:
     """Arm session registration for the sweep point about to run."""
-    global _collecting, _sessions, _tcache_base
+    global _collecting, _sessions
     _collecting = True
     _sessions = []
-    _tcache_base = _tcache_counters()
 
 
 def register(session) -> None:
-    """Called by session and fuzz-journal constructors; a no-op unless a
-    sweep point is collecting metrics in this process."""
+    """Called by session, translation-cache and fuzz-journal
+    constructors; a no-op unless a sweep point is collecting metrics in
+    this process."""
     if _collecting:
         _sessions.append(session)
 
 
 def drain() -> dict:
-    """Snapshot every session and fuzz journal registered since
-    :func:`start_collection`, merge, and disarm.
+    """Snapshot every session, translation cache and fuzz journal
+    registered since :func:`start_collection`, merge, and disarm.
 
-    Translation-cache counters are process-global, so the snapshot
-    carries the *delta* since :func:`start_collection` — what this
-    point's execution did, independent of which worker process ran it.
-    Networked-transport counters are scoped per World and summed over
-    the sessions' worlds directly; fuzz counters are per campaign and
-    come with its journal.  The keys are always present (zero for points
-    that execute no guest code / ship no frames / never fuzz) so serial
-    and parallel sweeps merge identically.
+    Translation-cache counters are per Cpu and fuzz counters per
+    campaign; each comes with its own registered owner, so the snapshot
+    is what this point's execution did, independent of which worker
+    process ran it.  Networked-transport counters are scoped per World
+    and summed over the sessions' worlds directly.  The keys are always
+    present (zero for points that execute no guest code / ship no
+    frames / never fuzz) so serial and parallel sweeps merge
+    identically.
     """
     global _collecting, _sessions
     sessions, _sessions = _sessions, []
     _collecting = False
-    base = _tcache_base
-    tcache = {"counters": {name: value - base.get(name, 0)
-                           for name, value in _tcache_counters().items()}}
     from repro.fuzz.journal import FuzzStats
+    from repro.isa.translator import CacheStats
     net = {"counters": _net_counters(sessions)}
     snapshots = [s.metrics_snapshot() for s in sessions]
-    snapshots.append(tcache)
+    snapshots.append({"counters": CacheStats().as_dict()})
     snapshots.append({"counters": FuzzStats().as_dict()})
     snapshots.append(net)
     return merge_snapshots(snapshots)

@@ -3,13 +3,16 @@ and engine commands are yielded by reference (DESIGN.md §5d).
 
 Four groups: (a) commands are read-only values, (b) the inlined compute
 resume keeps :meth:`Process._step`'s order of effects, (c) exactly
-repeating host-work counts per dispatched event on one fixed cell and
-per unit of work on the engine, ring and guest-CPU shapes, (d) a
-monitor's pre-bound wake predicate reads only its own ring and vid.
+repeating host-work counts per dispatched event on one fixed cell, per
+unit of work on the engine, ring and guest-CPU shapes, and per
+translated block on cold guest code, (d) a monitor's pre-bound wake
+predicate reads only its own ring and vid.
 """
 
 import gc
+import random
 import sys
+import types
 
 import pytest
 
@@ -333,7 +336,7 @@ class TestHostWorkPerEvent:
 
 # Shapes that once had wall-clock gates against other hosts' baselines;
 # their call counts repeat exactly (CPython 3.11 reads: churn 8.11 per
-# event, pump 23.25, cached guest loop 0.80 per insn, per-step 9.50).
+# event, pump 23.25, cached guest loop 0.80 per insn, per-step 8.40).
 
 
 def _engine_churn():
@@ -443,6 +446,75 @@ class TestSubstrateWork:
         step_calls, step = _second_count(_cpu_loop(3_000, False))
         assert step.regs == cached.regs and step.insns_retired == 30_005
         assert step_calls >= 8 * cached_calls
+
+
+def _cold_program(rng, blocks, rounds=3):
+    """The shape of the ``guest_isa`` benchmark's cold phase: short
+    blocks laid out in index order and run in a seeded order, each
+    ending in a conditional branch so no two merge into one superblock,
+    and each run ``rounds`` times — too few to fuse."""
+    order = list(range(blocks))
+    rng.shuffle(order)
+    consts = [rng.randrange(1, 1 << 16) for _ in range(blocks)]
+    successor = {a: f"b{b}" for a, b in zip(order, order[1:])}
+    lines = [f"movi rbx, {rounds}", "movi r13, 1", "movi r15, 0",
+             "round:", f"jmp b{order[0]}"]
+    for index in range(blocks):
+        lines += [f"b{index}:", f"addi r13, {consts[index]}",
+                  "add r15, r13", "cmpi r13, 0",
+                  f"jnz {successor.get(index, 'endround')}", "hlt"]
+    lines += ["endround:", "subi rbx, 1", "jnz round", "mov rax, r15",
+              "hlt"]
+    return "\n".join(lines)
+
+
+#: GC-tracked objects a translated cold block keeps alive: its
+#: CodeBlock, the insns/cum/bounds tuples and, once linked, its chain
+#: dict (4.998 per block on CPython 3.11).  Building a closure per
+#: instruction kept 26.96.
+MAX_OBJECTS_PER_BLOCK = 8
+
+
+def _retained(run):
+    """GC-tracked objects and function objects alive after ``run()``
+    that were not before it, with its result; no collection runs in
+    between."""
+    def functions():
+        return sum(isinstance(obj, types.FunctionType)
+                   for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        objects, funcs = len(gc.get_objects()), functions()
+        result = run()
+        return (len(gc.get_objects()) - objects, functions() - funcs,
+                result)
+    finally:
+        gc.enable()
+
+
+class TestColdTranslation:
+    def test_cold_blocks_keep_few_objects_and_build_no_functions(self):
+        source = _cold_program(random.Random(7), 500)
+
+        def run():
+            space = AddressSpace()
+            space.map(Segment(0x1000, assemble(source, origin=0x1000),
+                              perms="rx", name="text"))
+            space.map(Segment(0x7FF0_0000, bytes(0x4000), perms="rw"))
+            cpu = Cpu(space, 0x1000, 0x7FF0_4000)
+            cpu.run_sync()
+            return cpu
+
+        run()  # decode and assemble once (process-wide memos)
+        objects, functions, cpu = _retained(run)
+        again = _retained(run)
+        assert (objects, functions) == again[:2]
+        stats = cpu.tcache.stats
+        assert (stats.blocks_translated, stats.fused_blocks) == (504, 0)
+        assert functions == 0
+        assert objects / stats.blocks_translated < MAX_OBJECTS_PER_BLOCK
 
 
 # -- (d) monitor state is plain, and each predicate is its own ----------------

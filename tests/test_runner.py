@@ -6,6 +6,7 @@ never change virtual-time results — a ``--jobs N`` sweep is bit-for-bit
 identical to the serial one.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,30 @@ class TestSweepRunner:
         right = "row 1\n[figure4 regenerated in 99.9s]\n"
         assert runner.compare_reports(left, right) == []
         assert runner.compare_reports("row 1\n", "row 2\n")
+
+
+def _rejected(capsys, argv):
+    """argparse's stderr for ``argv``, which must exit 2."""
+    from repro.__main__ import build_parser
+
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err
+
+
+class TestCliValidation:
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
+    def test_scale_must_be_finite_and_positive(self, capsys, value):
+        err = _rejected(capsys, ["figure4", "--scale", value])
+        assert "argument --scale: " in err
+        assert _rejected(capsys, ["sweep", "--scale", value]) == err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_jobs_below_one_is_rejected_naming_the_flag(self, capsys,
+                                                        value):
+        err = _rejected(capsys, ["sweep", "--jobs", value])
+        assert f"argument --jobs: must be >= 1, got {value}" in err
 
 
 class TestEngineOrdering:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.costmodel import CYCLE_PS
 from repro.errors import DisassemblyError, ExecutionFault
 from repro.isa import AddressSpace, Cpu, Segment, assemble
-from repro.isa.translator import GLOBAL_STATS, T_SYSCALL
+from repro.isa.translator import T_SYSCALL
 from repro.obs import metrics as obs_metrics
 from repro.sim.core import Compute
 
@@ -94,6 +94,14 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
 
 
 class TestCounters:
+    LOOP = """
+        movi rbx, 10
+    loop:
+        subi rbx, 1
+        jnz loop
+        hlt
+    """
+
     def test_loop_hits_after_first_miss(self):
         cpu = build_cpu("""
             movi rbx, 50
@@ -119,11 +127,23 @@ class TestCounters:
         # Superblock lengths are histogrammed at translate time.
         assert sum(stats.sb_len_buckets) == stats.blocks_translated
 
-    def test_global_stats_accumulate(self):
-        before = GLOBAL_STATS.hits + GLOBAL_STATS.misses
-        cpu = build_cpu("movi rax, 9\nhlt")
-        cpu.run_sync()
-        assert GLOBAL_STATS.hits + GLOBAL_STATS.misses > before
+    def test_drain_sums_the_caches_in_its_window_only(self):
+        obs_metrics.drain()  # disarm: the next Cpu runs outside
+        outside = build_cpu(self.LOOP)
+        outside.run_sync()
+        obs_metrics.start_collection()
+        first = build_cpu(self.LOOP)
+        second = build_cpu("movi rax, 9\nhlt")
+        first.run_sync()
+        second.run_sync()
+        outside.rip, outside.halted = TEXT, False
+        outside.run_sync()  # built before the window: adds nothing
+        counters = obs_metrics.drain()["counters"]
+        expected = {name: value + second.tcache.stats.as_dict()[name]
+                    for name, value in first.tcache.stats.as_dict().items()}
+        assert outside.tcache.stats.hits > 0
+        assert expected["tcache.misses"] > 0
+        assert {name: counters[name] for name in expected} == expected
 
     def test_counters_flow_through_obs_drain(self):
         obs_metrics.start_collection()
@@ -336,6 +356,28 @@ class TestHandlerBoundaries:
         """
         cached, _ = assert_equivalent(source)
         assert cached.regs[0] == 77
+
+
+class TestInstructionSemantics:
+    # Cold blocks and the per-step oracle run on one executor, so only
+    # the forced-fusion leg of assert_equivalent, plus the expected value
+    # here, can tell when that executor gets an instruction wrong.  Each
+    # case is an edge the random differential programs rarely reach.
+    @pytest.mark.parametrize("source, expected", [
+        # push rsp stores the value rsp had *before* the push.
+        ("push rsp\npop rax\nhlt", STACK_TOP),
+        # cmpi compares against its immediate taken modulo 2**64.
+        ("movi rbx, -1\ncmpi rbx, -1\njz yes\nmovi rax, 1\nhlt\n"
+         "yes:\nmovi rax, 2\nhlt", 2),
+        # subi sets zf from its result.
+        ("movi rbx, 5\nsubi rbx, 5\njz yes\nmovi rax, 1\nhlt\n"
+         "yes:\nmovi rax, 2\nhlt", 2),
+    ], ids=["push_rsp_pushes_old_rsp", "cmpi_masks_its_immediate",
+            "subi_sets_zf"])
+    def test_edge_matches_the_fused_leg_and_the_expected_value(
+            self, source, expected):
+        cached, interp = assert_equivalent(source)
+        assert interp.regs[0] == cached.regs[0] == expected
 
 
 # -- differential property test ---------------------------------------------
