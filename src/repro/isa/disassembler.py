@@ -244,8 +244,8 @@ class CodeImage:
 #: keeps 80 KiB live at most (``guest_isa``), so this is generous; it is
 #: a constant because nothing observable depends on it — a miss only
 #: costs a re-decode.  Fully decoded, an image weighs ~75 B per code
-#: byte (``Insn`` objects), so a full store is ~80 MB — still less than
-#: the per-Cpu micro-ops of one translation of the same code.
+#: byte (``Insn`` objects), so a full store is ~80 MB; translated blocks
+#: reference these same objects rather than copying them.
 IMAGE_STORE_BYTES = 1 << 20
 
 

@@ -139,7 +139,8 @@ OP_POPA = OP_ID["popa"]
 HANDLER_OP_IDS = frozenset(
     {OP_SYSCALL, OP_INT0, OP_VSYS, OP_VMCALL, OP_HLT})
 
-#: Ids that transfer control — always the last micro-op of their block.
+#: Ids that transfer control — the last instruction of their block
+#: unless the block spans it (see DIRECT_SPAN_OP_IDS).
 CONTROL_OP_IDS = frozenset(
     {OP_JMP, OP_JZ, OP_JNZ, OP_CALL, OP_CALLR, OP_RET})
 

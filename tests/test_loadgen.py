@@ -123,30 +123,6 @@ class TestConfig:
             make_open_loop(topology, config)
 
 
-def _cli_error(capsys, argv):
-    """argparse's stderr for ``argv``, which must exit 2."""
-    from repro.__main__ import build_parser
-
-    with pytest.raises(SystemExit) as exit_info:
-        build_parser().parse_args(argv)
-    assert exit_info.value.code == 2
-    return capsys.readouterr().err
-
-
-class TestLoadCli:
-    @pytest.mark.parametrize("value", ["0", "-4"])
-    def test_clients_below_one_is_rejected_naming_the_flag(self, capsys,
-                                                           value):
-        err = _cli_error(capsys, ["load", "--clients", value])
-        assert f"argument --clients: must be >= 1, got {value}" in err
-
-    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
-    def test_rate_must_be_finite_and_positive(self, capsys, value):
-        err = _cli_error(capsys, ["load", "--rate", value,
-                                  "--scale", "0.01"])
-        assert (f"argument --rate: must be finite and > 0, got {value}"
-                in err)
-
 
 # -- open-loop determinism ---------------------------------------------------
 

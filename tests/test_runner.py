@@ -1,4 +1,5 @@
-"""Sweep-runner determinism and engine ordering invariants.
+"""Sweep-runner determinism, engine ordering invariants, and the CLI's
+rejection of nonsense flag values.
 
 ``test_parallel_matches_serial`` is the invariant named in DESIGN.md §5:
 wall-clock parallelism (and any other wall-clock optimization) must
@@ -79,6 +80,18 @@ class TestCliValidation:
                                                         value):
         err = _rejected(capsys, ["sweep", "--jobs", value])
         assert f"argument --jobs: must be >= 1, got {value}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_clients_below_one_is_rejected_naming_the_flag(self, capsys,
+                                                           value):
+        err = _rejected(capsys, ["load", "--clients", value])
+        assert f"argument --clients: must be >= 1, got {value}" in err
+
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_rate_must_be_finite_and_positive(self, capsys, value):
+        err = _rejected(capsys, ["load", "--rate", value, "--scale", "0.01"])
+        assert (f"argument --rate: must be finite and > 0, got {value}"
+                in err)
 
 
 class TestEngineOrdering:

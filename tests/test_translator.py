@@ -342,6 +342,13 @@ class TestHandlerBoundaries:
         # rsp walks off the top of the stack segment inside POPA.
         assert_equivalent(f"movi rsp, {STACK_TOP - 16}\npopa\nhlt")
 
+    def test_fault_mid_pusha_in_a_self_loop(self):
+        # The loop fuses into an in-place self-loop; pusha walks rsp off
+        # the bottom of the stack segment several iterations in, so the
+        # fault's cycles must count the completed iterations too.
+        assert_equivalent("movi rbx, 100\nloop:\npusha\nsubi rbx, 1\n"
+                          "jnz loop\nhlt")
+
     def test_decode_error_reached_only_at_runtime(self):
         # A conditional skips over garbage bytes: translation must not
         # fault on bytes execution never reaches.
