@@ -147,13 +147,7 @@ class TestCounters:
 
     def test_counters_flow_through_obs_drain(self):
         obs_metrics.start_collection()
-        cpu = build_cpu("""
-            movi rbx, 10
-        loop:
-            subi rbx, 1
-            jnz loop
-            hlt
-        """)
+        cpu = build_cpu(self.LOOP)
         cpu.run_sync()
         snap = obs_metrics.drain()
         assert snap["counters"]["tcache.misses"] >= 1
@@ -164,8 +158,8 @@ class TestCounters:
         # The superblock length histogram rides along as fixed buckets.
         assert sum(snap["counters"][f"tcache.sb_len_p2_{k}"]
                    for k in range(9)) >= 1
-        # Deltas, not process totals: a fresh window starts near zero,
-        # and every tcache key is always present.
+        # A window no cache was built in reports zero, and every tcache
+        # key is always present.
         obs_metrics.start_collection()
         empty = obs_metrics.drain()
         assert empty["counters"]["tcache.hits"] == 0
