@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.kernel.uapi import (
     EPOLL_CTL_ADD,
@@ -148,16 +148,6 @@ def parse_http_request(buffer: bytes):
     if idx < 0:
         return None, buffer
     return buffer[:idx], buffer[idx + 4:]
-
-
-def parse_sized_request(buffer: bytes):
-    """Protocol helper: 4-byte little-endian length prefix + body."""
-    if len(buffer) < 4:
-        return None, buffer
-    length = int.from_bytes(buffer[:4], "little")
-    if len(buffer) < 4 + length:
-        return None, buffer
-    return buffer[4:4 + length], buffer[4 + length:]
 
 
 def http_response(body: bytes, status: str = "200 OK",

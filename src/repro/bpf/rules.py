@@ -41,9 +41,6 @@ class RewriteRules:
         self.filters: List[BpfProgram] = list(filters or [])
         self.applied = 0  # divergences resolved, for stats
 
-    def add(self, program: BpfProgram) -> None:
-        self.filters.append(program)
-
     def __len__(self) -> int:
         return len(self.filters)
 

@@ -45,10 +45,6 @@ class LatencyDigest:
     def count(self) -> int:
         return self.hist.count
 
-    @property
-    def total(self) -> int:
-        return self.hist.total
-
     def observe(self, value: int) -> None:
         self.hist.observe(value)
         if len(self.reservoir) < self.limit:
@@ -128,11 +124,6 @@ class ClientReport:
     def command_avg_us(self, command: str) -> float:
         digest = self.per_command.get(command)
         return digest.avg_ps() / US_PS if digest is not None else 0.0
-
-    def command_percentile_us(self, command: str, pct: float) -> float:
-        digest = self.per_command.get(command)
-        return (digest.percentile_ps(pct) / US_PS
-                if digest is not None else 0.0)
 
     def observe(self, latency_ps: int, command: Optional[str] = None,
                 now: Optional[int] = None) -> None:

@@ -11,7 +11,7 @@ monitor kinds when an experiment swaps them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import NvxError
@@ -26,9 +26,9 @@ class SessionConfig:
     """Options shared by every monitored-session kind.
 
     ``machine``/``daemon`` apply to all sessions; ``rules``,
-    ``ring_capacity``, ``leader_index`` and ``sample_distances`` only
-    matter to :class:`NvxSession`; ``tracer`` overrides the world's
-    tracer for session-level instrumentation.
+    ``ring_capacity`` and ``sample_distances`` only matter to
+    :class:`NvxSession`.  Variant 0 is the born leader, and every
+    session traces into its world's tracer.
     """
 
     machine: Optional[object] = None
@@ -46,10 +46,8 @@ class SessionConfig:
     transport: Optional[object] = None
     rules: Optional[object] = None
     ring_capacity: int = _DEFAULT_RING_CAPACITY
-    leader_index: int = 0
     daemon: bool = False
     sample_distances: bool = False
-    tracer: Optional[object] = None
     #: Scheduled fault injection (``repro.faults.FaultPlan``); None runs
     #: fault-free.  Only :class:`NvxSession` executes plans.
     fault_plan: Optional[object] = None
@@ -58,9 +56,6 @@ class SessionConfig:
     #: explicit checker to share one across sessions, or False to
     #: disable checking entirely.
     invariants: Optional[object] = None
-
-    def replace(self, **overrides) -> "SessionConfig":
-        return replace(self, **overrides)
 
 
 def resolve_session_config(session_cls: str,

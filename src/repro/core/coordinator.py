@@ -112,9 +112,8 @@ class NvxSession:
         self.ring_capacity = cfg.ring_capacity
         self.daemon = cfg.daemon
         self.sample_distances = cfg.sample_distances
-        #: Session tracer: explicit override, else whatever the world
-        #: carries (usually None → zero-cost no-ops on the hot path).
-        self.tracer = cfg.tracer if cfg.tracer is not None else world.tracer
+        #: The world's tracer (usually None: zero-cost hot-path no-ops).
+        self.tracer = world.tracer
         self.pool = SharedMemoryPool(world.sim, world.costs)
         self.stats = SessionStats()
         #: NVX conformance oracle (always on unless invariants=False):
@@ -138,12 +137,11 @@ class NvxSession:
                                      self.machine)
         self.variants = [Variant(i, spec, machines[i])
                          for i, spec in enumerate(specs)]
-        self.variants[cfg.leader_index].is_leader = True
+        self.variants[0].is_leader = True
         #: Machines declared dead by whole-machine fault injection;
         #: leader election avoids them.
         self.dead_machines: set = set()
-        leader_machine = machines[cfg.leader_index]
-        has_remote = any(m is not leader_machine for m in machines)
+        has_remote = any(m is not machines[0] for m in machines)
         #: Event-transport factory: local shared-memory ring unless the
         #: placement is distributed or an explicit factory was given.
         self.transport = resolve_transport(cfg.transport, has_remote)
@@ -511,9 +509,10 @@ class NvxSession:
             for vid, replica in tuple_.replicas.items():
                 role = "leader" if replica.is_leader else "follower"
                 reg.observe(f"{role}.wait_ns", replica.wait_ps // 1000)
-        # net.frames/bytes/acks… are process-global deltas owned by
-        # obs.metrics.drain(), mirroring tcache.*; per-ring counters are
-        # available directly via ring.extra_metrics()/ring.net.
+        # net.* counters belong to the World (obs.metrics.drain() sums
+        # them over the sessions' worlds), as tcache.* belong to each
+        # TranslationCache; per-ring counters are available directly via
+        # ring.extra_metrics()/ring.net.
         return reg.snapshot()
 
     def await_promotion_complete(self, task):

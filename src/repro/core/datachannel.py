@@ -35,9 +35,6 @@ class _Tagged:
         self.description.incref()
         return self
 
-    def decref(self):
-        return self.description.decref()
-
 
 #: Wire size of one cross-machine descriptor-capability message.
 FD_MSG_BYTES = 64

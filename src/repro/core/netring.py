@@ -78,8 +78,7 @@ REPLICATE_SELECTIVE = "selective"
 #: elided from the frame.  Everything else (socket input, random bytes,
 #: peer names) is externally sourced and must ship.
 LOCAL_REGENERABLE = frozenset({
-    "pread", "pread64", "stat", "fstat", "lstat", "getcwd", "readlink",
-    "getdents", "uname",
+    "pread", "stat", "fstat", "lstat", "getcwd", "getdents", "uname",
 })
 
 

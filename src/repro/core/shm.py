@@ -8,7 +8,7 @@ really stored, so followers replay *actual data*, not placeholders.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.costmodel import CostModel, cycles
 from repro.errors import NvxError
@@ -44,10 +44,9 @@ class SharedChunk:
     def release_reader(self) -> bool:
         """Drop one reader's claim; recycle the chunk when the last one
         goes.  This is the single release path shared by the consume
-        hot path (:meth:`SharedMemoryPool.consume`/``discard_reader``)
-        and the crash path (``RingBuffer.remove_consumer``), so the two
-        cannot drift.  Returns True when the chunk went back on its
-        bucket's free list.
+        hot path (:meth:`SharedMemoryPool.consume`) and the crash path
+        (``RingBuffer.remove_consumer``), so the two cannot drift.
+        Returns True when the chunk went back on its bucket's free list.
         """
         self.remaining_readers -= 1
         if self.remaining_readers > 0:
@@ -123,14 +122,6 @@ class SharedMemoryPool:
         if chunk.release_reader():
             yield from self._charge_free(chunk.bucket)
         return data
-
-    def discard_reader(self, chunk: Optional[SharedChunk]):
-        """Generator: a consumer unsubscribed without reading."""
-        if chunk is None:
-            return None
-        if chunk.release_reader():
-            yield from self._charge_free(chunk.bucket)
-        return None
 
     def _charge_free(self, bucket: Bucket):
         """Generator: charge the lock round-trip and allocator cost for

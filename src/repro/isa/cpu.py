@@ -67,7 +67,6 @@ from repro.isa.translator import (
     T_HLT,
     T_INT0,
     T_SYSCALL,
-    T_VMCALL,
     T_VSYS,
     TranslationCache,
 )
@@ -132,13 +131,6 @@ class Cpu:
         value = self.space.read_u64(rsp)
         self.regs[_RSP] = (rsp + 8) & (_U64 - 1)
         return value
-
-    def snapshot_regs(self) -> list:
-        return list(self.regs)
-
-    def restore_regs(self, saved: list) -> None:
-        # In place: fused bodies hold a reference to this list.
-        self.regs[:] = saved
 
     # -- execution ---------------------------------------------------------
 

@@ -13,7 +13,6 @@ import struct
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.costmodel import CostModel, DEFAULT_COSTS, SEC_PS, US_PS, cycles
-from repro.errors import KernelError
 from repro.kernel.epoll import Epoll
 from repro.kernel.net import (
     DuplexPipe,
@@ -24,14 +23,12 @@ from repro.kernel.net import (
 from repro.kernel.task import StopTask, Task
 from repro.kernel.uapi import (
     CLONE_THREAD,
-    EAGAIN,
     EBADF,
     ECONNREFUSED,
     EINVAL,
     ENOENT,
     ENOSYS,
     ENOTSOCK,
-    EPIPE,
     O_NONBLOCK,
     SIGKILL,
     SIGSEGV,
@@ -156,11 +153,6 @@ class Kernel:
         return SysResult(fd, new_fds=(fd,))
         yield  # pragma: no cover - uniform generator shape
 
-    def _sys_openat(self, task: Task, call: Syscall):
-        # dirfd is ignored: the simulated VFS is absolute-path only.
-        inner = Syscall("open", call.args[1:], site=call.site)
-        return (yield from self._sys_open(task, inner))
-
     def _sys_close(self, task: Task, call: Syscall):
         return SysResult(task.fdtable.close(call.arg(0)))
         yield  # pragma: no cover
@@ -208,20 +200,6 @@ class Kernel:
         data = description.inode.read_at(offset, size)
         return SysResult(len(data), data=data)
         yield  # pragma: no cover
-
-    def _sys_pwrite(self, task: Task, call: Syscall):
-        fd, offset = call.arg(0), call.arg(1)
-        description = task.fdtable.get(fd)
-        if not isinstance(description, FileDesc):
-            return SysResult(-EBADF)
-        return SysResult(description.inode.write_at(offset, call.data))
-        yield  # pragma: no cover
-
-    def _sys_writev(self, task: Task, call: Syscall):
-        return (yield from self._sys_write(task, call))
-
-    def _sys_readv(self, task: Task, call: Syscall):
-        return (yield from self._sys_read(task, call))
 
     def _sys_lseek(self, task: Task, call: Syscall):
         fd, offset, whence = call.arg(0), call.arg(1), call.arg(2)
@@ -277,29 +255,6 @@ class Kernel:
             self.fs(task.machine).rename(call.arg(0), call.arg(1)))
         yield  # pragma: no cover
 
-    def _sys_mkdir(self, task: Task, call: Syscall):
-        self.fs(task.machine).mkdir(call.arg(0))
-        return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_ftruncate(self, task: Task, call: Syscall):
-        description = task.fdtable.get(call.arg(0))
-        if not isinstance(description, FileDesc):
-            return SysResult(-EBADF)
-        inode = description.inode
-        if hasattr(inode, "truncate"):
-            inode.truncate(call.arg(1))
-        return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_fsync(self, task: Task, call: Syscall):
-        return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_fdatasync(self, task: Task, call: Syscall):
-        return SysResult(0)
-        yield  # pragma: no cover
-
     def _sys_sendfile(self, task: Task, call: Syscall):
         out_fd, in_fd, count = call.arg(0), call.arg(1), call.arg(3)
         source = task.fdtable.get(in_fd)
@@ -312,11 +267,6 @@ class Kernel:
 
     def _sys_dup(self, task: Task, call: Syscall):
         fd = task.fdtable.dup(call.arg(0))
-        return SysResult(fd, new_fds=(fd,) if fd >= 0 else ())
-        yield  # pragma: no cover
-
-    def _sys_dup2(self, task: Task, call: Syscall):
-        fd = task.fdtable.dup(call.arg(0), at=call.arg(1))
         return SysResult(fd, new_fds=(fd,) if fd >= 0 else ())
         yield  # pragma: no cover
 
@@ -339,12 +289,6 @@ class Kernel:
                 description.flags = arg
             return SysResult(0)
         return SysResult(-EINVAL)
-        yield  # pragma: no cover
-
-    def _sys_ioctl(self, task: Task, call: Syscall):
-        if task.fdtable.get(call.arg(0)) is None:
-            return SysResult(-EBADF)
-        return SysResult(0)
         yield  # pragma: no cover
 
     def _sys_getdents(self, task: Task, call: Syscall):
@@ -456,9 +400,6 @@ class Kernel:
     def _sys_sendto(self, task: Task, call: Syscall):
         return (yield from self._sys_send(task, call))
 
-    def _sys_sendmsg(self, task: Task, call: Syscall):
-        return (yield from self._sys_send(task, call))
-
     def _sys_recv(self, task: Task, call: Syscall):
         inner = Syscall("read", call.args, nbytes=call.nbytes)
         return (yield from self._sys_read(task, inner))
@@ -469,32 +410,8 @@ class Kernel:
     def _sys_recvmsg(self, task: Task, call: Syscall):
         return (yield from self._sys_recv(task, call))
 
-    def _sys_shutdown(self, task: Task, call: Syscall):
-        description = task.fdtable.get(call.arg(0))
-        if not isinstance(description, StreamSocket):
-            return SysResult(-ENOTSOCK)
-        description.shutdown_write()
-        return SysResult(0)
-        yield  # pragma: no cover
-
     def _sys_setsockopt(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_getsockopt(self, task: Task, call: Syscall):
-        return SysResult(0, data=struct.pack("<i", 0))
-        yield  # pragma: no cover
-
-    def _sys_getsockname(self, task: Task, call: Syscall):
-        description = task.fdtable.get(call.arg(0))
-        addr = getattr(description, "local_addr", None) or ("", 0)
-        return SysResult(0, data=f"{addr[0]}:{addr[1]}".encode())
-        yield  # pragma: no cover
-
-    def _sys_getpeername(self, task: Task, call: Syscall):
-        description = task.fdtable.get(call.arg(0))
-        addr = getattr(description, "remote_addr", None) or ("", 0)
-        return SysResult(0, data=f"{addr[0]}:{addr[1]}".encode())
         yield  # pragma: no cover
 
     def _sys_socketpair(self, task: Task, call: Syscall):
@@ -512,9 +429,6 @@ class Kernel:
         return SysResult(0, new_fds=(fd_r, fd_w), aux=(fd_r, fd_w))
         yield  # pragma: no cover
 
-    def _sys_pipe2(self, task: Task, call: Syscall):
-        return (yield from self._sys_pipe(task, call))
-
     # =====================================================================
     # epoll / poll
     # =====================================================================
@@ -524,9 +438,6 @@ class Kernel:
         fd = task.fdtable.install(epoll)
         return SysResult(fd, new_fds=(fd,))
         yield  # pragma: no cover
-
-    def _sys_epoll_create1(self, task: Task, call: Syscall):
-        return (yield from self._sys_epoll_create(task, call))
 
     def _sys_epoll_ctl(self, task: Task, call: Syscall):
         epfd, op, fd, events = (call.arg(0), call.arg(1), call.arg(2),
@@ -643,10 +554,6 @@ class Kernel:
         return SysResult(0)
         yield  # pragma: no cover
 
-    def _sys_tgkill(self, task: Task, call: Syscall):
-        inner = Syscall("kill", (call.arg(0), call.arg(2)))
-        return (yield from self._sys_kill(task, inner))
-
     def deliver_signal(self, target: Task, sig: int) -> None:
         handler = target.signal_handlers.get(sig)
         if handler is not None:
@@ -675,10 +582,6 @@ class Kernel:
         return SysResult(task.pid)
         yield  # pragma: no cover
 
-    def _sys_gettid(self, task: Task, call: Syscall):
-        return SysResult(task.current_tid())
-        yield  # pragma: no cover
-
     # -- identity (the multi-revision experiment's syscalls, §5.2) --------
 
     def _sys_getuid(self, task: Task, call: Syscall):
@@ -699,20 +602,6 @@ class Kernel:
 
     def _sys_issetugid(self, task: Task, call: Syscall):
         return SysResult(int(task.uid != task.euid or task.gid != task.egid))
-        yield  # pragma: no cover
-
-    def _sys_setuid(self, task: Task, call: Syscall):
-        task.uid = task.euid = call.arg(0)
-        return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_setgid(self, task: Task, call: Syscall):
-        task.gid = task.egid = call.arg(0)
-        return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_setsid(self, task: Task, call: Syscall):
-        return SysResult(task.pid)
         yield  # pragma: no cover
 
     # =====================================================================
@@ -812,14 +701,6 @@ class Kernel:
         return SysResult(0)
         yield  # pragma: no cover
 
-    def _sys_sysinfo(self, task: Task, call: Syscall):
-        return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_times(self, task: Task, call: Syscall):
-        return SysResult(self.sim.now // 10_000_000_000)  # clock ticks
-        yield  # pragma: no cover
-
     def _sys_umask(self, task: Task, call: Syscall):
         old = task.umask
         task.umask = call.arg(0)
@@ -848,8 +729,4 @@ class Kernel:
 
     def _sys_sched_setaffinity(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_execve(self, task: Task, call: Syscall):
-        return SysResult(-ENOSYS)  # versions are started by the zygote
         yield  # pragma: no cover

@@ -345,14 +345,6 @@ class DuplexPipe(Pollable):
         self.peer.poke()
         return 0
 
-    def pop_fd(self):
-        """Generator: blocking receive of a passed description."""
-        while not self.fd_queue:
-            if self.peer is None or self.peer.closed:
-                return None
-            yield from self.read_waiters.wait()
-        return self.fd_queue.popleft()
-
     def on_last_close(self) -> None:
         self.closed = True
         if self.peer is not None:

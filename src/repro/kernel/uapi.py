@@ -7,7 +7,7 @@ of the paper, verbatim — work unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import KernelError
@@ -236,10 +236,6 @@ class Syscall:
     site: Optional[str] = None
     data: bytes = b""
     nbytes: int = 0
-
-    @property
-    def nr(self) -> int:
-        return syscall_number(self.name)
 
     def arg(self, index: int, default=0):
         return self.args[index] if index < len(self.args) else default

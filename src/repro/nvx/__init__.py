@@ -6,7 +6,6 @@ from repro.nvx.lockstep import (
     TACHYON_PROFILE,
     LockstepSession,
     MonitorProfile,
-    lockstep_overhead_profile,
 )
 from repro.nvx.scribe import ScribeSession
 
@@ -16,6 +15,5 @@ __all__ = [
     "TACHYON_PROFILE",
     "LockstepSession",
     "MonitorProfile",
-    "lockstep_overhead_profile",
     "ScribeSession",
 ]

@@ -24,7 +24,7 @@ calibrated against the overheads those papers report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import SessionConfig, resolve_session_config
 from repro.core.transport import resolve_placement
@@ -34,7 +34,7 @@ from repro.kernel.task import VDSO_CALLS
 from repro.kernel.uapi import Syscall, SysResult
 from repro.obs import metrics as obs_metrics
 from repro.sim.core import Compute
-from repro.sim.sync import Barrier, Mutex, WaitQueue
+from repro.sim.sync import Barrier, Mutex
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,6 @@ class LockstepSession:
         self.machine = cfg.machine or world.server
         self.profile = profile
         self.daemon = cfg.daemon
-        self.tracer = (cfg.tracer if cfg.tracer is not None
-                       else world.tracer)
         self.specs = specs
         #: Per-version machine (``placement=`` in the config); versions
         #: off the monitor's machine pay a network round trip per ptrace
@@ -257,12 +255,3 @@ class LockstepSession:
             reg.inc("invariant.checks", self.invariants.lockstep_rounds)
             reg.inc("invariant.violations", len(self.invariants.violations))
         return reg.snapshot()
-
-
-def lockstep_overhead_profile(profile_name: str) -> MonitorProfile:
-    profiles = {p.name: p for p in (MX_PROFILE, ORCHESTRA_PROFILE,
-                                    TACHYON_PROFILE)}
-    try:
-        return profiles[profile_name]
-    except KeyError as exc:
-        raise NvxError(f"unknown lockstep profile {profile_name!r}") from exc

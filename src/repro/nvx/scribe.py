@@ -31,8 +31,6 @@ class ScribeSession:
         self.costs: CostModel = world.costs
         self.machine = cfg.machine or world.server
         self.daemon = cfg.daemon
-        self.tracer = (cfg.tracer if cfg.tracer is not None
-                       else world.tracer)
         self.specs = specs
         #: Per-version machine (``placement=``): Scribe records inside
         #: each machine's kernel, so distribution adds no stop cost.

@@ -13,7 +13,6 @@ from repro.obs.trace import (
     CAT_SESSION,
     CAT_SYSCALL,
     CAT_WAIT,
-    ChromeTraceSink,
     JsonlSink,
     MemorySink,
     TraceRecord,
@@ -28,8 +27,8 @@ from repro.obs.trace import (
 
 __all__ = [
     "CAT_DIVERGENCE", "CAT_FAILOVER", "CAT_RING", "CAT_SESSION",
-    "CAT_SYSCALL", "CAT_WAIT", "ChromeTraceSink", "Histogram",
-    "JsonlSink", "MemorySink", "MetricsRegistry", "TraceRecord",
-    "Tracer", "activate", "active", "chrome_trace_json", "deactivate",
-    "jsonl_line", "merge_snapshots", "metrics", "trace", "tracing",
+    "CAT_SYSCALL", "CAT_WAIT", "Histogram", "JsonlSink", "MemorySink",
+    "MetricsRegistry", "TraceRecord", "Tracer", "activate", "active",
+    "chrome_trace_json", "deactivate", "jsonl_line", "merge_snapshots",
+    "metrics", "trace", "tracing",
 ]

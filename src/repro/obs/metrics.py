@@ -1,18 +1,19 @@
 """Deterministic metrics: counters, gauges and histograms.
 
-Sessions expose a ``metrics_snapshot()`` built on demand from the
-counters they already keep (``SessionStats``, ``RingStats``, per-monitor
-wait accounting) — nothing on the syscall hot path is touched.  A
-snapshot is a plain JSON-able dict, and snapshots merge associatively so
-the sweep runner can combine per-point fragments in canonical point
-order and get the same numbers whether the points ran serially or over
-a process pool.
+Sessions, translation caches and fuzz journals expose a
+``metrics_snapshot()`` built on demand from the counters they already
+keep (``SessionStats``, ``RingStats``, ``CacheStats``, ``FuzzStats``,
+per-monitor wait accounting) — nothing on the syscall hot path is
+touched.  A snapshot is a plain JSON-able dict, and snapshots merge
+associatively so the sweep runner can combine per-point fragments in
+canonical point order and get the same numbers whether the points ran
+serially or over a process pool.
 
 The module also carries the per-process collection registry the sweep
-runner drives: :func:`start_collection` arms it, sessions, translation
-caches and fuzz journals register themselves at construction, and
-:func:`drain` snapshots + merges every registered one.  Worker processes run points one at a time, so the
-registry needs no locking.
+runner drives: :func:`start_collection` arms it, each of those owners
+registers itself at construction, and :func:`drain` snapshots + merges
+every registered one.  Worker processes run points one at a time, so
+the registry needs no locking.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount=1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value) -> None:
-        """Record a level; merging keeps the maximum across snapshots."""
-        self.gauges[name] = value
 
     def gauge_max(self, name: str, value) -> None:
         current = self.gauges.get(name)

@@ -11,11 +11,11 @@ emission site is a single attribute load plus an ``is not None`` check.
 No record objects, closures or strings are built unless a tracer is
 actually installed.
 
-Sinks are pluggable: :class:`MemorySink` (default), :class:`JsonlSink`
-(one JSON object per line, the determinism-test format) and
-:class:`ChromeTraceSink` (Chrome ``trace_event`` JSON for
-``chrome://tracing`` / Perfetto, grouping machines as processes and
-tasks as threads).
+Sinks are pluggable: :class:`MemorySink` (default) and
+:class:`JsonlSink` (one JSON object per line, the determinism-test
+format).  :func:`chrome_trace_json` renders records as Chrome
+``trace_event`` JSON for ``chrome://tracing`` / Perfetto, grouping
+machines as processes and tasks as threads.
 
 A module-level *active tracer* lets the CLI install a tracer that
 simulators constructed deep inside experiment drivers pick up
@@ -77,21 +77,6 @@ class JsonlSink:
         self._fh.close()
 
 
-class ChromeTraceSink:
-    """Buffers records and writes a Chrome trace_event file on close."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.records: List[TraceRecord] = []
-
-    def record(self, rec: TraceRecord) -> None:
-        self.records.append(rec)
-
-    def close(self) -> None:
-        with open(self.path, "w") as fh:
-            fh.write(chrome_trace_json(self.records))
-
-
 class Tracer:
     """Collects deterministic spans/instants from the simulation."""
 
@@ -110,7 +95,7 @@ class Tracer:
     def records(self) -> List[TraceRecord]:
         """Records of the first in-memory sink (convenience accessor)."""
         for sink in self.sinks:
-            if isinstance(sink, (MemorySink, ChromeTraceSink)):
+            if isinstance(sink, MemorySink):
                 return sink.records
         return []
 
@@ -126,10 +111,6 @@ class Tracer:
     def instant(self, ts: int, machine: str, task: str, cat: str,
                 name: str, args: Tuple = ()) -> None:
         self._emit(ts, machine, task, cat, name, PH_INSTANT, 0, args)
-
-    def span(self, ts: int, dur: int, machine: str, task: str, cat: str,
-             name: str, args: Tuple = ()) -> None:
-        self._emit(ts, machine, task, cat, name, PH_COMPLETE, dur, args)
 
     def instant_here(self, sim, cat: str, name: str,
                      args: Tuple = ()) -> None:

@@ -104,24 +104,6 @@ class ReplaySession:
         monitor.variant.alive = False
         self.root_tuple.ring.remove_consumer(monitor.vid)
 
-    def report_ring_fault(self, monitor, exc) -> None:
-        """Ring damage observed mid-replay: drop the replayed variant so
-        the artificial leader is not backpressured by its dead cursor."""
-        self.stats.ring_faults.append(
-            (monitor.variant.name, str(exc), self.world.sim.now))
-        monitor.variant.alive = False
-        self.root_tuple.ring.remove_consumer(monitor.vid)
-
-    def await_promotion_complete(self, task):
-        raise RecordReplayError("replayed versions cannot become leader")
-        yield  # pragma: no cover
-
-    def attach_follower_child(self, variant, child_task, tuple_id):
-        raise RecordReplayError("multi-process logs are not replayable")
-
-    def tuple_by_id(self, tuple_id: int) -> RingTuple:
-        return self.root_tuple
-
     def _crash_hook(self, variant: Variant):
         def hook(task, fault):
             self.crashed.append(variant.name)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 #: Dispatch kinds a call site can end up with after rewriting.
@@ -68,6 +68,3 @@ class PatchSet:
 
     def site_for_int_rip(self, rip: int) -> Optional[CallSite]:
         return self.by_int_rip.get(rip)
-
-    def kinds_by_addr(self) -> Dict[int, str]:
-        return {addr: site.kind for addr, site in self.by_addr.items()}

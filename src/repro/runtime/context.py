@@ -149,10 +149,6 @@ class ProcessContext:
                                           site=site, data=data)
         return result.retval
 
-    def shutdown(self, fd: int, site=None):
-        result = yield from self.syscall("shutdown", fd, site=site)
-        return result.retval
-
     def setsockopt(self, fd: int, level: int = 1, opt: int = 2,
                    value: int = 1, site=None):
         result = yield from self.syscall("setsockopt", fd, level, opt,

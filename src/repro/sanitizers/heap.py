@@ -131,11 +131,6 @@ class SimHeap:
                     self._report("uninitialized-read", addr,
                                  f"{len(missing)} uninitialised bytes")
 
-    def sync_point(self) -> None:
-        """Declare a synchronisation point (clears race candidates)."""
-        for block in self._by_range:
-            block.last_writer_thread = None
-
     # -- internals ----------------------------------------------------------------
 
     def _scaled(self, cost: float) -> float:

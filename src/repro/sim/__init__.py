@@ -11,7 +11,7 @@ from repro.sim.core import (
 )
 from repro.sim.machine import Machine
 from repro.sim.network import Network
-from repro.sim.sync import Barrier, Mutex, Semaphore, WaitQueue
+from repro.sim.sync import Barrier, Mutex, WaitQueue
 
 __all__ = [
     "TIMEOUT",
@@ -25,6 +25,5 @@ __all__ = [
     "Network",
     "Barrier",
     "Mutex",
-    "Semaphore",
     "WaitQueue",
 ]

@@ -110,10 +110,6 @@ class EventHandle:
     def __init__(self) -> None:
         self._wake_token = 0
 
-    @property
-    def cancelled(self) -> bool:
-        return self._wake_token != 0
-
     def cancel(self) -> None:
         self._wake_token = 1
 

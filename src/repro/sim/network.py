@@ -28,10 +28,6 @@ class Network:
         #: never drop it, so injected network faults preserve liveness.
         self.faults = None
 
-    def transit_ps(self, nbytes: int) -> int:
-        """Latency + transmission time for a message of ``nbytes``."""
-        return self.spec.latency_ps + nbytes * self.spec.ps_per_byte
-
     #: When True, each link direction is a single serialising resource
     #: (strict store-and-forward).  Off by default: with TSO, full-duplex
     #: switching and per-flow pacing, modelling the rack link as a

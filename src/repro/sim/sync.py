@@ -127,13 +127,6 @@ class WaitQueue:
         self._waiters = kept
         return woken
 
-    def discard(self, proc: Process) -> None:
-        """Remove a process from the queue (after interrupt)."""
-        for entry in self._waiters:
-            if entry.proc is proc:
-                self._waiters.remove(entry)
-                return
-
 
 class Mutex:
     """FIFO mutual exclusion, the serialisation primitive for the
@@ -146,10 +139,6 @@ class Mutex:
         self._locked = False
         self._queue = WaitQueue(sim)
         self.owner: Optional[Process] = None
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
 
     def acquire(self):
         """Generator: acquire the lock (FIFO order)."""
@@ -167,34 +156,6 @@ class Mutex:
         self.owner = None
         if not self._queue.notify():
             self._locked = False
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeups."""
-
-    __slots__ = ("sim", "_value", "_queue")
-
-    def __init__(self, sim: Simulator, value: int = 1) -> None:
-        if value < 0:
-            raise SimulationError("semaphore value must be non-negative")
-        self.sim = sim
-        self._value = value
-        self._queue = WaitQueue(sim)
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self):
-        if self._value > 0:
-            self._value -= 1
-        else:
-            yield from self._queue.wait()
-        return None
-
-    def release(self) -> None:
-        if not self._queue.notify():
-            self._value += 1
 
 
 class Barrier:
@@ -225,13 +186,3 @@ class Barrier:
             return True  # the releasing party
         yield from self._queue.wait()
         return False
-
-    def reset_parties(self, parties: int) -> None:
-        """Shrink/grow the barrier (used when a version crashes)."""
-        if parties < 1:
-            raise SimulationError("barrier needs at least one party")
-        self.parties = parties
-        if self._count >= self.parties:
-            self._count = 0
-            self.generation += 1
-            self._queue.notify_all()

@@ -78,50 +78,25 @@ class World:
 
     # -- session facade ----------------------------------------------------
 
-    @staticmethod
-    def _fold(config: Optional[SessionConfig], placement, transport
-              ) -> Optional[SessionConfig]:
-        """Fold the ``placement=``/``transport=`` facade arguments into
-        the config; explicit fields already set on the config win."""
-        if placement is None and transport is None:
-            return config
-        resolved = config if config is not None else SessionConfig()
-        overrides = {}
-        if placement is not None and resolved.placement is None:
-            overrides["placement"] = placement
-        if transport is not None and resolved.transport is None:
-            overrides["transport"] = transport
-        return resolved.replace(**overrides) if overrides else resolved
-
-    def nvx(self, specs, config: Optional[SessionConfig] = None,
-            placement=None, transport=None):
-        """Build a Varan :class:`NvxSession` over this world.
-
-        ``placement`` maps variant index/name to a machine (name or
-        object); ``transport`` is an event-transport factory
-        (:func:`repro.core.netring.net_transport` for remote followers).
-        """
+    def nvx(self, specs, config: Optional[SessionConfig] = None):
+        """Build a Varan :class:`NvxSession` over this world."""
         from repro.core.coordinator import NvxSession
 
-        config = self._fold(config, placement, transport)
         return NvxSession(self, specs, config=config)
 
     def lockstep(self, specs, config: Optional[SessionConfig] = None,
-                 placement=None, transport=None, profile=None):
+                 profile=None):
         """Build a centralized lockstep-monitor baseline session
         (``profile`` defaults to the mx monitor)."""
         from repro.nvx.lockstep import MX_PROFILE, LockstepSession
 
-        config = self._fold(config, placement, transport)
         return LockstepSession(self, specs, config=config,
                                profile=profile or MX_PROFILE)
 
-    def scribe(self, specs, config: Optional[SessionConfig] = None,
-               placement=None, transport=None):
+    def scribe(self, specs, config: Optional[SessionConfig] = None):
         """Build a Scribe-style record/replay baseline session."""
         from repro.nvx.scribe import ScribeSession
 
-        config = self._fold(config, placement, transport)
         return ScribeSession(self, specs, config=config)
 
     def run(self, **kwargs) -> None:

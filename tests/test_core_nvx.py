@@ -1,11 +1,19 @@
 """Integration tests for the Varan NVX session: replay fidelity, fd
 transfer, failover, divergence handling, threads and forks."""
 
-import pytest
-
 from repro.bpf import NVX_RET_SKIP, RewriteRules, assemble_bpf
 from repro.core import NvxSession, VersionSpec
 from repro.core.config import SessionConfig
+from repro.core.events import EV_EXIT, EV_SYSCALL
+from repro.core.monitor import BLOCKING_CALLS
+from repro.core.netring import LOCAL_REGENERABLE
+from repro.core.tables import (
+    EXEC_LOCAL_AFTER_CONSUME,
+    LOCAL_CALLS,
+    PID_ARG_CALLS,
+)
+from repro.kernel.kernel import Kernel
+from repro.kernel.task import VDSO_CALLS
 from repro.kernel.uapi import O_RDWR, SYSCALL_NUMBERS, Segfault
 from repro.world import World
 
@@ -105,6 +113,52 @@ class TestReplayFidelity:
         session, _ = run_session([VersionSpec(c, app) for c in "abcd"])
         stats = session.root_tuple.ring.stats
         assert stats.consumed == 3 * stats.published
+
+
+class TestLocalCalls:
+    """§3.3: calls local to the process run natively in every variant
+    and are never streamed."""
+
+    def test_each_variant_gets_its_own_native_result(self):
+        def app(pages):
+            def main(ctx):
+                first = yield from ctx.mmap(pages * 4096)
+                second = yield from ctx.mmap(4096)
+                heap = yield from ctx.brk(pages * 0x10000)
+                futex = yield from ctx.futex()
+                yielded = (yield from ctx.syscall("sched_yield")).retval
+                uid = yield from ctx.getuid()
+                return second - first, heap, futex, yielded, uid
+
+            return main
+
+        session, _ = run_session(
+            [VersionSpec("a", app(1)), VersionSpec("b", app(3))])
+        uid = session.variants[0].root_task.uid
+        # A replayed mmap or brk would hand the follower the leader's
+        # addresses; both variants' own lengths show instead.
+        assert [result_of(v) for v in session.variants] == [
+            (4096, 0x10000, 0, 0, uid), (3 * 4096, 0x30000, 0, 0, uid)]
+        ring = session.root_tuple.ring
+        assert [(event.etype, event.name)
+                for event in ring.slots[:ring.head]] == [
+            (EV_SYSCALL, "getuid"), (EV_EXIT, "exit")]
+
+
+class TestMechanismTables:
+    def test_every_name_has_a_kernel_handler(self):
+        tables = {
+            "LOCAL_CALLS": LOCAL_CALLS,
+            "EXEC_LOCAL_AFTER_CONSUME": EXEC_LOCAL_AFTER_CONSUME,
+            "PID_ARG_CALLS": PID_ARG_CALLS,
+            "BLOCKING_CALLS": BLOCKING_CALLS,
+            "LOCAL_REGENERABLE": LOCAL_REGENERABLE,
+            "VDSO_CALLS": VDSO_CALLS,
+        }
+        missing = {table: sorted(name for name in names
+                                 if not hasattr(Kernel, f"_sys_{name}"))
+                   for table, names in tables.items()}
+        assert missing == {table: [] for table in tables}
 
 
 class TestFdTransfer:

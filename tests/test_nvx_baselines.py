@@ -1,20 +1,14 @@
 """Tests for the prior-work baselines: ptrace lockstep and Scribe."""
 
-import pytest
-
+from repro.apps.spec import CPU2006
 from repro.core.coordinator import VersionSpec
 from repro.costmodel import DEFAULT_COSTS, SEC_PS, cycles
 from repro.errors import DivergenceError
+from repro.experiments.multirevision import run_pair_lockstep
+from repro.experiments.spec_common import run_spec_lockstep
 from repro.kernel.task import PATCH_INT
 from repro.kernel.uapi import O_RDWR
-from repro.nvx import (
-    MX_PROFILE,
-    ORCHESTRA_PROFILE,
-    TACHYON_PROFILE,
-    LockstepSession,
-    ScribeSession,
-    lockstep_overhead_profile,
-)
+from repro.nvx import MX_PROFILE, LockstepSession, ScribeSession
 from repro.world import World
 
 
@@ -89,13 +83,6 @@ class TestLockstep:
         assert all(t.threads[0].result is not None
                    for t in session.tasks)
 
-    def test_profiles_lookup(self):
-        assert lockstep_overhead_profile("mx") is MX_PROFILE
-        assert lockstep_overhead_profile("orchestra") is ORCHESTRA_PROFILE
-        assert lockstep_overhead_profile("tachyon") is TACHYON_PROFILE
-        with pytest.raises(Exception):
-            lockstep_overhead_profile("nonesuch")
-
     def test_monitor_serialises_stops(self):
         world = World()
         session = LockstepSession(
@@ -132,6 +119,31 @@ class TestLockstep:
                 + cycles(native(call)))
             if not stops:
                 assert world.now == cycles(native(call))
+
+    def test_final_check_passes_a_clean_spec_run(self, monkeypatch):
+        # Every syscall of a clean run costs an entry and an exit stop.
+        sessions = []
+        build = World.lockstep
+
+        def capture(world, *args, **kwargs):
+            sessions.append(build(world, *args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(World, "lockstep", capture)
+        run_spec_lockstep(CPU2006[0], MX_PROFILE, 0.05)  # 400.perlbench
+        session, = sessions
+        session.final_check()
+        assert (session.stats_stops, session.stats_syscalls) == (32, 16)
+        assert session.invariants.violations == []
+
+    def test_final_check_flags_a_round_that_escaped_its_exit_stop(self):
+        # The divergent round raises after its entry stops: two syscalls
+        # that never reached the exit stop.
+        session, _report = run_pair_lockstep("2435", "2436")
+        assert session.divergence is not None
+        session.final_check()
+        assert session.invariants.violations == [
+            "lockstep[mx]: 6 stops for 4 syscalls (expected 8)"]
 
 
 class TestScribe:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Barrier, Machine, Mutex, Semaphore, Simulator
+from repro.sim import Barrier, Machine, Mutex, Simulator
 from repro.sim.core import Compute, Sleep
 
 
@@ -61,32 +61,6 @@ class TestMutex:
             mutex.release()
 
 
-class TestSemaphore:
-    def test_counting_allows_n_holders(self):
-        sim, machine = world()
-        sem = Semaphore(sim, value=2)
-        concurrency = {"now": 0, "max": 0}
-
-        def worker():
-            yield from sem.acquire()
-            concurrency["now"] += 1
-            concurrency["max"] = max(concurrency["max"],
-                                     concurrency["now"])
-            yield Compute(1000)
-            concurrency["now"] -= 1
-            sem.release()
-
-        for i in range(5):
-            machine.spawn(worker(), name=f"w{i}")
-        sim.run()
-        assert concurrency["max"] == 2
-
-    def test_negative_value_rejected(self):
-        sim, _ = world()
-        with pytest.raises(SimulationError):
-            Semaphore(sim, value=-1)
-
-
 class TestBarrier:
     def test_all_parties_released_together(self):
         sim, machine = world()
@@ -116,26 +90,6 @@ class TestBarrier:
         machine.spawn(worker(), name="b")
         sim.run()
         assert barrier.generation == 3
-
-    def test_reset_parties_releases_waiters(self):
-        sim, machine = world()
-        barrier = Barrier(sim, parties=3)
-        done = []
-
-        def waiter():
-            yield from barrier.arrive()
-            done.append(sim.now)
-
-        machine.spawn(waiter(), name="a")
-        machine.spawn(waiter(), name="b")
-
-        def shrinker():
-            yield Sleep(1000)
-            barrier.reset_parties(2)
-
-        machine.spawn(shrinker(), name="s")
-        sim.run()
-        assert len(done) == 2
 
     def test_zero_parties_rejected(self):
         sim, _ = world()

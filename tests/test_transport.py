@@ -13,6 +13,7 @@ from repro.core import (
     resolve_transport,
     syscall_event,
 )
+from repro.core.config import SessionConfig
 from repro.core.netring import (
     ACK_BYTES,
     FRAME_HEADER_BYTES,
@@ -339,7 +340,7 @@ class TestMetrics:
         world = World(machine_names=("server", "client", "replica1"))
         session = world.nvx(
             [VersionSpec("a", main), VersionSpec("b", main)],
-            placement={1: "replica1"}).start()
+            config=SessionConfig(placement={1: "replica1"})).start()
         world.run()
         counters = obs_metrics.drain()["counters"]
         assert counters["net.frames"] == world.net_stats.frames > 0
@@ -369,7 +370,7 @@ class TestMetrics:
 
 
 class TestWorldFacade:
-    def test_placement_kwarg_folds_into_config(self):
+    def test_config_placement_runs_a_follower_remotely(self):
         from repro.world import World
         from repro.core import VersionSpec
 
@@ -384,7 +385,7 @@ class TestWorldFacade:
             world.kernel.fs(world.machine(name)).create("/tmp/f", b"x" * 8)
         session = world.nvx(
             [VersionSpec("a", main), VersionSpec("b", main)],
-            placement={1: "replica1"}).start()
+            config=SessionConfig(placement={1: "replica1"})).start()
         world.run()
         assert type(session.root_tuple.ring) is NetRing
         assert session.variants[1].machine.name == "replica1"
@@ -393,7 +394,7 @@ class TestWorldFacade:
             assert thread.exception is None
             assert thread.result == b"x" * 8
 
-    def test_transport_kwarg_selects_policy(self):
+    def test_config_transport_selects_policy(self):
         from repro.world import World
         from repro.core import VersionSpec
 
@@ -404,14 +405,9 @@ class TestWorldFacade:
         world = World(machine_names=("server", "client", "replica1"))
         session = world.nvx(
             [VersionSpec("a", main), VersionSpec("b", main)],
-            placement={1: "replica1"},
-            transport=net_transport(replicate=REPLICATE_SELECTIVE)).start()
+            config=SessionConfig(
+                placement={1: "replica1"},
+                transport=net_transport(replicate=REPLICATE_SELECTIVE))
+        ).start()
         world.run()
         assert session.root_tuple.ring.replicate == REPLICATE_SELECTIVE
-
-    def test_explicit_config_fields_win_over_kwargs(self):
-        from repro.world import World
-        from repro.core.config import SessionConfig
-        config = SessionConfig(placement={1: "replica1"})
-        folded = World._fold(config, {1: "client"}, None)
-        assert folded.placement == {1: "replica1"}
