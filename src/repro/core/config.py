@@ -57,6 +57,15 @@ class SessionConfig:
     #: disable checking entirely.
     invariants: Optional[object] = None
 
+    def __post_init__(self) -> None:
+        # A ring the coordinator cannot build fails inside the
+        # simulation, where no caller would see it: refuse it here.
+        capacity = self.ring_capacity
+        if (not isinstance(capacity, int) or isinstance(capacity, bool)
+                or capacity < 1):
+            raise NvxError(f"SessionConfig.ring_capacity must be an int "
+                           f">= 1, got {capacity!r}")
+
 
 def resolve_session_config(session_cls: str,
                            config: Optional[SessionConfig]) -> SessionConfig:

@@ -173,14 +173,21 @@ class CodeImage:
     code)``, which is what makes an image safe to share.  Errors are
     never remembered: a bad offset raises :func:`decode_one`'s error
     afresh on every call.
+
+    :attr:`shapes` holds what superblock formation
+    (:func:`repro.isa.translator.form_superblock`) made of these bytes,
+    keyed by ``(entry, max_block_insns)`` — as pure a function of the
+    image as a decode, so every Cpu mapping the image forms each block
+    once.
     """
 
-    __slots__ = ("base", "code", "_insns", "_sweep", "_targets",
+    __slots__ = ("base", "code", "shapes", "_insns", "_sweep", "_targets",
                  "_syscall_sites")
 
     def __init__(self, base: int, code: bytes) -> None:
         self.base = base
         self.code = code
+        self.shapes: Dict[Tuple[int, int], tuple] = {}
         self._insns: Dict[int, Insn] = {}
         self._sweep: Optional[Tuple[Insn, ...]] = None
         self._targets: Optional[FrozenSet[int]] = None

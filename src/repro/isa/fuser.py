@@ -21,6 +21,16 @@ the per-step interpreter could observe partial state:
   accesses anyway — spill, run on the per-step executor inside the same
   fault guard, and reload.
 
+Store forwarding: a load (``load``, ``pop``, ``ret``) of the slot the
+last store (``store``, ``push``, ``call``) wrote takes the stored value
+from its local, provided no register of the slot's address or of the
+value was written and no other memory access or ``pusha``/``popa`` ran
+in between.  The store still writes memory and bumps
+``Segment.version``, and every bail check stays.  At run time the load
+forwards only if the store took the page-cache fast path (``_fw``) and
+the segment is readable; otherwise it runs the full load, fault epilogue
+included, so a fault lands where the per-step interpreter puts it.
+
 The generated function is observably identical to running the block
 instruction by instruction: same registers, zf, rip, cycles and
 exceptions at every exit.  Fusion shares no instruction semantics with
@@ -105,6 +115,12 @@ class _Emitter:
         #: body; fault/bail accounting then scales by the completed
         #: iteration count ``_it``.
         self.loop_total: Optional[int] = None
+        #: The last store, while a later load of its slot may take the
+        #: stored value from a local: ``((base reg, disp), value expr,
+        #: registers the address and value read)``.  Every memory
+        #: access ends it, and so does a write to one of those
+        #: registers.
+        self.fwd: Optional[tuple] = None
 
     def emit(self, line: str, indent: int = 1) -> None:
         self.lines.append("    " * (indent + self.base) + line)
@@ -113,6 +129,12 @@ class _Emitter:
         if self.loop_total is not None:
             return f"{cyc_before} + _it * {self.loop_total}"
         return str(cyc_before)
+
+    def wrote(self, reg: int) -> None:
+        """Guest register ``reg``'s local now differs from ``regs``."""
+        self.dirty.add(reg)
+        if self.fwd is not None and reg in self.fwd[2]:
+            self.fwd = None
 
     def spills(self) -> List[str]:
         out = [f"regs[{i}] = r{i}" for i in sorted(self.dirty)]
@@ -138,9 +160,29 @@ class _Emitter:
     # the real accessor (and the fault epilogue) as the fallback — so a
     # fused access is observably identical to the per-step one while a
     # hit costs no Python call at all.
+    #
+    # A load of the slot the last store wrote, with no memory access and
+    # no write to the address or value registers in between, takes the
+    # stored value from its local instead: ``_fw`` says the store took
+    # the fast path, so ``_s`` is still the slot's segment, already
+    # checked for bounds; only readability is left to test.
 
     def emit_load(self, dest: str, addr_expr: str, addr: int,
-                  cyc_before: int) -> None:
+                  cyc_before: int, slot: tuple) -> None:
+        fwd, self.fwd = self.fwd, None
+        if fwd is None or fwd[0] != slot:
+            self._emit_page_load(dest, addr_expr, addr, cyc_before)
+            return
+        value = fwd[1]
+        self.emit("if _fw and _s.r_ok:")
+        self.emit(f"{dest} = {value}" if dest != value else "pass", 2)
+        self.emit("else:")
+        self.base += 1
+        self._emit_page_load(dest, addr_expr, addr, cyc_before)
+        self.base -= 1
+
+    def _emit_page_load(self, dest: str, addr_expr: str, addr: int,
+                        cyc_before: int) -> None:
         self.emit(f"_a = {addr_expr}")
         self.emit("_s = pages.get(_a >> 12)")
         self.emit("if (_s is not None and _s.r_ok and _s.start <= _a "
@@ -151,16 +193,19 @@ class _Emitter:
                               indent=2)
 
     def emit_store(self, addr_expr: str, value: str, addr: int,
-                   cyc_before: int) -> None:
+                   cyc_before: int, slot: tuple, reads: tuple) -> None:
         self.emit(f"_a = {addr_expr}")
         self.emit("_s = pages.get(_a >> 12)")
         self.emit("if (_s is not None and _s.w_ok and _s.start <= _a "
                   "and _a + 8 <= _s.end):")
         self.emit(f"pack(_s.data, _a - _s.start, {value})", 2)
         self.emit("_s.version += 1", 2)
+        self.emit("_fw = True", 2)
         self.emit("else:")
         self.emit_fault_guard(f"write_u64(_a, {value})", addr, cyc_before,
                               indent=2)
+        self.emit("_fw = False", 2)
+        self.fwd = (slot, value, reads)
 
     def emit_bail_check(self, version: int, bail_index: int,
                         next_rip: int, cyc_after: int, n_done: int,
@@ -247,30 +292,30 @@ def fuse_block(cpu, block):
             d, s = opnd
             if d != s:
                 em.emit(f"r{d} = r{s}")
-                em.dirty.add(d)
+                em.wrote(d)
         elif op_id == OP_MOVI:
             d, imm = opnd
             em.emit(f"r{d} = {imm & _MASK}")
-            em.dirty.add(d)
+            em.wrote(d)
         elif op_id == OP_ADD:
             d, s = opnd
             em.emit(f"r{d} = (r{d} + r{s}) & {_MASK}")
-            em.dirty.add(d)
+            em.wrote(d)
         elif op_id == OP_ADDI:
             d, imm = opnd
             em.emit(f"r{d} = (r{d} + {imm}) & {_MASK}")
-            em.dirty.add(d)
+            em.wrote(d)
         elif op_id == OP_SUB:
             d, s = opnd
             em.emit(f"r{d} = (r{d} - r{s}) & {_MASK}")
             em.emit(f"zf = r{d} == 0")
-            em.dirty.add(d)
+            em.wrote(d)
             em.zf_dirty = True
         elif op_id == OP_SUBI:
             d, imm = opnd
             em.emit(f"r{d} = (r{d} - {imm}) & {_MASK}")
             em.emit(f"zf = r{d} == 0")
-            em.dirty.add(d)
+            em.wrote(d)
             em.zf_dirty = True
         elif op_id == OP_CMP:
             d, s = opnd
@@ -289,25 +334,28 @@ def fuse_block(cpu, block):
             else:
                 value = f"r{s}"
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
-            em.dirty.add(_RSP)
-            em.emit_store(f"r{_RSP}", value, addr, cyc_before)
+            em.wrote(_RSP)
+            em.emit_store(f"r{_RSP}", value, addr, cyc_before, (_RSP, 0),
+                          (_RSP, s))
             bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
             em.emit_bail_check(version, i, block.bounds[i + 1], cum[i],
                                i + 1, n)
         elif op_id == OP_POP:
             d = opnd[0]
-            em.emit_load("_t", f"r{_RSP}", addr, cyc_before)
+            em.emit_load("_t", f"r{_RSP}", addr, cyc_before, (_RSP, 0))
             em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
-            em.dirty.add(_RSP)
+            em.wrote(_RSP)
             em.emit(f"r{d} = _t")
-            em.dirty.add(d)
+            em.wrote(d)
         elif op_id == OP_LOAD:
             d, b, disp = opnd
-            em.emit_load(f"r{d}", f"r{b} + {disp}", addr, cyc_before)
-            em.dirty.add(d)
+            em.emit_load(f"r{d}", f"r{b} + {disp}", addr, cyc_before,
+                         (b, disp))
+            em.wrote(d)
         elif op_id == OP_STORE:
             s, b, disp = opnd
-            em.emit_store(f"r{b} + {disp}", f"r{s}", addr, cyc_before)
+            em.emit_store(f"r{b} + {disp}", f"r{s}", addr, cyc_before,
+                          (b, disp), (b, s))
             bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
             em.emit_bail_check(version, i, block.bounds[i + 1], cum[i],
                                i + 1, n)
@@ -318,6 +366,7 @@ def fuse_block(cpu, block):
                 em.emit(line)
             em.dirty.clear()
             em.zf_dirty = False
+            em.fwd = None  # it writes memory the last store's slot may be in
             em.emit_fault_guard(f"execute(insns[{i}])", addr, cyc_before)
             for r in sorted(localized):
                 em.emit(f"r{r} = regs[{r}]")
@@ -342,8 +391,9 @@ def fuse_block(cpu, block):
             em.emit(f"{rip} = {insn.end} if zf else {taken}")
         elif op_id == OP_CALL:
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
-            em.dirty.add(_RSP)
-            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before)
+            em.wrote(_RSP)
+            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before,
+                          (_RSP, 0), (_RSP,))
             if is_term:
                 em.emit(f"cpu.rip = {insn.end + opnd[0]}")
             else:
@@ -355,15 +405,16 @@ def fuse_block(cpu, block):
         elif op_id == OP_CALLR:
             r = opnd[0]
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
-            em.dirty.add(_RSP)
-            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before)
+            em.wrote(_RSP)
+            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before,
+                          (_RSP, 0), (_RSP,))
             # Target read after the push, like the interpreter (matters
             # for callr rsp).
             em.emit(f"cpu.rip = r{r}")
         elif op_id == OP_RET:
-            em.emit_load("_t", f"r{_RSP}", addr, cyc_before)
+            em.emit_load("_t", f"r{_RSP}", addr, cyc_before, (_RSP, 0))
             em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
-            em.dirty.add(_RSP)
+            em.wrote(_RSP)
             em.emit("cpu.rip = _t")
         else:  # pragma: no cover - closed opcode table
             raise AssertionError(f"unfusable op id {op_id}")

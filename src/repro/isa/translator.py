@@ -33,9 +33,13 @@ still match what it was translated from.
 ``translate`` never reads segment bytes: it takes decoded instructions
 from ``Segment.image()``, the per-version :class:`~repro.isa.
 disassembler.CodeImage` the rewriter and the per-step interpreter read
-too.  Only decoding is shared (across Cpus, address spaces and
-sessions); blocks, chains and fused bodies belong to one Cpu, as do the
-counters, which each cache reports through :mod:`repro.obs.metrics`.
+too.  Decoding and superblock formation (:func:`form_superblock`, a
+pure function of the image's bytes) are done once per image and shared
+across Cpus, address spaces and sessions — the image memoises each
+block's *shape*.  Blocks, chains and fused bodies belong to one Cpu, as
+do the counters, which each cache reports through
+:mod:`repro.obs.metrics`; a translation that finds its shape already
+formed still counts as one.
 """
 
 from __future__ import annotations
@@ -275,99 +279,117 @@ class TranslationCache:
         self.stats.chains_broken += broken
 
     def translate(self, cpu, rip: int) -> CodeBlock:
-        """Decode one superblock starting at ``rip``.
+        """The block at ``rip``: this Cpu's :class:`CodeBlock` around the
+        superblock shape the segment's code image holds for it.
 
-        The trace continues *through* direct ``jmp``/``call`` (decoding
-        resumes at the target; executing the spanned instruction moves
-        ``rip`` there, and a call pushes its return address) and ends
-        only at
-        conditionals and indirect transfers (covered by chaining),
-        handler/hlt instructions, the insn cap, a revisited address, or
-        the edge of the entry's 4 KiB page.
+        A shape is formed (:func:`form_superblock`) the first time any
+        Cpu asks the image for it, and memoised on the image under
+        ``(rip, max_block_insns)``; errors are never memoised.  The
+        ``tcache.*`` counters still count every translation.
         """
-        space = self.space
-        segment = space.find(rip)
+        segment = self.space.find(rip)
         if not segment.x_ok:
             raise ExecutionFault(
                 f"{cpu.name}: rip {rip:#x} not executable")
-        insn_at = segment.image().at
-        base = segment.start
-
-        insns: List = []
-        bounds: List[int] = []
-        cum: List[int] = []
-        total = 0
-        terminator = T_FALL
-        term_arg = 0
-        term_addr = 0
-        term_end = 0
-        term_cycles = 0
-        offset = rip - base
-        addr = rip
-        limit = self.max_block_insns
-        page_start = rip & _PAGE_MASK
-        page_end = page_start + 0x1000
-        visited: Set[int] = set()
-        while len(insns) < limit:
-            try:
-                insn = insn_at(offset)
-            except DisassemblyError:
-                if not insns:
-                    # The per-step interpreter would fault right here,
-                    # with nothing retired; re-raise its exact error.
-                    raise
-                # Otherwise stop the block *before* the bad bytes: the
-                # fault fires only if execution actually reaches them.
-                break
-            op_id = insn.op_id
-            if op_id in HANDLER_OP_IDS:
-                if op_id == OP_HLT:
-                    terminator = T_HLT
-                elif op_id == OP_SYSCALL:
-                    terminator = T_SYSCALL
-                elif op_id == OP_INT0:
-                    terminator = T_INT0
-                elif op_id == OP_VSYS:
-                    terminator = T_VSYS
-                    term_arg = insn.operands[0]
-                else:
-                    terminator = T_VMCALL
-                term_addr = insn.addr
-                term_end = insn.end
-                term_cycles = insn.spec.cycles
-                break
-            next_addr = insn.end
-            spanned = False
-            if op_id == OP_JMP or op_id == OP_CALL:
-                target = insn.end + insn.operands[0]
-                if (base <= target < segment.end
-                        and page_start <= target < page_end
-                        and target not in visited
-                        and len(insns) + 1 < limit):
-                    # Continue the trace through the direct transfer.
-                    spanned = True
-                    next_addr = target
-            total += insn.spec.cycles
-            insns.append(insn)
-            bounds.append(insn.addr)
-            cum.append(total)
-            visited.add(insn.addr)
-            if op_id in CONTROL_OP_IDS and not spanned:
-                terminator = T_BRANCH
-                addr = insn.end
-                break
-            addr = next_addr
-            offset = addr - base
-            if addr in visited or not page_start <= addr < page_end:
-                # Loop closed or page edge: stop here and let chaining
-                # thread this exit to the successor block.
-                break
-
+        image = segment.image()
+        key = (rip, self.max_block_insns)
+        shape = image.shapes.get(key)
+        if shape is None:
+            shape = image.shapes[key] = form_superblock(
+                image, rip, self.max_block_insns)
+        n_insns = len(shape[0])
         stats = self.stats
         stats.blocks_translated += 1
-        stats.insns_translated += len(insns)
-        stats.observe_length(len(insns))
-        return CodeBlock(rip, tuple(insns), total, tuple(cum),
-                         tuple(bounds) + (addr,), terminator, term_arg,
-                         term_addr, term_end, term_cycles, addr, segment,
-                         segment.version)
+        stats.insns_translated += n_insns
+        stats.observe_length(n_insns)
+        return CodeBlock(rip, *shape, segment, segment.version)
+
+
+def form_superblock(image, rip: int, limit: int) -> tuple:
+    """Decode one superblock of ``image`` starting at ``rip``.
+
+    Returns ``CodeBlock``'s shape fields, from ``insns`` to ``end_rip``:
+    a pure function of the image's bytes, ``rip`` and ``limit``.
+
+    The trace continues *through* direct ``jmp``/``call`` (decoding
+    resumes at the target; executing the spanned instruction moves
+    ``rip`` there, and a call pushes its return address) and ends only
+    at conditionals and indirect transfers (covered by chaining),
+    handler/hlt instructions, the insn cap, a revisited address, or the
+    edge of the entry's 4 KiB page.
+    """
+    insn_at = image.at
+    base = image.base
+    end = base + len(image.code)
+
+    insns: List = []
+    bounds: List[int] = []
+    cum: List[int] = []
+    total = 0
+    terminator = T_FALL
+    term_arg = 0
+    term_addr = 0
+    term_end = 0
+    term_cycles = 0
+    offset = rip - base
+    addr = rip
+    page_start = rip & _PAGE_MASK
+    page_end = page_start + 0x1000
+    visited: Set[int] = set()
+    while len(insns) < limit:
+        try:
+            insn = insn_at(offset)
+        except DisassemblyError:
+            if not insns:
+                # The per-step interpreter would fault right here, with
+                # nothing retired; re-raise its exact error.
+                raise
+            # Otherwise stop the block *before* the bad bytes: the
+            # fault fires only if execution actually reaches them.
+            break
+        op_id = insn.op_id
+        if op_id in HANDLER_OP_IDS:
+            if op_id == OP_HLT:
+                terminator = T_HLT
+            elif op_id == OP_SYSCALL:
+                terminator = T_SYSCALL
+            elif op_id == OP_INT0:
+                terminator = T_INT0
+            elif op_id == OP_VSYS:
+                terminator = T_VSYS
+                term_arg = insn.operands[0]
+            else:
+                terminator = T_VMCALL
+            term_addr = insn.addr
+            term_end = insn.end
+            term_cycles = insn.spec.cycles
+            break
+        next_addr = insn.end
+        spanned = False
+        if op_id == OP_JMP or op_id == OP_CALL:
+            target = insn.end + insn.operands[0]
+            if (base <= target < end
+                    and page_start <= target < page_end
+                    and target not in visited
+                    and len(insns) + 1 < limit):
+                # Continue the trace through the direct transfer.
+                spanned = True
+                next_addr = target
+        total += insn.spec.cycles
+        insns.append(insn)
+        bounds.append(insn.addr)
+        cum.append(total)
+        visited.add(insn.addr)
+        if op_id in CONTROL_OP_IDS and not spanned:
+            terminator = T_BRANCH
+            addr = insn.end
+            break
+        addr = next_addr
+        offset = addr - base
+        if addr in visited or not page_start <= addr < page_end:
+            # Loop closed or page edge: stop here and let chaining
+            # thread this exit to the successor block.
+            break
+
+    return (tuple(insns), total, tuple(cum), tuple(bounds) + (addr,),
+            terminator, term_arg, term_addr, term_end, term_cycles, addr)

@@ -32,7 +32,7 @@ from repro.isa import (
     disassemble,
     linear_sweep,
 )
-from repro.isa import assembler, disassembler
+from repro.isa import assembler, disassembler, translator
 from repro.isa.assembler import assemble_with_symbols
 from repro.isa.disassembler import IMAGE_STORE, ImageStore
 from repro.kernel.uapi import SYSCALL_NAMES, Syscall
@@ -99,6 +99,21 @@ def decode_log(monkeypatch):
 
     monkeypatch.setattr(disassembler, "decode_one", counting)
     return calls
+
+
+@pytest.fixture
+def shape_log(monkeypatch):
+    """Every superblock formed, as ``(base, code, rip, limit, shape)``."""
+    formed = []
+    real = translator.form_superblock
+
+    def recording(image, rip, limit):
+        shape = real(image, rip, limit)
+        formed.append((image.base, image.code, rip, limit, shape))
+        return shape
+
+    monkeypatch.setattr(translator, "form_superblock", recording)
+    return formed
 
 
 def outcome(fn, *args):
@@ -621,19 +636,37 @@ class TestDecodeOnce:
         _run_session()
         assert decode_log == []
 
-    def test_observables_do_not_depend_on_the_store(self):
+    def test_observables_do_not_depend_on_the_store(self, shape_log):
         cold = _run_session()
+        formed = shape_log[:]
+        del shape_log[:]
         warm = _run_session()
+        assert shape_log == []  # every shape was already on its image
         IMAGE_STORE.clear()
         cleared = _run_session()
         assert cold["metrics"]["counters"]["tcache.blocks_translated"] > 0
         assert cold["rewrite_stats"][0]["sites_found"] > 0
         assert cold == warm == cleared
+        # Three variants, each shape formed once, and formed alike again
+        # after the store was cleared.
+        assert formed and shape_log == formed
+        assert len({entry[:4] for entry in formed}) == len(formed)
+        assert len(formed) < (
+            cold["metrics"]["counters"]["tcache.blocks_translated"])
 
-    def test_observables_do_not_depend_on_the_budget(self, monkeypatch):
+    def test_observables_do_not_depend_on_the_budget(self, monkeypatch,
+                                                     shape_log):
         roomy = _run_session()
+        formed = shape_log[:]
+        del shape_log[:]
         IMAGE_STORE.clear()
         monkeypatch.setattr(IMAGE_STORE, "budget", 0)  # nothing is shared
         private = _run_session()
         assert len(IMAGE_STORE) == 0
         assert roomy == private
+        # Private images: every translation forms its shape afresh, and
+        # forms the same shapes the shared images held.
+        translated = private["metrics"]["counters"]["tcache.blocks_translated"]
+        assert len(shape_log) == translated > len(formed)
+        assert {entry[:4]: entry[4] for entry in shape_log} == {
+            entry[:4]: entry[4] for entry in formed}

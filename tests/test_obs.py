@@ -163,6 +163,12 @@ class TestSessionConfigShim:
         assert session.ring_capacity == 32
         assert session.root_tuple.ring.capacity == 32
 
+    @pytest.mark.parametrize("capacity", [0, -4, "8", 8.0, True, None])
+    def test_bad_ring_capacity_is_refused_at_construction(self, capacity):
+        # It used to construct, and the variants then silently never ran.
+        with pytest.raises(NvxError, match="ring_capacity"):
+            SessionConfig(ring_capacity=capacity)
+
     def test_unknown_kwarg_raises_type_error(self):
         with pytest.raises(TypeError, match="bogus"):
             World().nvx([VersionSpec("a", lambda ctx: iter(()))], bogus=1)

@@ -2,13 +2,15 @@
 decode, invalidation (rewriter patches, self-modifying code, remaps),
 and the hit/miss/invalidation counters."""
 
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel import CYCLE_PS
 from repro.errors import DisassemblyError, ExecutionFault
-from repro.isa import AddressSpace, Cpu, Segment, assemble
+from repro.isa import AddressSpace, Cpu, Segment, assemble, fuser, translator
 from repro.isa.translator import T_SYSCALL
 from repro.obs import metrics as obs_metrics
 from repro.sim.core import Compute
@@ -18,11 +20,12 @@ DATA = 0x4000
 STACK_TOP = 0x20000
 
 
-def build_cpu(source, translate=True, text_perms="rx", name="cpu"):
+def build_cpu(source, translate=True, text_perms="rx", name="cpu",
+              data_perms="rw"):
     space = AddressSpace()
     code = assemble(source, origin=TEXT)
     space.map(Segment(TEXT, code, perms=text_perms, name="text"))
-    space.map(Segment(DATA, bytes(0x800), perms="rw", name="data"))
+    space.map(Segment(DATA, bytes(0x800), perms=data_perms, name="data"))
     space.map(Segment(STACK_TOP - 0x1000, bytes(0x1000), perms="rw",
                       name="stack"))
     cpu = Cpu(space, TEXT, STACK_TOP, name=name, translate=translate)
@@ -66,17 +69,29 @@ def drive(cpu, max_insns=100_000, batch_cycles=20_000):
 
 
 def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
-                      text_perms="rx"):
+                      text_perms="rx", data_perms="rw", forwarded=None):
     """Run ``source`` under cached (superblocks + chaining), cached with
     fusion forced from the first execution, and per-step decode; the
-    observable outcome must be identical in all three."""
-    interp = build_cpu(source, translate=False, text_perms=text_perms)
+    observable outcome must be identical in all three.
+
+    ``forwarded``, a list, receives how many loads of the forced-fusion
+    leg took a stored value from a local (see :func:`forwarded_loads`).
+    """
+    interp = build_cpu(source, translate=False, text_perms=text_perms,
+                       data_perms=data_perms)
     i_ret, i_exc, i_ps = drive(interp, max_insns, batch_cycles)
-    cached = build_cpu(source, translate=True, text_perms=text_perms)
-    fused = build_cpu(source, translate=True, text_perms=text_perms)
+    cached = build_cpu(source, translate=True, text_perms=text_perms,
+                       data_perms=data_perms)
+    fused = build_cpu(source, translate=True, text_perms=text_perms,
+                      data_perms=data_perms)
     fused.tcache.fuse_threshold = 1  # every block compiles before run 1
     for cpu in (cached, fused):
-        c_ret, c_exc, c_ps = drive(cpu, max_insns, batch_cycles)
+        if cpu is fused and forwarded is not None:
+            taken, (c_ret, c_exc, c_ps) = forwarded_loads(
+                lambda: drive(cpu, max_insns, batch_cycles))
+            forwarded.append(taken)
+        else:
+            c_ret, c_exc, c_ps = drive(cpu, max_insns, batch_cycles)
         assert c_exc == i_exc
         assert c_ret == i_ret
         assert cpu.regs == interp.regs
@@ -91,6 +106,48 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
             assert c_ps == i_ps == cpu.cycles * CYCLE_PS
             assert cpu.insns_retired == interp.insns_retired
     return cached, interp
+
+
+def forwarded_loads(run):
+    """How many times fused code took a load's value from the local of
+    the store before it, and ``run()``'s result: line events on the
+    first line under each ``if _fw ...:`` of every body fused while
+    ``run`` runs."""
+    sources = {}
+    real_compile = compile
+
+    def recording_compile(source, filename, mode):
+        sources[filename] = source.splitlines()
+        return real_compile(source, filename, mode)
+
+    taken = [0]
+    targets = {}
+
+    def local(frame, event_, _arg):
+        if event_ == "line" and frame.f_lineno in targets[
+                frame.f_code.co_filename]:
+            taken[0] += 1
+        return local
+
+    def tracer(frame, event_, _arg):
+        name = frame.f_code.co_filename
+        if name not in sources:
+            return None
+        if name not in targets:
+            targets[name] = {number + 2 for number, line
+                             in enumerate(sources[name])
+                             if line.strip().startswith("if _fw")}
+        return local
+
+    fuser.compile = recording_compile
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+        del fuser.compile
+    return taken[0], result
 
 
 class TestCounters:
@@ -381,6 +438,131 @@ class TestInstructionSemantics:
         assert interp.regs[0] == cached.regs[0] == expected
 
 
+class TestStoreForwarding:
+    # A fused load of the slot the last store wrote takes the value from
+    # a local (repro.isa.fuser).  Each program first stores to the slot's
+    # page once, so the forwarded store takes the page-cache fast path
+    # (a first touch takes the slow one and never forwards), and checks
+    # the forced-fusion leg and the cold leg against the per-step oracle
+    # and an expected value.
+    PRIME = f"movi rbx, {DATA}\nmovi rax, 11\nmovi rdx, 22\n" \
+            "store [rbx+64], rax\npush rax\npop rsi\n"
+
+    @pytest.mark.parametrize("body, expected, taken", [
+        ("store [rbx+0], rax\nload rcx, [rbx+0]\nmov rax, rcx", 11, 1),
+        ("store [rbx+0], rax\nload rax, [rbx+0]", 11, 1),
+        # The value register is overwritten in between: the load must
+        # see the stored value, not the register's new one.
+        ("store [rbx+0], rax\nmovi rax, 99\nload rcx, [rbx+0]\n"
+         "mov rax, rcx", 11, 0),
+        # ... and the base register: the load reads another slot.
+        ("store [rbx+0], rax\naddi rbx, 8\nload rax, [rbx+0]", 0, 0),
+        # Two base registers aliasing one slot; the later store wins.
+        ("mov rcx, rbx\nstore [rbx+0], rax\nstore [rcx+0], rdx\n"
+         "load rax, [rbx+0]", 22, 0),
+        ("movi rcx, 8\nadd rcx, rbx\nstore [rbx+8], rax\n"
+         "store [rcx+0], rdx\nload rax, [rbx+8]", 22, 0),
+        # ... or a load of another slot.
+        ("store [rbx+0], rax\nload rax, [rbx+8]", 0, 0),
+        # pusha writes the slot (rbx's push) between the store and the
+        # load.
+        (f"movi rbp, {STACK_TOP - 16}\nmovi rbx, 6\nstore [rbp+8], rax\n"
+         "store [rbp+0], rax\npusha\nload rax, [rbp+0]", 6, 0),
+        # push rsp pushes the rsp it had before the push.
+        ("push rsp\npop rax", STACK_TOP, 1),
+        ("push rdx\npop rax", 22, 1),
+        # A spanned call's pushed return address, popped by the callee.
+        ("call callee\nmovi rax, 33\nhlt\ncallee:\npop rax\nsubi rax, "
+         f"{TEXT}", None, 1),
+    ], ids=["store_load", "store_load_same_reg", "value_reg_overwritten",
+            "base_reg_overwritten", "aliased_bases", "aliased_disp",
+            "other_disp",
+            "pusha_between", "push_rsp_pop", "push_pop", "call_pop"])
+    def test_forwarding_matches_the_oracle(self, body, expected, taken):
+        forwarded = []
+        source = self.PRIME + body + "\nhlt"
+        _cached, interp = assert_equivalent(source, forwarded=forwarded)
+        if expected is not None:
+            assert interp.regs[0] == expected
+        assert forwarded == [taken]
+
+    @pytest.mark.parametrize("data_perms", ["rw", "w"])
+    def test_first_touch_store_then_load(self, data_perms):
+        # The store misses the page cache and takes write_u64; the load
+        # must go to memory (and, write-only, fault like per-step).
+        forwarded = []
+        source = (f"movi rbx, {DATA}\nmovi rax, 7\nstore [rbx+0], rax\n"
+                  "load rcx, [rbx+0]\nhlt")
+        cached, interp = assert_equivalent(source, data_perms=data_perms,
+                                           forwarded=forwarded)
+        assert forwarded == [0]
+        if data_perms == "rw":
+            assert interp.regs[2] == 7
+        else:
+            load_rip = TEXT + len(assemble(source.rsplit("\nload", 1)[0]))
+            assert cached.rip == interp.rip == load_rip
+
+    def test_write_only_slot_faults_at_the_load(self):
+        # The forwarded store took the fast path into a segment the
+        # load may not read: the load faults with per-step rip/cycles.
+        source = (f"movi rbx, {DATA}\nmovi rax, 7\nstore [rbx+8], rax\n"
+                  "store [rbx+0], rax\nload rcx, [rbx+0]\nhlt")
+        forwarded = []
+        cached, interp = assert_equivalent(source, data_perms="w",
+                                           forwarded=forwarded)
+        assert forwarded == [0]
+        load_rip = TEXT + len(assemble(source.rsplit("\nload", 1)[0]))
+        assert cached.rip == interp.rip == load_rip
+        assert interp.cycles == cached.cycles > 0
+        with pytest.raises(ExecutionFault, match="non-readable"):
+            build_cpu(source, data_perms="w").run_sync()
+
+
+class TestSharedShapes:
+    # Superblock shapes are memoised on the segment's code image and
+    # shared by every Cpu that maps it; CodeBlocks stay per Cpu.
+    SOURCE = "movi rbx, 3\nloop:\nnop\nnop\nsubi rbx, 1\njnz loop\nhlt"
+
+    def test_cpus_mapping_one_image_form_each_shape_once(self, monkeypatch):
+        formed = []
+        real = translator.form_superblock
+        monkeypatch.setattr(translator, "form_superblock",
+                            lambda *a: formed.append(a[1:]) or real(*a))
+        one, two = build_cpu(self.SOURCE), build_cpu(self.SOURCE)
+        assert one.space.find(TEXT).image() is two.space.find(TEXT).image()
+        assert one.run_sync() == two.run_sync()
+        assert len(formed) == len(set(formed)) > 0
+        for cpu in (one, two):
+            assert cpu.tcache.stats.blocks_translated == len(formed)
+        for rip, block in one.tcache.blocks.items():
+            other = two.tcache.blocks[rip]
+            assert other is not block and other.insns is block.insns
+
+    def test_the_insn_cap_is_part_of_the_key(self):
+        source = "nop\n" * 12 + "hlt"
+        wide, narrow = build_cpu(source), build_cpu(source)
+        narrow.tcache.max_block_insns = 4
+        wide.run_sync()
+        narrow.run_sync()
+        assert [b.n_insns for b in wide.tcache.blocks.values()] == [12]
+        assert [b.n_insns for b in narrow.tcache.blocks.values()] == [
+            4, 4, 4, 0]
+        assert narrow.insns_retired == wide.insns_retired == 13
+
+    def test_decode_errors_are_raised_afresh_and_never_memoised(self):
+        errors = []
+        for _ in range(2):
+            cpu = build_cpu("nop")
+            cpu.space.patch_code(TEXT, b"\x07")
+            with pytest.raises(DisassemblyError) as caught:
+                cpu.run_sync()
+            errors.append(caught.value)
+        assert errors[0] is not errors[1]
+        assert str(errors[0]) == str(errors[1])
+        image = cpu.space.find(TEXT).image()
+        assert image.shapes == {}
+
+
 # -- differential property test ---------------------------------------------
 
 _REG_NAMES = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
@@ -404,14 +586,31 @@ def _programs(draw):
         [2 ** 63 - 1, -2 ** 63, 2 ** 40, DATA, TEXT, STACK_TOP - 64]))
     base = st.sampled_from(["rbx", "rcx"])
 
-    lines = [f"movi rbx, {DATA}", f"movi rcx, {TEXT}"]
+    # The store and the push touch the data and stack pages once, so
+    # later fused accesses find them in the page cache (a first touch
+    # takes the slow path, where the fuser never forwards).
+    lines = [f"movi rbx, {DATA}", f"movi rcx, {TEXT}", "store [rbx+0], rcx",
+             "push rcx", "pop rcx"]
     for i in range(n):
         lines.append(f"L{i}:")
         kind = draw(st.sampled_from(
             ["movi", "mov", "add", "addi", "sub", "subi", "cmp", "cmpi",
              "push", "pop", "load", "store", "jmp", "jz", "jnz", "call",
-             "ret", "nop", "syscall", "vsys", "int0"]))
-        if kind == "movi":
+             "ret", "nop", "syscall", "vsys", "int0", "reload",
+             "push_pop"]))
+        # Composites put a store and a load of one slot side by side,
+        # sometimes with a register write in between (which may or may
+        # not end the fuser's store forwarding).
+        between = draw(st.sampled_from(
+            ["", "", f"movi {draw(dst)}, {draw(small)}",
+             f"addi {draw(dst)}, 8", "nop"]))
+        if kind == "reload":
+            slot = f"[{draw(base)}{draw(small):+d}]"
+            lines += [f"store {slot}, {draw(reg)}", between,
+                      f"load {draw(dst)}, {slot}"]
+        elif kind == "push_pop":
+            lines += [f"push {draw(reg)}", between, f"pop {draw(dst)}"]
+        elif kind == "movi":
             lines.append(f"movi {draw(dst)}, {draw(imm64)}")
         elif kind in ("mov", "add", "sub", "cmp"):
             lines.append(f"{kind} {draw(dst)}, {draw(reg)}")
@@ -444,6 +643,11 @@ class TestDifferential:
     def test_cached_equals_per_step(self, source, max_insns, batch):
         # Covers superblock formation, chained exits and (via the forced
         # fuse_threshold=1 executor inside assert_equivalent) the fused
-        # compiled bodies, against the per-step oracle.
+        # compiled bodies, against the per-step oracle.  How often the
+        # fused leg forwards a store shows under
+        # --hypothesis-show-statistics.
+        forwarded = []
         assert_equivalent(source, max_insns=max_insns, batch_cycles=batch,
-                          text_perms="rwx")
+                          text_perms="rwx", forwarded=forwarded)
+        event("fused leg forwarded a load" if forwarded[0]
+              else "fused leg forwarded no load")
