@@ -476,8 +476,8 @@ class TestStoreForwarding:
          f"{TEXT}", None, 1),
     ], ids=["store_load", "store_load_same_reg", "value_reg_overwritten",
             "base_reg_overwritten", "aliased_bases", "aliased_disp",
-            "other_disp",
-            "pusha_between", "push_rsp_pop", "push_pop", "call_pop"])
+            "other_disp", "pusha_between", "push_rsp_pop", "push_pop",
+            "call_pop"])
     def test_forwarding_matches_the_oracle(self, body, expected, taken):
         forwarded = []
         source = self.PRIME + body + "\nhlt"
@@ -598,18 +598,19 @@ def _programs(draw):
              "push", "pop", "load", "store", "jmp", "jz", "jnz", "call",
              "ret", "nop", "syscall", "vsys", "int0", "reload",
              "push_pop"]))
-        # Composites put a store and a load of one slot side by side,
-        # sometimes with a register write in between (which may or may
-        # not end the fuser's store forwarding).
-        between = draw(st.sampled_from(
-            ["", "", f"movi {draw(dst)}, {draw(small)}",
-             f"addi {draw(dst)}, 8", "nop"]))
-        if kind == "reload":
-            slot = f"[{draw(base)}{draw(small):+d}]"
-            lines += [f"store {slot}, {draw(reg)}", between,
-                      f"load {draw(dst)}, {slot}"]
-        elif kind == "push_pop":
-            lines += [f"push {draw(reg)}", between, f"pop {draw(dst)}"]
+        if kind in ("reload", "push_pop"):
+            # A store and a load of one slot side by side, sometimes with
+            # a register write in between (which may or may not end the
+            # fuser's store forwarding).
+            between = draw(st.sampled_from(
+                ["", f"movi {draw(dst)}, {draw(small)}",
+                 f"addi {draw(dst)}, 8"]))
+            if kind == "reload":
+                slot = f"[{draw(base)}{draw(small):+d}]"
+                lines += [f"store {slot}, {draw(reg)}", between,
+                          f"load {draw(dst)}, {slot}"]
+            else:
+                lines += [f"push {draw(reg)}", between, f"pop {draw(dst)}"]
         elif kind == "movi":
             lines.append(f"movi {draw(dst)}, {draw(imm64)}")
         elif kind in ("mov", "add", "sub", "cmp"):
