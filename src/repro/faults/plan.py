@@ -53,6 +53,14 @@ MACHINE_KINDS = frozenset({MACHINE_CRASH})
 ALL_KINDS = VARIANT_KINDS | RING_KINDS | NETWORK_KINDS | MACHINE_KINDS
 
 
+#: Fault's integer fields and their valid ranges (inclusive; None: no
+#: upper bound).  ``at_ps``/``at_syscall`` may also be None.
+_INT_FIELDS = (("variant", -1, None), ("at_ps", 0, None),
+               ("at_syscall", 1, None), ("stall_cycles", 0, None),
+               ("duration_ps", 0, None), ("slot_offset", 0, None),
+               ("addr", 0, None), ("bit", 0, 7))
+
+
 @dataclass(frozen=True)
 class Fault:
     """One scheduled fault."""
@@ -94,6 +102,18 @@ class Fault:
                 f"to variant-targeted faults")
         if self.kind in MACHINE_KINDS and not self.machine:
             raise NvxError(f"fault {self.kind}: machine name required")
+        # Out-of-range values would be journalled as something other
+        # than what the injector does (bit 9 flips bit 1, variant -7
+        # reads "leader"): refuse them here.
+        for name, low, high in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name.startswith("at_"):
+                continue
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < low or (high is not None and value > high)):
+                bound = f">= {low}" if high is None else f"in {low}..{high}"
+                raise NvxError(f"fault {self.kind}: {name} must be an int "
+                               f"{bound}, got {value!r}")
 
     def describe(self) -> str:
         """Canonical journal form, stable across processes and runs."""
@@ -121,6 +141,12 @@ class FaultPlan:
     """An immutable schedule of faults for one session run."""
 
     faults: Tuple[Fault, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.faults, tuple) or not all(
+                isinstance(fault, Fault) for fault in self.faults):
+            raise NvxError(f"FaultPlan.faults must be a tuple of Fault, "
+                           f"got {self.faults!r}")
 
     def __len__(self) -> int:
         return len(self.faults)

@@ -31,6 +31,22 @@ forwards only if the store took the page-cache fast path (``_fw``) and
 the segment is readable; otherwise it runs the full load, fault epilogue
 included, so a fault lands where the per-step interpreter puts it.
 
+Loop slot promotion: a self-loop whose memory ops are all ``load``,
+``store``, ``push`` and ``pop``, through base registers that only
+constant push/pop/addi/subi steps move and that are back at their entry
+value after each trip, touches the same slots on every trip.  Its fused
+function checks each slot once per call, before the loop — page cached,
+in bounds, readable if loaded, writable if stored, not in the block's
+own segment, no two slots overlapping — and then runs the loop with
+every slot in a local: a slot read before it is written is loaded once,
+each memory op is a move between locals, and on exit each stored slot
+is written back once and its segment's ``version`` bumped by its stores
+per trip times the trips run.  Nothing in such a body can fault, bail or
+remap memory once the guard passed.  If the guard fails (a page not yet
+cached, a permission, aliasing slots), the same function runs the
+unpromoted loop instead, which is the code every other loop gets, so
+faults, bails and store forwarding behave exactly as without promotion.
+
 The generated function is observably identical to running the block
 instruction by instruction: same registers, zf, rip, cycles and
 exceptions at every exit.  Fusion shares no instruction semantics with
@@ -41,7 +57,7 @@ the first execution, is the independent check of both.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.isa.memory import _U64
 from repro.isa.opcodes import (
@@ -76,6 +92,10 @@ _RSP = REG_INDEX["rsp"]
 #: Ops run on the per-step executor even in fused code.
 _EXECUTOR_OP_IDS = frozenset({OP_PUSHA, OP_POPA})
 
+#: Memory ops a promoted loop cannot hold in a local: the executor-run
+#: bulk ops and the control transfers through the stack.
+_UNPROMOTABLE = _EXECUTOR_OP_IDS | {OP_CALL, OP_CALLR, OP_RET}
+
 #: Ops that read zf (conditional terminators) or write it.
 _ZF_WRITERS = frozenset({OP_SUB, OP_SUBI, OP_CMP, OP_CMPI})
 _ZF_READERS = frozenset({OP_JZ, OP_JNZ})
@@ -106,6 +126,10 @@ class _Emitter:
 
     def __init__(self) -> None:
         self.lines: List[str] = []
+        #: Guest registers the block holds in locals, and whether it
+        #: reads or writes zf.
+        self.localized: set = set()
+        self.zf_used = False
         self.dirty: set = set()
         self.zf_dirty = False
         #: Extra indent applied to every emit (self-loop bodies sit one
@@ -223,62 +247,100 @@ class _Emitter:
             self.emit(f"raise bails[{bail_index}]", 2)
 
 
-def fuse_block(cpu, block):
-    """Compile ``block`` into a single callable; see module docstring."""
+def _is_self_loop(block) -> bool:
+    """Whether the block's terminating branch can target its own entry."""
+    insns = block.insns
+    if not insns or block.terminator != T_BRANCH:
+        return False
+    last = insns[-1]
+    if last.op_id == OP_JMP:
+        return last.end + last.operands[0] == block.entry
+    if last.op_id in (OP_JZ, OP_JNZ):
+        return (last.end + last.operands[0] == block.entry
+                or last.end == block.entry)
+    return False
+
+
+def _loop_slots(insns):
+    """The memory slots of a self-loop body, if the loop can be promoted.
+
+    Returns ``(slots, at)``: ``slots`` maps each slot, keyed ``(base
+    register, offset, disp)``, to ``[loads, stores, read_first]`` in
+    first-access order, and ``at`` maps the index of every memory op to
+    its slot.  The slot's address is the base register's value at loop
+    entry plus ``offset`` (what push/pop/addi/subi moved it by earlier in
+    the trip, mod 2**64), plus ``disp``.  ``None`` when the body has no
+    memory access, has one that is not ``load``/``store``/``push``/``pop``,
+    or uses a base register that is not back at its entry value after
+    one trip (written by anything but constant push/pop/addi/subi steps,
+    or by steps that do not sum to zero): only then is every slot's
+    address the same on every trip.
+    """
+    moved: Dict[int, Optional[int]] = {}  # None: written otherwise
+    slots: Dict[tuple, list] = {}
+    at: Dict[int, tuple] = {}
+
+    def step(reg: int, delta: int) -> None:
+        offset = moved.get(reg, 0)
+        moved[reg] = None if offset is None else offset + delta
+
+    def access(i: int, base: int, disp: int, is_store: bool) -> bool:
+        offset = moved.get(base, 0)
+        if offset is None:
+            return False
+        key = at[i] = (base, offset % 2 ** 64, disp)
+        slots.setdefault(key, [0, 0, not is_store])[is_store] += 1
+        return True
+
+    for i, insn in enumerate(insns):
+        op_id = insn.op_id
+        ops = insn.operands
+        if op_id in _UNPROMOTABLE:
+            return None
+        if op_id == OP_PUSH:
+            step(_RSP, -8)
+            if not access(i, _RSP, 0, True):
+                return None
+        elif op_id == OP_POP:
+            if not access(i, _RSP, 0, False):
+                return None
+            step(_RSP, 8)
+            moved[ops[0]] = None
+        elif op_id == OP_LOAD:
+            if not access(i, ops[1], ops[2], False):
+                return None
+            moved[ops[0]] = None
+        elif op_id == OP_STORE:
+            if not access(i, ops[1], ops[2], True):
+                return None
+        elif op_id == OP_ADDI:
+            step(ops[0], ops[1])
+        elif op_id == OP_SUBI:
+            step(ops[0], -ops[1])
+        elif op_id in (OP_MOV, OP_MOVI, OP_ADD, OP_SUB):
+            moved[ops[0]] = None
+    if not slots:
+        return None
+    for base, _offset, _disp in slots:
+        offset = moved.get(base, 0)
+        if offset is None or offset % 2 ** 64:
+            return None
+    return slots, at
+
+
+def _emit_body(em: _Emitter, block, bails: list, is_loop: bool,
+               promoted: Optional[Dict[int, str]] = None) -> None:
+    """Emit one run of the block's instructions.
+
+    ``promoted`` maps the index of every memory op of a promoted loop to
+    the local holding its slot: the op becomes a move between locals,
+    with no page lookup, fault epilogue or bail check.
+    """
     insns = block.insns
     n = len(insns)
     terminator = block.terminator
     version = block.version
     cum = block.cum
-
-    localized: set = set()
-    zf_used = False
-    for insn in insns:
-        localized.update(_insn_regs(insn))
-        if insn.op_id in _ZF_WRITERS or insn.op_id in _ZF_READERS:
-            zf_used = True
-
-    # A block whose terminating branch can target its own entry is a
-    # *self-loop*: the fused function iterates in place (bounded by the
-    # caller-supplied insn budget and cycle batch), so a hot loop costs
-    # one Python call per ~batch instead of one per iteration.  All
-    # accounting at fault/bail sites scales by the completed iteration
-    # count, keeping rip/cycles/insns exactly per-step-identical.
-    is_loop = False
-    if n and terminator == T_BRANCH:
-        last = insns[-1]
-        if last.op_id == OP_JMP:
-            is_loop = last.end + last.operands[0] == block.entry
-        elif last.op_id in (OP_JZ, OP_JNZ):
-            is_loop = (last.end + last.operands[0] == block.entry
-                       or last.end == block.entry)
-
-    bails: List[Optional[BlockExit]] = [None] * n
-    em = _Emitter()
-    for i in sorted(localized):
-        em.emit(f"r{i} = regs[{i}]")
-    if zf_used:
-        em.emit("zf = cpu.zf")
-    if is_loop:
-        em.emit(f"_k = (remaining - 1) // {n}")
-        em.emit(f"_kb = budget // {block.cycles}")
-        em.emit("if _kb < _k:")
-        em.emit("_k = _kb", 2)
-        em.emit("if _k < 1:")
-        em.emit("_k = 1", 2)
-        em.emit("_it = 0")
-        em.emit("while True:")
-        em.base = 1
-        em.loop_total = block.cycles
-        # Inside a self-loop every localized register may carry state
-        # from completed iterations, no matter where its writer sits in
-        # program order — a fault site emitted *before* the writer still
-        # needs its spill (the locals are the truth; writing back an
-        # unmodified one is a no-op).  Seed the dirty set with the whole
-        # localized universe so every guard in the body spills it all.
-        em.dirty = set(localized)
-        em.zf_dirty = zf_used
-
     for i, insn in enumerate(insns):
         op_id = insn.op_id
         opnd = insn.operands
@@ -286,6 +348,19 @@ def fuse_block(cpu, block):
         cyc_before = cum[i - 1] if i else 0
         is_term = i == n - 1 and terminator == T_BRANCH
 
+        if promoted is not None and i in promoted:
+            slot = promoted[i]
+            if op_id == OP_PUSH:
+                em.emit(f"{slot} = r{opnd[0]}")
+                em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
+            elif op_id == OP_POP:
+                em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
+                em.emit(f"r{opnd[0]} = {slot}")
+            elif op_id == OP_LOAD:
+                em.emit(f"r{opnd[0]} = {slot}")
+            else:  # OP_STORE
+                em.emit(f"{slot} = r{opnd[0]}")
+            continue
         if op_id == OP_NOP:
             continue
         if op_id == OP_MOV:
@@ -368,7 +443,7 @@ def fuse_block(cpu, block):
             em.zf_dirty = False
             em.fwd = None  # it writes memory the last store's slot may be in
             em.emit_fault_guard(f"execute(insns[{i}])", addr, cyc_before)
-            for r in sorted(localized):
+            for r in sorted(em.localized):
                 em.emit(f"r{r} = regs[{r}]")
             if op_id == OP_PUSHA:
                 bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
@@ -419,13 +494,115 @@ def fuse_block(cpu, block):
         else:  # pragma: no cover - closed opcode table
             raise AssertionError(f"unfusable op id {op_id}")
 
+
+def _emit_loop(em: _Emitter, block, bails: list,
+               promoted: Optional[Dict[int, str]] = None) -> None:
+    """``while True:`` over the body until the branch leaves the entry or
+    ``_k`` trips ran; the trip count is ``_it``."""
+    em.emit("while True:")
+    em.base += 1
+    em.loop_total = block.cycles
+    # Inside a self-loop every localized register may carry state from
+    # completed iterations, no matter where its writer sits in program
+    # order — a fault site emitted *before* the writer still needs its
+    # spill (the locals are the truth; writing back an unmodified one is
+    # a no-op).  Seed the dirty set with the whole localized universe so
+    # every guard in the body spills it all.
+    em.dirty = set(em.localized)
+    em.zf_dirty = em.zf_used
+    _emit_body(em, block, bails, True, promoted)
+    em.emit("_it += 1")
+    em.emit(f"if _it >= _k or _nr != {block.entry}:")
+    em.emit("cpu.rip = _nr", 2)
+    em.emit("break", 2)
+    em.base -= 1
+    em.loop_total = None
+
+
+def _emit_promoted_loop(em: _Emitter, block, bails: list, slots: dict,
+                        at: Dict[int, tuple]) -> None:
+    """The loop with its slots in locals, behind a once-per-call guard.
+
+    The guard re-makes, once, every check the body's accesses would make
+    on every trip (page cached, bounds, ``r_ok``/``w_ok``), and adds two:
+    no slot is in the block's own segment (so no store can bail) and no
+    two slots overlap (so a local holds all of its slot).  If any fails,
+    control falls through to the unpromoted loop.
+    """
+    conds = []
+    for j, ((base, offset, disp), (loads, stores, _first)) in enumerate(
+            slots.items()):
+        addr = (f"r{base}" if not offset else
+                f"((r{base} + {offset}) & {_MASK})")
+        if disp:
+            addr += f" + {disp}"
+        em.emit(f"_a{j} = {addr}")
+        em.emit(f"_p{j} = pages.get(_a{j} >> 12)")
+        conds.append(f"_p{j} is not None")
+        if loads:
+            conds.append(f"_p{j}.r_ok")
+        if stores:
+            conds.append(f"_p{j}.w_ok")
+        conds += [f"_p{j}.start <= _a{j}", f"_a{j} + 8 <= _p{j}.end",
+                  f"_p{j} is not seg"]
+    for j in range(len(slots)):
+        for k in range(j):
+            conds.append(f"(_a{j} - _a{k} >= 8 or _a{k} - _a{j} >= 8)")
+    em.emit(f"if {' and '.join(conds)}:")
+    em.base += 1
+    for j, (_loads, _stores, read_first) in enumerate(slots.values()):
+        if read_first:
+            em.emit(f"_m{j} = unpack(_p{j}.data, _a{j} - _p{j}.start)[0]")
+    number = {key: j for j, key in enumerate(slots)}
+    _emit_loop(em, block, bails,
+               {i: f"_m{number[key]}" for i, key in at.items()})
+    for j, (_loads, stores, _first) in enumerate(slots.values()):
+        if stores:
+            em.emit(f"pack(_p{j}.data, _a{j} - _p{j}.start, _m{j})")
+            em.emit(f"_p{j}.version += {stores} * _it")
+    for line in em.spills():
+        em.emit(line)
+    em.emit("return _it")
+    em.base -= 1
+
+
+def fuse_block(cpu, block):
+    """Compile ``block`` into a single callable; see module docstring."""
+    insns = block.insns
+    n = len(insns)
+
+    em = _Emitter()
+    for insn in insns:
+        em.localized.update(_insn_regs(insn))
+        if insn.op_id in _ZF_WRITERS or insn.op_id in _ZF_READERS:
+            em.zf_used = True
+
+    bails: List[Optional[BlockExit]] = [None] * n
+    for i in sorted(em.localized):
+        em.emit(f"r{i} = regs[{i}]")
+    if em.zf_used:
+        em.emit("zf = cpu.zf")
+    # A block whose terminating branch can target its own entry is a
+    # *self-loop*: the fused function iterates in place (bounded by the
+    # caller-supplied insn budget and cycle batch), so a hot loop costs
+    # one Python call per ~batch instead of one per iteration.  All
+    # accounting at fault/bail sites scales by the completed iteration
+    # count, keeping rip/cycles/insns exactly per-step-identical.
+    is_loop = _is_self_loop(block)
     if is_loop:
-        em.emit("_it += 1")
-        em.emit(f"if _it >= _k or _nr != {block.entry}:")
-        em.emit("cpu.rip = _nr", 2)
-        em.emit("break", 2)
-        em.base = 0
-        em.loop_total = None
+        em.emit(f"_k = (remaining - 1) // {n}")
+        em.emit(f"_kb = budget // {block.cycles}")
+        em.emit("if _kb < _k:")
+        em.emit("_k = _kb", 2)
+        em.emit("if _k < 1:")
+        em.emit("_k = 1", 2)
+        em.emit("_it = 0")
+        promotable = _loop_slots(insns)
+        if promotable is not None:
+            _emit_promoted_loop(em, block, bails, *promotable)
+        _emit_loop(em, block, bails)
+    else:
+        _emit_body(em, block, bails, False)
     for line in em.spills():
         em.emit(line)
     em.emit("return _it" if is_loop else "return 1")

@@ -110,6 +110,41 @@ class TestFaultPlan:
         with pytest.raises(NvxError):
             Fault(CORRUPT_SLOT, at_syscall=3)
 
+    @pytest.mark.parametrize("kind, fields, name", [
+        (BITFLIP, {"variant": 0, "at_ps": 1, "bit": 9}, "bit"),
+        (BITFLIP, {"variant": 0, "at_ps": 1, "bit": -1}, "bit"),
+        (BITFLIP, {"variant": 0, "at_ps": 1, "addr": -8}, "addr"),
+        (CRASH, {"variant": -7, "at_ps": 10}, "variant"),
+        (CRASH, {"variant": True, "at_ps": 10}, "variant"),
+        (CRASH, {"variant": 0, "at_syscall": 0}, "at_syscall"),
+        (CRASH, {"variant": 0, "at_ps": -1}, "at_ps"),
+        (CRASH, {"variant": 0, "at_ps": 2.5}, "at_ps"),
+        (STALL, {"variant": 0, "at_syscall": 1, "stall_cycles": -5},
+         "stall_cycles"),
+        (STALL, {"variant": 0, "at_syscall": 1, "duration_ps": -1},
+         "duration_ps"),
+        (PARTITION, {"at_ps": 1, "duration_ps": "10"}, "duration_ps"),
+        (CORRUPT_SLOT, {"at_ps": 1, "slot_offset": -1}, "slot_offset"),
+    ], ids=["bit_9", "bit_negative", "addr_negative", "variant_-7",
+            "variant_bool", "at_syscall_0", "at_ps_negative", "at_ps_float",
+            "stall_cycles_negative", "duration_ps_negative",
+            "duration_ps_str", "slot_offset_negative"])
+    def test_out_of_range_field_rejected(self, kind, fields, name):
+        with pytest.raises(NvxError, match=f" {name} must be an int"):
+            Fault(kind, **fields)
+
+    def test_range_edges_accepted(self):
+        assert Fault(BITFLIP, variant=-1, at_ps=0, bit=7,
+                     addr=0).describe() == "bitflip[t=0 leader addr=0x0 bit=7]"
+        assert Fault(CRASH, variant=0, at_syscall=1).describe() == \
+            "crash[sys=1 v0]"
+
+    @pytest.mark.parametrize("faults", [("crash",), [], (None,)],
+                             ids=["str_member", "list", "none_member"])
+    def test_plan_needs_a_tuple_of_faults(self, faults):
+        with pytest.raises(NvxError, match="FaultPlan.faults"):
+            FaultPlan(faults)
+
     def test_describe_is_canonical(self):
         fault = Fault(STALL, variant=1, at_syscall=4,
                       stall_cycles=100, duration_ps=2000)

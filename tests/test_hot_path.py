@@ -564,8 +564,9 @@ inner:
 
 
 def _page_cache_traffic(inner):
-    """u64 reads served by the page cache (``unpack_from``) and page
-    lookups (``_pages.get``) of the hot loop run 2 x ``inner`` trips."""
+    """u64 reads (``unpack_from``), writes (``pack_into``) and page
+    lookups (``_pages.get``) of the hot loop run 2 x ``inner`` trips, and
+    how many fused calls ran them."""
     space = AddressSpace()
     space.map(Segment(0x1000, assemble(_HOT_LOOP.format(outer=2, inner=inner),
                                        origin=0x1000), perms="rx"))
@@ -578,15 +579,20 @@ def _page_cache_traffic(inner):
         yield  # pragma: no cover - generator marker
 
     cpu.syscall_handler = getuid
-    counts = {"reads": 0, "lookups": 0}
+    counts = {"reads": 0, "writes": 0, "lookups": 0, "calls": 0}
 
-    def hook(_frame, event, arg):
+    def hook(frame, event, arg):
         if event == "c_call":
             owner = getattr(arg, "__self__", None)
             if owner is _U64 and arg.__name__ == "unpack_from":
                 counts["reads"] += 1
+            elif owner is _U64 and arg.__name__ == "pack_into":
+                counts["writes"] += 1
             elif owner is space._pages and arg.__name__ == "get":
                 counts["lookups"] += 1
+        elif event == "call" and frame.f_code.co_filename.startswith(
+                "<fused:"):
+            counts["calls"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -626,13 +632,19 @@ def _guest_main(code, cpus):
 
 class TestGuestWorkDoneOnce:
     def test_fused_hot_loop_reads_no_slot_it_just_stored(self):
-        # Per extra trip: the store and the push still look their page
-        # up and write it (2 lookups), but the load and the pop take the
-        # stored value from a local (0 reads; 2 before forwarding).
+        # The hot loop's two slots (the store/load one and the push/pop
+        # one) are promoted: each fused call checks them once (2 page
+        # lookups) and writes them back once (2 writes) when it returns,
+        # and an extra trip makes no lookup, read or write at all.
+        # Before promotion an extra trip cost 2 lookups and 2 writes,
+        # and 2 reads before store forwarding.
         short, long = _page_cache_traffic(1000), _page_cache_traffic(3000)
         trips = 2 * (3000 - 1000)
+        calls = long["calls"] - short["calls"]
+        assert 0 < calls < trips // 100
         assert long["reads"] - short["reads"] == 0 * trips
-        assert long["lookups"] - short["lookups"] == 2 * trips
+        assert long["lookups"] - short["lookups"] == 0 * trips + 2 * calls
+        assert long["writes"] - short["writes"] == 0 * trips + 2 * calls
 
     def test_variants_form_each_superblock_once(self, monkeypatch):
         # One guest_isa pass: the hot then the cold phase, each an

@@ -69,13 +69,19 @@ def drive(cpu, max_insns=100_000, batch_cycles=20_000):
 
 
 def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
-                      text_perms="rx", data_perms="rw", forwarded=None):
+                      text_perms="rx", data_perms="rw", forwarded=None,
+                      promoted=None):
     """Run ``source`` under cached (superblocks + chaining), cached with
     fusion forced from the first execution, and per-step decode; the
-    observable outcome must be identical in all three.
+    observable outcome must be identical in all three: registers, zf,
+    rip, cycles, the fault, every segment's bytes and version, and on a
+    clean exit the instructions retired (the per-step loop does not
+    count them on a fault).
 
-    ``forwarded``, a list, receives how many loads of the forced-fusion
-    leg took a stored value from a local (see :func:`forwarded_loads`).
+    ``forwarded`` and ``promoted``, lists, receive how many loads of the
+    forced-fusion leg took a stored value from a local and how many of
+    its fused calls ran a self-loop with its slots in locals (see
+    :func:`branch_entries`).
     """
     interp = build_cpu(source, translate=False, text_perms=text_perms,
                        data_perms=data_perms)
@@ -86,10 +92,14 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
                       data_perms=data_perms)
     fused.tcache.fuse_threshold = 1  # every block compiles before run 1
     for cpu in (cached, fused):
-        if cpu is fused and forwarded is not None:
-            taken, (c_ret, c_exc, c_ps) = forwarded_loads(
-                lambda: drive(cpu, max_insns, batch_cycles))
-            forwarded.append(taken)
+        if cpu is fused:
+            (taken, entered), (c_ret, c_exc, c_ps) = branch_entries(
+                lambda: drive(cpu, max_insns, batch_cycles),
+                "if _fw", "if _p0")
+            if forwarded is not None:
+                forwarded.append(taken)
+            if promoted is not None:
+                promoted.append(entered)
         else:
             c_ret, c_exc, c_ps = drive(cpu, max_insns, batch_cycles)
         assert c_exc == i_exc
@@ -99,6 +109,10 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
         assert cpu.rip == interp.rip
         assert cpu.halted == interp.halted
         assert cpu.cycles == interp.cycles
+        assert ([(seg.name, bytes(seg.data), seg.version)
+                 for seg in cpu.space.segments]
+                == [(seg.name, bytes(seg.data), seg.version)
+                    for seg in interp.space.segments])
         if c_exc is None:
             # Every retired cycle was flushed in both modes, so the
             # sim-time Compute totals agree exactly (only the chunking
@@ -108,10 +122,10 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
     return cached, interp
 
 
-def forwarded_loads(run):
-    """How many times fused code took a load's value from the local of
-    the store before it, and ``run()``'s result: line events on the
-    first line under each ``if _fw ...:`` of every body fused while
+def branch_entries(run, *prefixes):
+    """How many times fused code entered the branch under an ``if`` line
+    starting with each of ``prefixes``, and ``run()``'s result: moves
+    from such a line to the line after it, in every body fused while
     ``run`` runs."""
     sources = {}
     real_compile = compile
@@ -120,13 +134,16 @@ def forwarded_loads(run):
         sources[filename] = source.splitlines()
         return real_compile(source, filename, mode)
 
-    taken = [0]
+    taken = dict.fromkeys(prefixes, 0)
     targets = {}
 
     def local(frame, event_, _arg):
-        if event_ == "line" and frame.f_lineno in targets[
-                frame.f_code.co_filename]:
-            taken[0] += 1
+        if event_ == "line":
+            entered = targets[frame.f_code.co_filename].get(
+                (local.last, frame.f_lineno))
+            if entered is not None:
+                taken[entered] += 1
+            local.last = frame.f_lineno
         return local
 
     def tracer(frame, event_, _arg):
@@ -134,9 +151,12 @@ def forwarded_loads(run):
         if name not in sources:
             return None
         if name not in targets:
-            targets[name] = {number + 2 for number, line
-                             in enumerate(sources[name])
-                             if line.strip().startswith("if _fw")}
+            # Line `number` of the source is code line `number + 1`.
+            targets[name] = {
+                (number + 1, number + 2): prefix
+                for number, line in enumerate(sources[name])
+                for prefix in prefixes if line.strip().startswith(prefix)}
+        local.last = None
         return local
 
     fuser.compile = recording_compile
@@ -147,7 +167,15 @@ def forwarded_loads(run):
     finally:
         sys.settrace(previous)
         del fuser.compile
-    return taken[0], result
+    return [taken[prefix] for prefix in prefixes], result
+
+
+def forwarded_loads(run):
+    """How many times fused code took a load's value from the local of
+    the store before it (entered the branch under ``if _fw``), and
+    ``run()``'s result."""
+    (taken,), result = branch_entries(run, "if _fw")
+    return taken, result
 
 
 class TestCounters:
@@ -518,6 +546,192 @@ class TestStoreForwarding:
             build_cpu(source, data_perms="w").run_sync()
 
 
+def _loop_program(body, trips=5, rounds=1, setup="",
+                  prime=f"store [rbx+64], rax\npush rax\npop rsi"):
+    """A self-loop running ``body`` ``trips`` times per round.
+
+    ``prime`` runs first, by default a store and a push that put the
+    data and stack pages in the page cache; the loop is entered through
+    a conditional branch, so every trip runs in the loop's own block.
+    """
+    return f"""
+        movi rbx, {DATA}
+        movi rax, 11
+        movi rdx, 22
+        {prime}
+        {setup}
+        movi r14, {rounds}
+    outer:
+        movi r12, {trips}
+        cmpi r12, 0
+        jnz loop
+        hlt
+    loop:
+        {body}
+        subi r12, 1
+        jnz loop
+        subi r14, 1
+        jnz outer
+        mov rax, r13
+        hlt
+    """
+
+
+class TestLoopSlotPromotion:
+    # A fused self-loop whose slots keep their address from trip to trip
+    # holds them in locals behind a once-per-call guard (repro.isa.fuser).
+    # Each case is checked against the per-step oracle (registers, zf,
+    # rip, cycles, insns, fault, every segment's bytes and version) and
+    # states how many fused calls ran the promoted loop.
+
+    @pytest.mark.parametrize("body, setup, promoted", [
+        ("add rdx, rax\nstore [rbx+0], rdx\nload rsi, [rbx+0]\n"
+         "add r13, rsi", "", 1),
+        # guest_isa's hot loop: a store/load slot and a push/pop slot.
+        ("add rdx, rax\nstore [rbx+0], rdx\nload rsi, [rbx+0]\n"
+         "add rsi, rdx\npush rsi\npop rdi\nadd r13, rdi", "", 1),
+        # Two stores to one slot per trip: its version moves by 2 a trip.
+        ("store [rbx+0], rax\naddi rax, 1\nstore [rbx+0], rax\n"
+         "load rsi, [rbx+0]\nadd r13, rsi", "", 1),
+        # Read before written: loaded once before the loop.
+        ("load rsi, [rbx+8]\naddi rsi, 3\nstore [rbx+8], rsi\n"
+         "add r13, rsi", "", 1),
+        # rsp-relative load of the slot a push just wrote.
+        ("push r12\nload rsi, [rsp+0]\npop rdi\nadd r13, rsi\n"
+         "add r13, rdi", "", 1),
+        # A base moved and moved back within the trip.
+        ("addi rbx, 16\nstore [rbx+0], r12\nload rsi, [rbx+0]\n"
+         "subi rbx, 16\nadd r13, rsi", "", 1),
+        # push rsp stores the rsp it had before the push.
+        ("push rsp\npop rsi\nadd r13, rsi", "", 1),
+        # The same address through two bases: the guard falls back.
+        ("store [rbx+0], rax\nstore [rcx+0], r12\nload rsi, [rbx+0]\n"
+         "add r13, rsi", "mov rcx, rbx", 0),
+        # Two slots of one base overlapping by 4 bytes: falls back.
+        ("store [rbx+0], rax\nstore [rbx+4], rdx\nload rsi, [rbx+0]\n"
+         "add r13, rsi", "", 0),
+        # One slot through two address expressions: falls back.
+        ("push r12\nload rsi, [rsp-8]\nadd r13, rsi", "", 0),
+        # Base registers whose slots move from trip to trip: not
+        # eligible.
+        ("store [rbx+0], r12\naddi rbx, 8", "", 0),
+        ("store [rbx+0], r12\nmov rdx, rbx\naddi rdx, 8\npush rdx\n"
+         "pop rbx", "", 0),
+        ("store [rbx+0], rdx\nload rbx, [rbx+0]", "mov rdx, rbx\n"
+         "addi rdx, 8", 0),
+        ("store [rbx+0], r12\nmovi rbx, " + str(DATA + 8), "", 0),
+        # rsp down 8 a trip.
+        ("push r12\nadd r13, r12", "", 0),
+        # A call in the body: not eligible.
+        ("call f\nadd r13, rax\njmp back\nf:\nmovi rax, 5\nret\n"
+         "back:", "", 0),
+    ], ids=["store_load", "hot_loop", "two_stores_one_slot", "read_first",
+            "push_load_rsp", "balanced_base_steps", "push_rsp",
+            "same_address_two_bases", "overlap_by_4", "one_slot_two_exprs",
+            "base_net_plus_8", "pop_into_base", "load_into_base",
+            "movi_into_base", "rsp_net_minus_8", "call"])
+    def test_promotion_matches_the_oracle(self, body, setup, promoted):
+        taken = []
+        _cached, interp = assert_equivalent(
+            _loop_program(body, setup=setup), promoted=taken)
+        assert taken == [promoted]
+        assert interp.halted
+
+    def test_overlapping_slots_keep_byte_exact_memory(self):
+        source = _loop_program("store [rbx+0], rax\nstore [rbx+4], rdx\n"
+                               "load r13, [rbx+0]")
+        taken = []
+        _cached, interp = assert_equivalent(source, promoted=taken)
+        assert taken == [0]
+        assert interp.regs[0] == 11 | 22 << 32
+
+    def test_load_only_slot_is_not_written_back(self):
+        taken = []
+        cached, interp = assert_equivalent(
+            _loop_program("load rsi, [rbx+64]\nadd r13, rsi", trips=7),
+            promoted=taken)
+        assert taken == [1]
+        assert interp.regs[0] == 7 * 11
+        # The prime's one store is the data segment's only write.
+        assert cached.space.find(DATA).version == 1
+
+    def test_version_moves_by_stores_per_trip(self):
+        taken = []
+        cached, interp = assert_equivalent(
+            _loop_program("store [rbx+0], r12\nstore [rbx+0], rax\n"
+                          "push r12\npop rsi", trips=6), promoted=taken)
+        assert taken == [1]
+        assert cached.space.find(DATA).version == 1 + 2 * 6
+        assert cached.space.find(STACK_TOP - 8).version == 1 + 6
+
+    @pytest.mark.parametrize("data_perms, prime, body, message", [
+        ("w", "store [rbx+64], rax", "load rsi, [rbx+64]", "non-readable"),
+        ("w", "store [rbx+64], rax",
+         "add r13, rax\nstore [rbx+0], rax\nload rsi, [rbx+0]",
+         "non-readable"),
+        ("r", "load rsi, [rbx+64]", "store [rbx+64], rax", "non-writable"),
+    ], ids=["load_from_write_only", "store_load_write_only",
+            "store_to_read_only"])
+    def test_guard_refuses_a_slot_the_body_may_not_touch(
+            self, data_perms, prime, body, message):
+        # The page is cached, so only the guard's permission test keeps
+        # the loop on the unpromoted path, which faults like per-step.
+        source = _loop_program(body, prime=prime)
+        taken = []
+        cached, interp = assert_equivalent(source, data_perms=data_perms,
+                                           promoted=taken)
+        assert taken == [0]
+        # The fault is at the body's last access, on the first trip.
+        loop = source.split("loop:", 1)[0] + "loop:\n"
+        faulting = body.rsplit("\n", 1)[0] if "\n" in body else ""
+        assert cached.rip == interp.rip == TEXT + len(
+            assemble(loop + faulting, origin=TEXT))
+        with pytest.raises(ExecutionFault, match=message):
+            build_cpu(source, data_perms=data_perms).run_sync()
+
+    def test_first_call_on_an_uncached_page_falls_back(self):
+        # Nothing touched the data page before the loop: the first call
+        # takes the unpromoted path (whose first store caches the page),
+        # the second runs promoted.
+        source = _loop_program("store [rbx+0], r12\nload rsi, [rbx+0]\n"
+                               "add r13, rsi", rounds=2, prime="")
+        taken = []
+        assert_equivalent(source, promoted=taken)
+        assert taken == [1]
+
+    def test_store_into_its_own_code_falls_back(self):
+        # The loop rewrites the immediate of its own `movi`: per-step,
+        # each trip runs the value the trip before stored.
+        body = "movi rax, 1\nadd r13, rax\nstore [rcx+0], r12"
+        prefix = _loop_program(body, prime="", setup="movi rcx, 0")
+        imm = TEXT + 2 + len(assemble(prefix.split("loop:")[0] + "loop:",
+                                      origin=TEXT))
+        source = _loop_program(body, prime="", setup=f"movi rcx, {imm}")
+        taken = []
+        _cached, interp = assert_equivalent(source, text_perms="rwx",
+                                            promoted=taken)
+        assert taken == [0]
+        assert interp.regs[0] == 1 + 5 + 4 + 3 + 2
+
+    @pytest.mark.parametrize("batch", [13, 20_000])
+    def test_one_trip_per_call(self, batch):
+        # A cycle batch smaller than one trip: every call makes one trip,
+        # and every call after the prime runs promoted.
+        taken = []
+        assert_equivalent(
+            _loop_program("store [rbx+0], r12\nload rsi, [rbx+0]\n"
+                          "add r13, rsi", trips=6),
+            batch_cycles=batch, promoted=taken)
+        assert taken == [6 if batch == 13 else 1]
+
+    @pytest.mark.parametrize("max_insns", range(20, 64))
+    def test_insn_budget_ends_in_or_after_the_loop(self, max_insns):
+        assert_equivalent(
+            _loop_program("store [rbx+0], r12\nload rsi, [rbx+0]\n"
+                          "push rsi\npop rdi\nadd r13, rdi"),
+            max_insns=max_insns)
+
+
 class TestSharedShapes:
     # Superblock shapes are memoised on the segment's code image and
     # shared by every Cpu that maps it; CodeBlocks stay per Cpu.
@@ -597,8 +811,35 @@ def _programs(draw):
             ["movi", "mov", "add", "addi", "sub", "subi", "cmp", "cmpi",
              "push", "pop", "load", "store", "jmp", "jz", "jnz", "call",
              "ret", "nop", "syscall", "vsys", "int0", "reload",
-             "push_pop"]))
-        if kind in ("reload", "push_pop"):
+             "push_pop"] + ["loop"] * 4))
+        if kind == "loop":
+            # A counted self-loop of memory and ALU ops: its slots may
+            # be promoted, alias, overlap, move from trip to trip or sit
+            # in the (rwx) text, and its counter may be clobbered.
+            body, tail = [], []
+            for _ in range(draw(st.integers(min_value=1, max_value=4))):
+                op = draw(st.sampled_from(
+                    ["store", "load", "push_pop", "push", "step", "add"]))
+                slot_base = draw(st.sampled_from(["rbx", "rbx", "rsp",
+                                                  "rcx"]))
+                disp = draw(st.sampled_from([0, 4, 8, -8]))
+                slot = f"[{slot_base}{disp:+d}]"
+                if op == "store":
+                    body.append(f"store {slot}, {draw(reg)}")
+                elif op == "load":
+                    body.append(f"load {draw(dst)}, {slot}")
+                elif op == "push_pop":
+                    body += [f"push {draw(reg)}", f"pop {draw(dst)}"]
+                elif op == "push":
+                    body.append(f"push {draw(reg)}")
+                elif op == "step":
+                    body.append(f"addi {slot_base}, 8")
+                    tail.append(f"subi {slot_base}, 8")
+                else:
+                    body.append(f"add {draw(dst)}, {draw(reg)}")
+            lines += [f"movi r15, {draw(st.integers(1, 6))}", f"S{i}:",
+                      *body, *tail, "subi r15, 1", f"jnz S{i}"]
+        elif kind in ("reload", "push_pop"):
             # A store and a load of one slot side by side, sometimes with
             # a register write in between (which may or may not end the
             # fuser's store forwarding).
@@ -645,10 +886,13 @@ class TestDifferential:
         # Covers superblock formation, chained exits and (via the forced
         # fuse_threshold=1 executor inside assert_equivalent) the fused
         # compiled bodies, against the per-step oracle.  How often the
-        # fused leg forwards a store shows under
-        # --hypothesis-show-statistics.
-        forwarded = []
+        # fused leg forwards a store and runs a promoted self-loop shows
+        # under --hypothesis-show-statistics.
+        forwarded, promoted = [], []
         assert_equivalent(source, max_insns=max_insns, batch_cycles=batch,
-                          text_perms="rwx", forwarded=forwarded)
+                          text_perms="rwx", forwarded=forwarded,
+                          promoted=promoted)
         event("fused leg forwarded a load" if forwarded[0]
               else "fused leg forwarded no load")
+        event("fused leg ran a promoted loop" if promoted[0]
+              else "fused leg ran no promoted loop")
