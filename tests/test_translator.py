@@ -136,14 +136,15 @@ def branch_entries(run, *prefixes):
 
     taken = dict.fromkeys(prefixes, 0)
     targets = {}
+    last = [None]  # the line the running fused body executed before
 
     def local(frame, event_, _arg):
         if event_ == "line":
             entered = targets[frame.f_code.co_filename].get(
-                (local.last, frame.f_lineno))
+                (last[0], frame.f_lineno))
             if entered is not None:
                 taken[entered] += 1
-            local.last = frame.f_lineno
+            last[0] = frame.f_lineno
         return local
 
     def tracer(frame, event_, _arg):
@@ -156,7 +157,7 @@ def branch_entries(run, *prefixes):
                 (number + 1, number + 2): prefix
                 for number, line in enumerate(sources[name])
                 for prefix in prefixes if line.strip().startswith(prefix)}
-        local.last = None
+        last[0] = None
         return local
 
     fuser.compile = recording_compile
@@ -168,14 +169,6 @@ def branch_entries(run, *prefixes):
         sys.settrace(previous)
         del fuser.compile
     return [taken[prefix] for prefix in prefixes], result
-
-
-def forwarded_loads(run):
-    """How many times fused code took a load's value from the local of
-    the store before it (entered the branch under ``if _fw``), and
-    ``run()``'s result."""
-    (taken,), result = branch_entries(run, "if _fw")
-    return taken, result
 
 
 class TestCounters:
