@@ -107,7 +107,7 @@ class Fault:
         # reads "leader"): refuse them here.
         for name, low, high in _INT_FIELDS:
             value = getattr(self, name)
-            if value is None and name.startswith("at_"):
+            if value is None and name in ("at_ps", "at_syscall"):
                 continue
             if (not isinstance(value, int) or isinstance(value, bool)
                     or value < low or (high is not None and value > high)):
