@@ -1,29 +1,34 @@
 #!/usr/bin/env python3
-"""Call census of ``src/repro``: the named functions that no run enters.
+"""Call census of ``src/repro``: the named functions no user-facing run
+enters.
 
     python benchmarks/census.py            # run every input, print the list
     python benchmarks/census.py --check    # ... exit 1 unless it is ALLOWLIST
 
-Each input in ``inputs()`` runs in a fresh interpreter whose
-``PYTHONPATH`` starts with a generated ``sitecustomize.py``.  That hook
-sets a ``sys.settrace`` function in every thread, records the code
-object of each frame as it starts, and writes the set when the process
-ends: at ``atexit``, or in ``os._exit`` for the sweep runner's forked
-workers.  Child interpreters (``bench/run.py``'s, the CLI round trips
-in the tests) inherit the environment and are counted too.
+The inputs in ``inputs()`` are what a user runs: every example, the CLI
+commands and the bench workloads (``bench/run.py``).  The tests are not
+inputs.  A function that no input enters is deleted together with the
+tests that exist only for it, or listed in ALLOWLIST under the category
+that says why no user-facing run can reach it.  "A test calls it" is
+not such a reason.  ``--check`` also fails on a stale entry: one that
+some input enters or that no longer exists.
+
+Each input runs in a fresh interpreter whose ``PYTHONPATH`` starts with
+a generated ``sitecustomize.py``.  That hook sets a ``sys.settrace``
+function in every thread, records the code object of each frame as it
+starts, and writes the set when the process ends: at ``atexit``, or in
+``os._exit`` for the sweep runner's forked workers.  Child interpreters
+(``bench/run.py``'s) inherit the environment and are counted too.
 
 A function is keyed by its file below ``src/`` and its qualified name
 (``#2`` marks a second definition of the same name, such as a property
 setter).  Lambdas and comprehensions are not named functions and are
-left out.  A function that no input enters is deleted, or tested, or
-listed in ALLOWLIST under the category that says why it stays.
-``--check`` also fails on a stale entry: one that some input enters or
-that no longer exists.
+left out.
 
 The nightly chaos and fuzz campaigns (four seeds each, 200 plans local
 and remote, budget 40) entered nothing these inputs miss, so they are
-not inputs.  The whole census takes about 17 minutes on a 2-vCPU host
-(the traced sweep is half of it), so it is a nightly step.  Leave the
+not inputs.  The whole census takes about 15 minutes on a 2-vCPU host
+(the traced sweep is most of it), so it is a nightly step.  Leave the
 tree alone while it runs: keys come from the source as it was at the
 start.  ``co_qualname`` needs Python 3.11.
 """
@@ -83,22 +88,39 @@ if _OUT:
     sys.settrace(_trace)
 '''
 
-#: Why a never-entered function stays.
+#: Why a never-entered function stays: what no user-facing run supplies.
 CATEGORIES = {
     "debug": "debug output: pytest failure reports and debuggers call it",
-    "declaration": "declaration: an interface stub, or one row of the "
-                   "per-inode errno table",
-    "fault-only": "reached only when an injected fault lands in a window "
-                  "no seeded campaign has hit",
+    "declaration": "declaration: an interface stub, or one file kind's "
+                   "version of a method every kind implements (read, "
+                   "write, size, poll, close) for a kind no shipped "
+                   "program uses that way",
+    "error-path": "the error branch of a system call: no shipped program "
+                  "makes a checked call fail",
+    "fault-only": "reached only by an injected fault no seeded campaign "
+                  "draws, or in a window none has hit",
+    "int0": "the rewriter's INT 0 fallback, for a syscall site whose "
+            "patch window holds a branch target; no shipped image has one",
+    "late-code": "code that changes after load: a segment re-protected, "
+                 "unmapped or rewritten in place, and the rewriting and "
+                 "translation invalidation it sets off; every shipped "
+                 "guest maps its code once",
     "mechanism": "kernel handler named by a mechanism table (LOCAL_CALLS, "
                  "EXEC_LOCAL_AFTER_CONSUME, PID_ARG_CALLS, BLOCKING_CALLS, "
                  "LOCAL_REGENERABLE, VDSO_CALLS or the leader table), "
-                 "which promises the kernel implements it",
+                 "which promises the kernel implements it, or an entry "
+                 "of the leader and follower call tables themselves",
+    "recovery": "failure recovery: runs only when a follower diverges "
+                "from the log or loses a descriptor in a failover, which "
+                "no user-facing run provokes",
+    "semantics": "instruction semantics: a BPF opcode the assembler "
+                 "accepts that no shipped rule uses",
     "support": "called only by a mechanism-table handler",
 }
 
 _KERNEL = "repro/kernel/kernel.py:Kernel._sys_"
 _TRANSPORT = "repro/core/transport.py:EventTransport."
+_TABLES = "repro/core/tables.py:make_"
 
 #: Never-entered functions that stay: key -> category.
 ALLOWLIST: dict[str, str] = {key: category for category, keys in {
@@ -106,6 +128,9 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
         "repro/bpf/insn.py:BpfInsn.__str__",
         "repro/core/events.py:Event.__repr__",
         "repro/faults/plan.py:FaultPlan.__len__",
+        "repro/isa/disassembler.py:Insn.__str__",
+        # Read by Insn.__str__.
+        "repro/isa/disassembler.py:Insn._format_operands",
         "repro/isa/memory.py:Segment.__repr__",
         "repro/kernel/task.py:Task.__repr__",
         "repro/sim/core.py:Block.__repr__",
@@ -119,32 +144,76 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
     ],
     "declaration": [
         *[_TRANSPORT + name for name in (
-            "add_consumer", "advance", "extra_metrics", "lag_of", "peek",
+            "add_consumer", "advance", "lag_of", "min_cursor", "peek",
             "publish", "remove_consumer", "wait_advanced",
             "wait_published", "wake_all")],
+        "repro/kernel/epoll.py:Epoll.on_last_close",
+        "repro/kernel/net.py:ListenerSocket.on_last_close",
+        "repro/kernel/net.py:PipeEnd.on_last_close",
+        "repro/kernel/vfs.py:DevNull.read_at",
         "repro/kernel/vfs.py:DevURandom.write_at",
         "repro/kernel/vfs.py:DevZero.write_at",
         "repro/kernel/vfs.py:Directory.read_at",
         "repro/kernel/vfs.py:Directory.write_at",
+        "repro/kernel/vfs.py:FileDesc.poll_mask",
+        "repro/kernel/vfs.py:FileDescription.poll_mask",
         "repro/kernel/vfs.py:Inode.read_at",
         "repro/kernel/vfs.py:Inode.size",
         "repro/kernel/vfs.py:Inode.write_at",
+    ],
+    "error-path": [
+        "repro/kernel/uapi.py:SysResult.errno",
     ],
     "fault-only": [
         "repro/clients/adversaries.py:_reconnect",
         "repro/clients/loadgen.py:make_open_loop.<locals>.make_actor."
         "<locals>.main.<locals>.on_timeout",
+        # The BITFLIP fault kind: no chaos or fuzz campaign draws it.
+        "repro/faults/injector.py:FaultInjector._bitflip",
+        "repro/isa/memory.py:AddressSpace.bitflip",
     ],
-    "mechanism": [_KERNEL + name for name in (
-        "accept4", "arch_prctl", "chdir", "clock_nanosleep", "exit",
-        "getcpu", "getcwd", "getdents", "getrlimit", "getrusage", "lstat",
-        "madvise", "mprotect", "munmap", "poll", "prctl", "recvmsg",
-        "rt_sigprocmask", "sched_getaffinity", "sched_setaffinity",
-        "select", "set_robust_list", "set_tid_address", "setrlimit",
-        "sigaltstack", "umask", "uname")],
+    "int0": [
+        "repro/rewriter/entrypoint.py:make_int0_handler.<locals>.handler",
+        "repro/rewriter/patchset.py:PatchSet.site_for_int_rip",
+    ],
+    "late-code": [
+        "repro/isa/memory.py:AddressSpace.mprotect",
+        "repro/isa/memory.py:AddressSpace.unmap",
+        "repro/isa/memory.py:Segment._sync_perm_flags",
+        "repro/isa/translator.py:TranslationCache._evict_segment",
+        "repro/isa/translator.py:TranslationCache.flush",
+        "repro/rewriter/rewriter.py:BinaryRewriter._on_executable",
+    ],
+    "mechanism": [
+        *[_KERNEL + name for name in (
+            "accept4", "arch_prctl", "brk", "chdir", "clock_nanosleep",
+            "exit", "exit_group", "futex", "getcpu", "getcwd", "getdents",
+            "getrlimit", "getrusage", "kill", "lstat", "madvise", "mmap",
+            "mprotect", "munmap", "poll", "prctl", "recvmsg",
+            "rt_sigaction", "rt_sigprocmask", "sched_getaffinity",
+            "sched_setaffinity", "sched_yield", "select",
+            "set_robust_list", "set_tid_address", "setrlimit",
+            "sigaltstack", "umask", "uname")],
+        _TABLES + "follower_table.<locals>.follower_exit",
+        _TABLES + "follower_table.<locals>.local",
+        _TABLES + "leader_table.<locals>.leader_exit",
+        _TABLES + "leader_table.<locals>.local",
+    ],
+    "recovery": [
+        "repro/core/monitor.py:ReplicaMonitor._regenerate_fds",
+        "repro/core/monitor.py:ReplicaMonitor._rescue_fd",
+        "repro/recordreplay/replayer.py:ReplaySession.report_divergence",
+    ],
+    "semantics": [
+        "repro/bpf/interpreter.py:BpfProgram._alu",
+    ],
     "support": [
         # Read by _sys_set_tid_address.
         "repro/kernel/task.py:Task.current_tid",
+        # Called by _sys_kill.
+        "repro/kernel/kernel.py:Kernel.deliver_signal",
+        # Raised by the exit handlers.
+        "repro/kernel/task.py:StopTask.__init__",
     ],
 }.items() for key in keys}
 
@@ -152,15 +221,9 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
 def inputs(out: str) -> list:
     """(argv, exit statuses meaning the input ran as intended)."""
     py = sys.executable
-    pytest = [py, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     repro = [py, "-m", "repro"]
     examples = sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))
     return [
-        (pytest + ["-m", "slow or not slow", "tests"], (0,)),
-        # pytest-benchmark's timer hides calls from a trace function:
-        # with it on, these tests enter a third of what they do without.
-        (pytest + ["--benchmark-disable", "benchmarks"], (0,)),
-        (pytest + ["bench/tests"], (0,)),
         *[([py, path], (0,)) for path in examples],
         (repro + ["list"], (0,)),
         (repro + ["sweep", "--scale", "0.008", "--metrics",

@@ -14,6 +14,6 @@ def test_bench_sanitization(benchmark):
 
 
 def test_bench_sanitizer_detects_injected_bug(benchmark):
-    reports, _session = benchmark.pedantic(
+    reports, _probe = benchmark.pedantic(
         sanitization.detect_use_after_free, rounds=1, iterations=1)
     assert any(r.kind == "heap-use-after-free" for r in reports)

@@ -14,8 +14,8 @@ Run:  python examples/live_sanitization.py
 from repro import (ASAN, NvxSession, SessionConfig, VersionSpec, World,
                    sanitized_spec)
 from repro.apps import ServerStats, make_redis, redis_image
-from repro.apps.redis import BUGGY_REVISION
-from repro.clients import make_redis_benchmark, make_redis_command_probe
+from repro.clients import make_redis_benchmark
+from repro.experiments.sanitization import detect_use_after_free
 
 
 def main():
@@ -46,20 +46,7 @@ def main():
           "(clean workload, as expected)")
 
     # -- phase 2: the sanitized follower catches a real bug ---------------
-    world = World()
-    reports = []
-    session = NvxSession(world, [
-        VersionSpec("redis-prod", make_redis(
-            stats=ServerStats(), background_thread=False),
-            image=redis_image()),
-        sanitized_spec("redis-buggy", make_redis(
-            stats=ServerStats(), revision=BUGGY_REVISION,
-            background_thread=False), ASAN, reports),
-    ], config=SessionConfig(daemon=True)).start()
-    mains, probe = make_redis_command_probe(b"HMGET missing f1\r\n")
-    for main_fn in mains:
-        world.kernel.spawn_task(world.client, main_fn, name="probe")
-    world.run()
+    reports, probe = detect_use_after_free()
 
     print("\n=== injected use-after-free (issue 344) ===")
     print(f"  client saw errors      : {probe.errors == 0 and 'no' or 'yes'}")

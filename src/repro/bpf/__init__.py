@@ -9,8 +9,6 @@ from repro.bpf.insn import (
     SECCOMP_RET_TRACE,
     SECCOMP_RET_TRAP,
     BpfInsn,
-    jump,
-    stmt,
 )
 from repro.bpf.interpreter import BpfProgram, pack_seccomp_data
 from repro.bpf.rules import (
@@ -30,8 +28,6 @@ __all__ = [
     "SECCOMP_RET_TRACE",
     "SECCOMP_RET_TRAP",
     "BpfInsn",
-    "jump",
-    "stmt",
     "BpfProgram",
     "pack_seccomp_data",
     "ACTION_ALLOW",

@@ -96,13 +96,3 @@ class BpfInsn:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"(code={self.code:#06x} jt={self.jt} jf={self.jf} k={self.k:#x})"
-
-
-def stmt(code: int, k: int) -> BpfInsn:
-    """BPF_STMT macro."""
-    return BpfInsn(code=code, k=k)
-
-
-def jump(code: int, k: int, jt: int, jf: int) -> BpfInsn:
-    """BPF_JUMP macro."""
-    return BpfInsn(code=code, jt=jt, jf=jf, k=k)

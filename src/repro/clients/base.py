@@ -41,10 +41,6 @@ class LatencyDigest:
         self.limit = limit
         self._rng = random.Random(0x1A7E)
 
-    @property
-    def count(self) -> int:
-        return self.hist.count
-
     def observe(self, value: int) -> None:
         self.hist.observe(value)
         if len(self.reservoir) < self.limit:
@@ -83,9 +79,6 @@ class LatencyDigest:
                 return low + fraction * (high - low)
             cumulative += bucket_count
         return float(self.hist.max or 0)
-
-    def snapshot(self) -> dict:
-        return self.hist.snapshot()
 
 
 @dataclass

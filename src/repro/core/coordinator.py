@@ -512,7 +512,7 @@ class NvxSession:
         # net.* counters belong to the World (obs.metrics.drain() sums
         # them over the sessions' worlds), as tcache.* belong to each
         # TranslationCache; per-ring counters are available directly via
-        # ring.extra_metrics()/ring.net.
+        # ring.net.
         return reg.snapshot()
 
     def await_promotion_complete(self, task):

@@ -388,12 +388,6 @@ class NetRing(RingBuffer):
         self.published.notify_ready()
         self.not_full.notify_ready()
 
-    # -- observability ------------------------------------------------------
-
-    def extra_metrics(self, reg) -> None:
-        for name, value in self.net.as_dict().items():
-            reg.inc(name, value)
-
 
 def net_transport(coalesce_ps: int = DEFAULT_COALESCE_PS,
                   max_batch: Optional[int] = None,

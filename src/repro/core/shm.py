@@ -131,6 +131,3 @@ class SharedMemoryPool:
         bucket.lock.release()
         self.frees += 1
         yield Compute(cycles(self.costs.stream.shm_free))
-
-    def live_bytes(self) -> int:
-        return sum(b.live_chunks * b.chunk_size for b in self.buckets.values())

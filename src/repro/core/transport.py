@@ -28,7 +28,6 @@ The contract (all methods the local ring already had, plus two hooks):
 ``wait_advanced``       generator: sibling-thread happens-before gating
 ``wake_all()``          failover: force every waiter to re-examine
 ``on_promote(...)``     failover hook: the producer role moved machines
-``extra_metrics(reg)``  transport-specific counters for the snapshot
 =====================  ====================================================
 
 Attributes the sessions rely on: ``head``, ``cursors``, ``slots``,
@@ -46,17 +45,18 @@ existed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.errors import NvxError
+from repro.sim.machine import Machine
 
 
 class EventTransport:
     """Abstract leader→followers event stream (see module docstring).
 
     Concrete transports implement every method below;
-    :meth:`on_promote` and :meth:`extra_metrics` have no-op defaults so
-    purely local transports pay nothing for the distributed surface.
+    :meth:`on_promote` has a no-op default so purely local transports
+    pay nothing for the distributed surface.
     """
 
     __slots__ = ()
@@ -107,9 +107,6 @@ class EventTransport:
         leader.  Networked transports re-anchor shipping and flow
         control at the new producer machine.
         """
-
-    def extra_metrics(self, reg) -> None:
-        """Contribute transport-specific counters to a metrics registry."""
 
 
 @dataclass
@@ -176,16 +173,23 @@ def resolve_transport(transport, has_remote: bool) -> TransportFactory:
 def resolve_placement(placement, specs, world, default_machine) -> List:
     """Resolve a ``placement=`` mapping into one machine per variant.
 
-    ``placement`` maps variant index *or* spec name to a machine (a
-    :class:`~repro.sim.machine.Machine` or its name in the world).
-    Variants absent from the map stay on ``default_machine``.  Unknown
-    keys raise so typos do not silently run everything locally.
+    ``placement`` maps variant index *or* spec name to a machine of
+    ``world`` (a :class:`~repro.sim.machine.Machine` or its name).
+    Variants absent from the map stay on ``default_machine``.  Anything
+    else raises, so a typo never silently runs everything locally or
+    leaves a variant with no machine to start on.
     """
     machines = [default_machine for _ in specs]
-    if not placement:
+    if placement is None:
         return machines
+    if not isinstance(placement, Mapping):
+        raise NvxError(f"placement: expected a mapping, got "
+                       f"{type(placement).__name__}")
     by_name = {spec.name: index for index, spec in enumerate(specs)}
     for key, value in placement.items():
+        if isinstance(key, bool) or not isinstance(key, (int, str)):
+            raise NvxError(f"placement: key {key!r} is neither a variant "
+                           f"index nor a version name")
         if isinstance(key, int):
             if not 0 <= key < len(specs):
                 raise NvxError(
@@ -201,5 +205,9 @@ def resolve_placement(placement, specs, world, default_machine) -> List:
         machine = value
         if isinstance(machine, str):
             machine = world.machine(machine)
+        elif (not isinstance(machine, Machine)
+              or world.machines.get(machine.name) is not machine):
+            raise NvxError(f"placement: {key!r} -> {value!r} is not a "
+                           f"machine of this world")
         machines[index] = machine
     return machines

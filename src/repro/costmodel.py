@@ -14,7 +14,7 @@ by more than 0.2%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 #: Picoseconds per CPU cycle at the paper's 3.50 GHz clock.
@@ -361,10 +361,6 @@ class CostModel:
     #: covering the amortised write syscall issued by the recorder client.
     record_log_per_event: int = 520
     record_log_per_byte: float = 0.8
-
-    def with_(self, **kwargs) -> "CostModel":
-        """Return a copy with some sections replaced (for ablations)."""
-        return replace(self, **kwargs)
 
 
 #: The default, calibrated model. Treat as immutable.

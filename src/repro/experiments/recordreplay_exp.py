@@ -91,7 +91,7 @@ def triage_crash(scale: float = 0.01):
         config=SessionConfig(daemon=True))
     recorder = Recorder(session, "/var/crash.log")
     session.start()
-    mains, _report = make_redis_benchmark(
+    mains, report = make_redis_benchmark(
         scale=scale, commands=(b"PING", b"SET", b"GET", b"HMGET"))
     for main in mains:
         world.kernel.spawn_task(world.client, main, name="bench")
@@ -109,6 +109,9 @@ def triage_crash(scale: float = 0.01):
     replay.start()
     replay_world.run()
     return {
+        "requests_served": report.requests,
+        "events_recorded": recorder.events_recorded,
+        "log_bytes": recorder.bytes_written,
         "events_replayed": replay.events_replayed,
         "crashed_revisions": sorted(
             {name.split("-", 2)[-1] for name in replay.crashed}),

@@ -96,9 +96,10 @@ def run(config=None, scale: float = 0.05) -> ExperimentResult:
 REVISION_PLAIN = "9a22de8"
 
 
-def detect_use_after_free(scale: float = 0.02):
+def detect_use_after_free():
     """Evidence that a sanitized follower genuinely finds the bug: the
-    buggy revision's HMGET handler frees and then touches a block."""
+    buggy revision's HMGET handler frees and then touches a block.
+    Returns the sanitizer reports and the probing client's report."""
     from repro.apps.redis import BUGGY_REVISION
     from repro.clients import make_redis_command_probe
 
@@ -116,9 +117,9 @@ def detect_use_after_free(scale: float = 0.02):
                                   background_thread=False),
                        ASAN, reports),
     ]
-    session = world.nvx(specs, config=SessionConfig(daemon=True)).start()
-    mains, _report = make_redis_command_probe(b"HMGET missing f1\r\n")
+    world.nvx(specs, config=SessionConfig(daemon=True)).start()
+    mains, probe = make_redis_command_probe(b"HMGET missing f1\r\n")
     for main in mains:
         world.kernel.spawn_task(world.client, main, name="probe")
     world.run()
-    return reports, session
+    return reports, probe

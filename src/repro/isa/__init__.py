@@ -7,8 +7,6 @@ from repro.isa.disassembler import (
     Insn,
     branch_targets,
     decode_one,
-    disassemble,
-    linear_sweep,
 )
 from repro.isa.memory import AddressSpace, Segment
 from repro.isa.opcodes import (
@@ -31,8 +29,6 @@ __all__ = [
     "Insn",
     "branch_targets",
     "decode_one",
-    "disassemble",
-    "linear_sweep",
     "AddressSpace",
     "Segment",
     "BRANCH_MNEMONICS",

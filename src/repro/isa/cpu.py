@@ -78,10 +78,6 @@ _RAX = REG_INDEX["rax"]
 _RSP = REG_INDEX["rsp"]
 
 
-def _wrap(value: int) -> int:
-    return value & (_U64 - 1)
-
-
 class Cpu:
     """One hardware thread executing VX86 code."""
 
@@ -113,13 +109,6 @@ class Cpu:
 
     def get(self, reg: str) -> int:
         return self.regs[REG_INDEX[reg]]
-
-    def set(self, reg: str, value: int) -> None:
-        self.regs[REG_INDEX[reg]] = _wrap(value)
-
-    def get_signed(self, reg: str) -> int:
-        value = self.get(reg)
-        return value - _U64 if value >= _U64 // 2 else value
 
     def push(self, value: int) -> None:
         rsp = (self.regs[_RSP] - 8) & (_U64 - 1)
@@ -395,7 +384,7 @@ class Cpu:
             raise ExecutionFault(f"{self.name}: no {kind} handler installed")
         result = yield from handler(self, *args)
         if result is not None:
-            self.regs[_RAX] = _wrap(result)
+            self.regs[_RAX] = result & _MASK
 
     def _execute_plain(self, insn) -> None:
         # Numeric-id dispatch with regs hoisted to a local: the per-step

@@ -22,7 +22,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Set,
@@ -135,20 +134,6 @@ def decode_one(code: bytes, offset: int, base_addr: int = 0) -> Insn:
         raise DisassemblyError(f"unhandled shape {shape!r}")
     return Insn(addr=base_addr + offset, spec=spec, raw=raw,
                 operands=operands, op_id=op_id)
-
-
-def linear_sweep(code: bytes, base_addr: int = 0) -> Iterator[Insn]:
-    """Decode instructions sequentially from the start of ``code``."""
-    offset = 0
-    while offset < len(code):
-        insn = decode_one(code, offset, base_addr)
-        yield insn
-        offset += insn.length
-
-
-def disassemble(code: bytes, base_addr: int = 0) -> List[Insn]:
-    """Decode the whole buffer (raises on undecodable bytes)."""
-    return list(linear_sweep(code, base_addr))
 
 
 def branch_targets(insns: Iterable[Insn]) -> Set[int]:
@@ -271,13 +256,6 @@ class ImageStore:
         self._images: "OrderedDict[Tuple[int, bytes], CodeImage]" = (
             OrderedDict())
 
-    def __len__(self) -> int:
-        return len(self._images)
-
-    def __iter__(self) -> Iterator[CodeImage]:
-        """Held images, least recently used first."""
-        return iter(self._images.values())
-
     def get(self, base: int, code: bytes) -> CodeImage:
         """The shared image of ``code`` at ``base``, created on a miss.
 
@@ -297,10 +275,6 @@ class ImageStore:
                 _key, evicted = images.popitem(last=False)
                 self.nbytes -= len(evicted.code)
         return image
-
-    def clear(self) -> None:
-        self._images.clear()
-        self.nbytes = 0
 
 
 #: The one store: images of non-writable segments (see ``Segment.image``).

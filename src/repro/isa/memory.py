@@ -123,12 +123,6 @@ class AddressSpace:
                 return segment
         raise ExecutionFault(f"unmapped address {addr:#x}")
 
-    def find_by_name(self, name: str) -> Optional[Segment]:
-        for segment in self.segments:
-            if segment.name == name:
-                return segment
-        return None
-
     def mprotect(self, segment: Segment, perms: str) -> None:
         """Change permissions, enforcing W^X."""
         if "w" in perms and "x" in perms:
@@ -149,15 +143,6 @@ class AddressSpace:
 
     # -- typed accessors ------------------------------------------------
 
-    def read(self, addr: int, size: int) -> bytes:
-        segment = self.find(addr)
-        if "r" not in segment.perms:
-            raise ExecutionFault(f"read from non-readable {segment.name}")
-        if addr + size > segment.end:
-            raise ExecutionFault(f"read crosses segment end at {addr:#x}")
-        off = addr - segment.start
-        return bytes(segment.data[off:off + size])
-
     def write(self, addr: int, data: bytes) -> None:
         segment = self.find(addr)
         if "w" not in segment.perms:
@@ -177,7 +162,12 @@ class AddressSpace:
         if (seg is not None and seg.r_ok and seg.start <= addr
                 and addr + 8 <= seg.end):
             return _U64.unpack_from(seg.data, addr - seg.start)[0]
-        return _U64.unpack(self.read(addr, 8))[0]
+        seg = self.find(addr)
+        if "r" not in seg.perms:
+            raise ExecutionFault(f"read from non-readable {seg.name}")
+        if addr + 8 > seg.end:
+            raise ExecutionFault(f"read crosses segment end at {addr:#x}")
+        return _U64.unpack_from(seg.data, addr - seg.start)[0]
 
     def write_u64(self, addr: int, value: int) -> None:
         seg = self._pages.get(addr >> 12)

@@ -18,7 +18,6 @@ from repro.kernel.uapi import (
     Syscall,
     SysError,
     SysResult,
-    syscall_number,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "Syscall",
     "SysError",
     "SysResult",
-    "syscall_number",
 ]

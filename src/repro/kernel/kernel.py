@@ -10,12 +10,12 @@ descriptor locally).
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.costmodel import CostModel, DEFAULT_COSTS, SEC_PS, US_PS, cycles
 from repro.kernel.epoll import Epoll
 from repro.kernel.net import (
-    DuplexPipe,
     ListenerSocket,
     PipeEnd,
     StreamSocket,
@@ -74,7 +74,7 @@ class Kernel:
         name = machine.name
         if name not in self._filesystems:
             self._filesystems[name] = Filesystem(
-                urandom_seed=self.seed ^ hash(name) & 0xFFFF)
+                urandom_seed=self.seed ^ zlib.crc32(name.encode()) & 0xFFFF)
         return self._filesystems[name]
 
     def spawn_task(self, machine: Machine, main: Callable, name: str,
@@ -170,7 +170,7 @@ class Kernel:
             if isinstance(data, int):
                 return SysResult(data)
             return SysResult(len(data), data=data)
-        if isinstance(description, (PipeEnd, DuplexPipe)):
+        if isinstance(description, PipeEnd):
             data = yield from description.read_bytes(size)
             if isinstance(data, int):
                 return SysResult(data)
@@ -187,7 +187,7 @@ class Kernel:
             return SysResult(description.write(data))
         if isinstance(description, StreamSocket):
             return SysResult(description.send_bytes(data))
-        if isinstance(description, (PipeEnd, DuplexPipe)):
+        if isinstance(description, PipeEnd):
             return SysResult(description.write_bytes(data))
         return SysResult(-EBADF)
         yield  # pragma: no cover
@@ -199,22 +199,6 @@ class Kernel:
             return SysResult(-EBADF)
         data = description.inode.read_at(offset, size)
         return SysResult(len(data), data=data)
-        yield  # pragma: no cover
-
-    def _sys_lseek(self, task: Task, call: Syscall):
-        fd, offset, whence = call.arg(0), call.arg(1), call.arg(2)
-        description = task.fdtable.get(fd)
-        if not isinstance(description, FileDesc):
-            return SysResult(-EBADF)
-        if whence == 0:  # SEEK_SET
-            description.offset = offset
-        elif whence == 1:  # SEEK_CUR
-            description.offset += offset
-        elif whence == 2:  # SEEK_END
-            description.offset = description.inode.size() + offset
-        else:
-            return SysResult(-EINVAL)
-        return SysResult(description.offset)
         yield  # pragma: no cover
 
     def _stat_bytes(self, inode) -> bytes:
@@ -239,35 +223,6 @@ class Kernel:
         if isinstance(description, FileDesc):
             return SysResult(0, data=self._stat_bytes(description.inode))
         return SysResult(0, data=struct.pack("<qq", 0o140000, 0))
-        yield  # pragma: no cover
-
-    def _sys_access(self, task: Task, call: Syscall):
-        ok = self.fs(task.machine).exists(call.arg(0))
-        return SysResult(0 if ok else -ENOENT)
-        yield  # pragma: no cover
-
-    def _sys_unlink(self, task: Task, call: Syscall):
-        return SysResult(self.fs(task.machine).unlink(call.arg(0)))
-        yield  # pragma: no cover
-
-    def _sys_rename(self, task: Task, call: Syscall):
-        return SysResult(
-            self.fs(task.machine).rename(call.arg(0), call.arg(1)))
-        yield  # pragma: no cover
-
-    def _sys_sendfile(self, task: Task, call: Syscall):
-        out_fd, in_fd, count = call.arg(0), call.arg(1), call.arg(3)
-        source = task.fdtable.get(in_fd)
-        if not isinstance(source, FileDesc):
-            return SysResult(-EBADF)
-        data = source.read(count)
-        inner = Syscall("write", (out_fd,), data=data)
-        result = yield from self._sys_write(task, inner)
-        return SysResult(result.retval)
-
-    def _sys_dup(self, task: Task, call: Syscall):
-        fd = task.fdtable.dup(call.arg(0))
-        return SysResult(fd, new_fds=(fd,) if fd >= 0 else ())
         yield  # pragma: no cover
 
     def _sys_fcntl(self, task: Task, call: Syscall):
@@ -412,14 +367,6 @@ class Kernel:
 
     def _sys_setsockopt(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
-
-    def _sys_socketpair(self, task: Task, call: Syscall):
-        end_a, end_b = PipeEnd.make_socketpair(self.sim)
-        fd_a = task.fdtable.install(end_a)
-        fd_b = task.fdtable.install(end_b)
-        return SysResult(0, new_fds=(fd_a, fd_b),
-                         aux=(fd_a, fd_b))
         yield  # pragma: no cover
 
     def _sys_pipe(self, task: Task, call: Syscall):
@@ -578,10 +525,6 @@ class Kernel:
         return SysResult(0)
         yield  # pragma: no cover
 
-    def _sys_getpid(self, task: Task, call: Syscall):
-        return SysResult(task.pid)
-        yield  # pragma: no cover
-
     # -- identity (the multi-revision experiment's syscalls, §5.2) --------
 
     def _sys_getuid(self, task: Task, call: Syscall):
@@ -598,10 +541,6 @@ class Kernel:
 
     def _sys_getegid(self, task: Task, call: Syscall):
         return SysResult(task.egid)
-        yield  # pragma: no cover
-
-    def _sys_issetugid(self, task: Task, call: Syscall):
-        return SysResult(int(task.uid != task.euid or task.gid != task.egid))
         yield  # pragma: no cover
 
     # =====================================================================

@@ -324,19 +324,6 @@ class DuplexPipe(Pollable):
             mask |= EPOLLHUP
         return mask
 
-    def write_bytes(self, data: bytes) -> int:
-        if self.peer is None or self.peer.closed:
-            return -EPIPE
-        self.peer.rx.push(data)
-        self.peer.poke()
-        return len(data)
-
-    def read_bytes(self, size: int):
-        while (self.rx.size == 0 and not self.rx.eof
-               and not (self.peer is None or self.peer.closed)):
-            yield from self.read_waiters.wait()
-        return self.rx.pull(size)
-
     def push_fd(self, description: FileDescription) -> int:
         """SCM_RIGHTS: enqueue a duplicated description at the peer."""
         if self.peer is None or self.peer.closed:

@@ -61,12 +61,6 @@ class FdTable:
             self._next = max(3, min(self._next, fd))
         return 0
 
-    def dup(self, fd: int, at: Optional[int] = None) -> int:
-        description = self._fds.get(fd)
-        if description is None:
-            return -EBADF
-        return self.install(description.incref(), at=at)
-
     def clone(self) -> "FdTable":
         """Fork semantics: child shares descriptions, not the table."""
         table = FdTable()
@@ -78,13 +72,6 @@ class FdTable:
         for description in self._fds.values():
             description.decref()
         self._fds.clear()
-
-    def fds(self) -> List[int]:
-        return sorted(self._fds)
-
-    def __len__(self) -> int:
-        return len(self._fds)
-
 
 class SyscallGate:
     """Models the dispatch path of every system call a task makes.
@@ -284,7 +271,7 @@ class Task:
 
 
 class StopTask(Exception):
-    """Raised by exit()/exit_group() wrappers to unwind a thread."""
+    """Raised by the exit and exit_group handlers to unwind a thread."""
 
     def __init__(self, status: int) -> None:
         super().__init__(f"exit({status})")

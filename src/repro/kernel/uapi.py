@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.errors import KernelError
 
 # -- syscall numbers (x86-64) --------------------------------------------
 
@@ -129,13 +128,6 @@ SYSCALL_NUMBERS = {
 }
 
 SYSCALL_NAMES = {nr: name for name, nr in SYSCALL_NUMBERS.items()}
-
-
-def syscall_number(name: str) -> int:
-    try:
-        return SYSCALL_NUMBERS[name]
-    except KeyError as exc:
-        raise KernelError(f"unknown syscall {name!r}") from exc
 
 
 # -- errno ----------------------------------------------------------------

@@ -59,9 +59,6 @@ class RegularFile(Inode):
         self.data[offset:end] = data
         return len(data)
 
-    def truncate(self, length: int = 0) -> None:
-        del self.data[length:]
-
 
 class Directory(Inode):
     kind = "dir"
@@ -139,9 +136,6 @@ class Filesystem:
     def lookup(self, path: str) -> Optional[Inode]:
         return self._nodes.get(self._norm(path))
 
-    def exists(self, path: str) -> bool:
-        return self._norm(path) in self._nodes
-
     def mkdir(self, path: str) -> Directory:
         path = self._norm(path)
         node = Directory(path)
@@ -153,25 +147,6 @@ class Filesystem:
         node = RegularFile(path, data)
         self._nodes[path] = node
         return node
-
-    def unlink(self, path: str) -> int:
-        path = self._norm(path)
-        node = self._nodes.get(path)
-        if node is None:
-            return -ENOENT
-        if node.kind == "dir":
-            return -EISDIR
-        del self._nodes[path]
-        return 0
-
-    def rename(self, old: str, new: str) -> int:
-        old, new = self._norm(old), self._norm(new)
-        node = self._nodes.pop(old, None)
-        if node is None:
-            return -ENOENT
-        self._nodes[new] = node
-        node.name = new
-        return 0
 
     # -- open-file plumbing ----------------------------------------------
 
@@ -188,7 +163,7 @@ class Filesystem:
         if node.kind == "dir" and flags & (O_WRONLY | O_RDWR):
             return -EISDIR
         if flags & O_TRUNC and isinstance(node, RegularFile):
-            node.truncate()
+            node.data.clear()
         return FileDesc(node, flags)
 
 

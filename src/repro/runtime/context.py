@@ -86,11 +86,6 @@ class ProcessContext:
                                           site=site, nbytes=size)
         return result.data
 
-    def lseek(self, fd: int, offset: int, whence: int = 0, site=None):
-        result = yield from self._checked("lseek", fd, offset, whence,
-                                          site=site)
-        return result.retval
-
     def stat(self, path: str, site=None):
         result = yield from self.syscall("stat", path, site=site)
         return result
@@ -99,21 +94,8 @@ class ProcessContext:
         result = yield from self._checked("fstat", fd, site=site)
         return result
 
-    def access(self, path: str, site=None):
-        result = yield from self.syscall("access", path, site=site)
-        return result.retval
-
-    def unlink(self, path: str, site=None):
-        result = yield from self.syscall("unlink", path, site=site)
-        return result.retval
-
     def fcntl(self, fd: int, cmd: int, arg: int = 0, site=None):
         result = yield from self._checked("fcntl", fd, cmd, arg, site=site)
-        return result.retval
-
-    def sendfile(self, out_fd: int, in_fd: int, count: int, site=None):
-        result = yield from self._checked("sendfile", out_fd, in_fd, 0,
-                                          count, site=site, nbytes=count)
         return result.retval
 
     # -- sockets -------------------------------------------------------------
@@ -131,14 +113,6 @@ class ProcessContext:
         result = yield from self._checked("listen", fd, backlog, site=site)
         return result.retval
 
-    def accept(self, fd: int, site=None):
-        result = yield from self._checked("accept", fd, site=site)
-        return result.retval
-
-    def connect(self, fd: int, addr: Tuple[str, int], site=None):
-        result = yield from self._checked("connect", fd, addr, site=site)
-        return result.retval
-
     def recv(self, fd: int, size: int, site=None):
         result = yield from self._checked("recvfrom", fd, size, site=site,
                                           nbytes=size)
@@ -154,10 +128,6 @@ class ProcessContext:
         result = yield from self.syscall("setsockopt", fd, level, opt,
                                          value, site=site)
         return result.retval
-
-    def socketpair(self, site=None):
-        result = yield from self._checked("socketpair", site=site)
-        return result.aux  # (fd_a, fd_b)
 
     def pipe(self, site=None):
         result = yield from self._checked("pipe", site=site)
@@ -192,25 +162,9 @@ class ProcessContext:
                                           thread_main, site=site)
         return result.retval  # tid
 
-    def exit(self, status: int = 0, site=None):
-        yield from self.syscall("exit_group", status, site=site)
-
     def wait4(self, pid: int = -1, site=None):
         result = yield from self._checked("wait4", pid, site=site)
         return result.retval, (result.aux[0] if result.aux else 0)
-
-    def kill(self, pid: int, sig: int, site=None):
-        result = yield from self.syscall("kill", pid, sig, site=site)
-        return result.retval
-
-    def getpid(self, site=None):
-        result = yield from self.syscall("getpid", site=site)
-        return result.retval
-
-    def sigaction(self, sig: int, handler, site=None):
-        result = yield from self.syscall("rt_sigaction", sig, handler,
-                                         site=site)
-        return result.retval
 
     # -- identity -------------------------------------------------------------
 
@@ -228,10 +182,6 @@ class ProcessContext:
 
     def getegid(self, site=None):
         result = yield from self.syscall("getegid", site=site)
-        return result.retval
-
-    def issetugid(self, site=None):
-        result = yield from self.syscall("issetugid", site=site)
         return result.retval
 
     # -- time -----------------------------------------------------------------
@@ -252,16 +202,6 @@ class ProcessContext:
         result = yield from self.syscall("nanosleep", ps, site=site)
         return result.retval
 
-    # -- memory ----------------------------------------------------------------
-
-    def mmap(self, length: int, site=None):
-        result = yield from self._checked("mmap", 0, length, site=site)
-        return result.retval
-
-    def brk(self, addr: int = 0, site=None):
-        result = yield from self.syscall("brk", addr, site=site)
-        return result.retval
-
     # -- misc --------------------------------------------------------------------
 
     def getrandom(self, size: int, site=None):
@@ -269,6 +209,3 @@ class ProcessContext:
                                           nbytes=size)
         return result.data
 
-    def futex(self, op: int = 0, site=None):
-        result = yield from self.syscall("futex", op, site=site)
-        return result.retval

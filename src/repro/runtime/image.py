@@ -106,16 +106,3 @@ def build_image(name: str, sites: List[SiteSpec]) -> Image:
     lines.append("hlt")
     return Image(name=name, source_template="\n".join(lines),
                  sites=list(sites))
-
-
-def image_for_syscalls(name: str, syscall_names,
-                       int_fraction: float = 0.0) -> Image:
-    """Convenience: one patchable site per syscall name (optionally a
-    fraction of sites forced onto the INT0 path, for ablations)."""
-    sites = []
-    threshold = int(len(list(syscall_names)) * int_fraction)
-    for i, sc in enumerate(syscall_names):
-        vdso = sc if sc in VDSO_SYMBOLS else None
-        sites.append(SiteSpec(name=sc, syscall=sc, vdso=vdso,
-                              force_int=(vdso is None and i < threshold)))
-    return build_image(name, sites)

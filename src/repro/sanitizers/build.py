@@ -32,16 +32,6 @@ class Sanitizer:
     malloc_overhead: int = 140  # redzone poisoning etc., cycles
     access_overhead: int = 3  # shadow lookup per access, cycles
 
-    #: Known mutual incompatibilities (cannot be linked together) — the
-    #: reason running several sanitizers *concurrently* needs one
-    #: follower per sanitizer, which Varan provides (§5.3).
-    INCOMPATIBLE = frozenset({("asan", "msan"), ("msan", "asan"),
-                              ("asan", "tsan"), ("tsan", "asan"),
-                              ("msan", "tsan"), ("tsan", "msan")})
-
-    def compatible_with(self, other: "Sanitizer") -> bool:
-        return (self.name, other.name) not in self.INCOMPATIBLE
-
 
 ASAN = Sanitizer("asan", 2.0, frozenset(
     {"heap-use-after-free", "heap-buffer-overflow", "double-free",

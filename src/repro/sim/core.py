@@ -272,10 +272,6 @@ class Process:
     def done(self) -> bool:
         return self.state == DONE
 
-    @property
-    def failed(self) -> bool:
-        return self.exception is not None
-
     def start(self) -> "Process":
         """Queue the process for its first core grant."""
         if self.state != NEW:
@@ -355,21 +351,6 @@ class Process:
     def kill(self) -> None:
         """Forcibly terminate the process (delivers ProcessKilled)."""
         self.interrupt(ProcessKilled(self.name))
-
-    def join(self):
-        """Generator: block the *calling* process until this one is done."""
-        if not self.done:
-            waiter = self.sim.current_process
-            if waiter is None:
-                raise SimulationError("join() outside a process")
-            self.on_done(lambda _p: waiter.wake(None))
-            yield Block()
-        if self.exception is not None and not isinstance(
-                self.exception, ProcessKilled):
-            raise SimulationError(
-                f"joined process {self.name} failed: {self.exception!r}"
-            ) from self.exception
-        return self.result
 
     # -- engine internals ----------------------------------------------
 

@@ -9,12 +9,11 @@ from repro.bpf import (
     NVX_RET_SKIP,
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_KILL,
+    BpfInsn,
     BpfProgram,
     RewriteRules,
     assemble_bpf,
-    jump,
     pack_seccomp_data,
-    stmt,
     verify,
 )
 from repro.bpf.insn import (
@@ -89,22 +88,23 @@ class TestVerifier:
 
     def test_must_end_in_ret(self):
         with pytest.raises(BpfVerifierError):
-            verify([stmt(BPF_LD | BPF_W | BPF_ABS, 0)])
+            verify([BpfInsn(code=BPF_LD | BPF_W | BPF_ABS, k=0)])
 
     def test_jump_out_of_range_rejected(self):
-        insns = [jump(BPF_JMP | BPF_JEQ | BPF_K, 1, 5, 0),
-                 stmt(BPF_RET | BPF_K, 0)]
+        insns = [BpfInsn(code=BPF_JMP | BPF_JEQ | BPF_K, jt=5, jf=0, k=1),
+                 BpfInsn(code=BPF_RET | BPF_K, k=0)]
         with pytest.raises(BpfVerifierError):
             verify(insns)
 
     def test_division_by_zero_constant_rejected(self):
-        insns = [stmt(BPF_ALU | BPF_DIV | BPF_K, 0),
-                 stmt(BPF_RET | BPF_K, 0)]
+        insns = [BpfInsn(code=BPF_ALU | BPF_DIV | BPF_K, k=0),
+                 BpfInsn(code=BPF_RET | BPF_K, k=0)]
         with pytest.raises(BpfVerifierError):
             verify(insns)
 
     def test_scratch_slot_bounds(self):
-        insns = [stmt(BPF_ST, 16), stmt(BPF_RET | BPF_K, 0)]
+        insns = [BpfInsn(code=BPF_ST, k=16),
+                 BpfInsn(code=BPF_RET | BPF_K, k=0)]
         with pytest.raises(BpfVerifierError):
             verify(insns)
 

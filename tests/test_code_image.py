@@ -29,12 +29,11 @@ from repro.isa import (
     assemble,
     branch_targets,
     decode_one,
-    disassemble,
-    linear_sweep,
 )
-from repro.isa import assembler, disassembler, translator
+from repro.isa import assembler, disassembler, memory, translator
 from repro.isa.assembler import assemble_with_symbols
-from repro.isa.disassembler import IMAGE_STORE, ImageStore
+from repro.isa.disassembler import IMAGE_STORE_BYTES, ImageStore
+from repro.isa.opcodes import REG_INDEX
 from repro.kernel.uapi import SYSCALL_NAMES, Syscall
 from repro.obs import metrics as obs_metrics
 from repro.rewriter import (
@@ -42,7 +41,7 @@ from repro.rewriter import (
     make_int0_handler,
     make_vmcall_handler,
 )
-from repro.runtime.image import image_for_syscalls
+from repro.runtime.image import SiteSpec, build_image
 from repro.world import World
 
 TEXT = 0x1000
@@ -77,13 +76,28 @@ tail:
 
 
 @pytest.fixture(autouse=True)
-def fresh_store():
-    """Each test starts from (and leaves behind) an empty store."""
-    IMAGE_STORE.clear()
+def store(monkeypatch):
+    """Each test runs against its own empty process-wide store."""
+    fresh = ImageStore(IMAGE_STORE_BYTES)
+    monkeypatch.setattr(memory, "IMAGE_STORE", fresh)
     assembler._assemble.cache_clear()
-    yield
-    IMAGE_STORE.clear()
+    yield fresh
     assembler._assemble.cache_clear()
+
+
+def held(store):
+    """The images ``store`` holds, least recently used first."""
+    return list(store._images.values())
+
+
+def disassemble(code, base_addr=0):
+    """Every instruction of ``code`` from :func:`decode_one` alone: an
+    oracle that shares no memo with :class:`CodeImage`."""
+    insns, offset = [], 0
+    while offset < len(code):
+        insns.append(decode_one(code, offset, base_addr))
+        offset += insns[-1].length
+    return insns
 
 
 @pytest.fixture
@@ -209,23 +223,6 @@ class TestCodeImage:
             image.prefix(len(code) - 1, 5)
 
 
-class TestPublicSweepContract:
-    def test_disassemble_returns_a_list_the_caller_owns(self):
-        code = assemble(PROGRAM, origin=TEXT)
-        first = disassemble(code, TEXT)
-        assert isinstance(first, list)
-        first.clear()
-        assert len(disassemble(code, TEXT)) == len(
-            CodeImage(TEXT, code).sweep())
-
-    def test_linear_sweep_is_lazy_up_to_the_bad_byte(self):
-        sweep = linear_sweep(assemble("nop\nhlt") + b"\x07")
-        assert next(sweep).mnemonic == "nop"
-        assert next(sweep).mnemonic == "hlt"
-        with pytest.raises(DisassemblyError):
-            next(sweep)
-
-
 # -- the store ---------------------------------------------------------------
 
 
@@ -240,7 +237,7 @@ class TestImageStore:
         store = ImageStore(1024)
         code = _distinct_code(1)
         assert store.get(TEXT, code) is store.get(TEXT, bytes(code))
-        assert len(store) == 1 and store.nbytes == len(code)
+        assert len(held(store)) == 1 and store.nbytes == len(code)
 
     def test_base_address_is_part_of_the_key(self):
         store = ImageStore(1024)
@@ -253,15 +250,15 @@ class TestImageStore:
     def test_never_exceeds_its_byte_budget_and_evicts_lru(self):
         store = ImageStore(256)
         images = [store.get(TEXT, _distinct_code(i)) for i in range(4)]
-        assert store.nbytes == 256 and list(store) == images
+        assert store.nbytes == 256 and held(store) == images
         store.get(TEXT, _distinct_code(0))          # touch the oldest
         newest = store.get(TEXT, _distinct_code(4))  # evicts index 1
         assert store.nbytes == 256
-        assert list(store) == [images[2], images[3], images[0], newest]
+        assert held(store) == [images[2], images[3], images[0], newest]
         for index in range(5, 40):
             store.get(TEXT, _distinct_code(index, size=48 + index))
             assert store.nbytes <= store.budget
-            assert store.nbytes == sum(len(i.code) for i in store)
+            assert store.nbytes == sum(len(i.code) for i in held(store))
 
     def test_image_larger_than_the_budget_is_served_privately(self):
         store = ImageStore(100)
@@ -271,21 +268,21 @@ class TestImageStore:
         assert image.at(0) == decode_one(code, 0, TEXT)
         assert store.get(TEXT, code) is not image
         # ... and costs the images that do fit nothing.
-        assert list(store) == [small] and store.nbytes == 64
+        assert held(store) == [small] and store.nbytes == 64
 
-    def test_eviction_does_not_invalidate_a_held_image(self, monkeypatch):
-        monkeypatch.setattr(IMAGE_STORE, "budget", 128)
+    def test_eviction_does_not_invalidate_a_held_image(self, store):
+        store.budget = 128
         space = AddressSpace()
         code = _distinct_code(0)
         text = space.map(Segment(TEXT, code, perms="rx", name="text"))
-        held = text.image()
-        assert held in list(IMAGE_STORE)
+        image = text.image()
+        assert image in held(store)
         for index in range(1, 6):
-            IMAGE_STORE.get(TEXT, _distinct_code(index))
-        assert held not in list(IMAGE_STORE)
-        assert text.image() is held
-        assert held.at(0) == decode_one(code, 0, TEXT)
-        assert IMAGE_STORE.nbytes <= 128
+            store.get(TEXT, _distinct_code(index))
+        assert image not in held(store)
+        assert text.image() is image
+        assert image.at(0) == decode_one(code, 0, TEXT)
+        assert store.nbytes <= 128
 
 
 class TestSegmentImage:
@@ -301,19 +298,19 @@ class TestSegmentImage:
         assert before.at(1).mnemonic == "nop"   # the old snapshot stands
         assert after.at(1).mnemonic == "hlt"
 
-    def test_non_writable_segments_share_across_spaces(self):
+    def test_non_writable_segments_share_across_spaces(self, store):
         code = assemble(PROGRAM, origin=TEXT)
         segments = [AddressSpace().map(Segment(TEXT, code, perms=perms))
                     for perms in ("rx", "rx", "r")]
         assert len({id(s.image()) for s in segments}) == 1
-        assert len(IMAGE_STORE) == 1
+        assert len(held(store)) == 1
 
-    def test_writable_segments_are_private_and_skip_the_store(self):
+    def test_writable_segments_are_private_and_skip_the_store(self, store):
         code = assemble(PROGRAM, origin=TEXT)
         first = AddressSpace().map(Segment(TEXT, code, perms="rwx"))
         second = AddressSpace().map(Segment(TEXT, code, perms="rwx"))
         assert first.image() is not second.image()
-        assert len(IMAGE_STORE) == 0
+        assert held(store) == []
 
     def test_a_patch_in_one_space_is_invisible_to_the_other(self):
         code = assemble("nop\nnop\nhlt", origin=TEXT)
@@ -416,8 +413,9 @@ class _ImageWalk:
         self.check(rng)
 
     def check(self, rng) -> None:
-        shared = list(IMAGE_STORE)
-        assert IMAGE_STORE.nbytes == sum(len(i.code) for i in shared)
+        store = memory.IMAGE_STORE
+        shared = held(store)
+        assert store.nbytes == sum(len(i.code) for i in shared)
         for text, perms in zip(self.texts, self.PERMS):
             image = text.image()
             if perms == "rwx":
@@ -500,8 +498,8 @@ class _ImageWalk:
                   else DATA + 8 * rng.randrange(8))
         if rng.random() < 0.5:
             space.find(target)
-        cpu.set("rcx", target)
-        cpu.set("rdx", rng.getrandbits(64))
+        cpu.regs[REG_INDEX["rcx"]] = target
+        cpu.regs[REG_INDEX["rdx"]] = rng.getrandbits(64)
         try:
             cpu.run_sync()
         except ExecutionFault:
@@ -518,7 +516,7 @@ class TestStaleImageOracle:
             walk.step(rng)
 
     @pytest.mark.slow
-    def test_stateful_walk_matches_fresh_decode(self):
+    def test_stateful_walk_matches_fresh_decode(self, monkeypatch):
         from hypothesis import settings
         from hypothesis import strategies as st
         from hypothesis.stateful import (
@@ -530,7 +528,8 @@ class TestStaleImageOracle:
         class ImageWalk(RuleBasedStateMachine):
             def __init__(self):
                 super().__init__()
-                IMAGE_STORE.clear()
+                monkeypatch.setattr(memory, "IMAGE_STORE",
+                                    ImageStore(IMAGE_STORE_BYTES))
                 self.walk = _ImageWalk()
 
             # Hypothesis picks (and shrinks) which operation hits
@@ -597,7 +596,9 @@ def _run_session():
     """One NvxSession of three variants, each loading the same image
     through the loader and then running the same rewritten guest code;
     returns everything a simulation can observe about it."""
-    image = image_for_syscalls("app", ["read", "write", "time", "close"])
+    image = build_image("app", [
+        SiteSpec("read", "read"), SiteSpec("write", "write"),
+        SiteSpec("time", "time", vdso="time"), SiteSpec("close", "close")])
     obs_metrics.start_collection()
     world = World()
     session = NvxSession(world, [
@@ -636,13 +637,15 @@ class TestDecodeOnce:
         _run_session()
         assert decode_log == []
 
-    def test_observables_do_not_depend_on_the_store(self, shape_log):
+    def test_observables_do_not_depend_on_the_store(self, monkeypatch,
+                                                    shape_log):
         cold = _run_session()
         formed = shape_log[:]
         del shape_log[:]
         warm = _run_session()
         assert shape_log == []  # every shape was already on its image
-        IMAGE_STORE.clear()
+        monkeypatch.setattr(memory, "IMAGE_STORE",
+                            ImageStore(IMAGE_STORE_BYTES))
         cleared = _run_session()
         assert cold["metrics"]["counters"]["tcache.blocks_translated"] > 0
         assert cold["rewrite_stats"][0]["sites_found"] > 0
@@ -659,10 +662,10 @@ class TestDecodeOnce:
         roomy = _run_session()
         formed = shape_log[:]
         del shape_log[:]
-        IMAGE_STORE.clear()
-        monkeypatch.setattr(IMAGE_STORE, "budget", 0)  # nothing is shared
+        empty = ImageStore(0)  # nothing is shared
+        monkeypatch.setattr(memory, "IMAGE_STORE", empty)
         private = _run_session()
-        assert len(IMAGE_STORE) == 0
+        assert held(empty) == []
         assert roomy == private
         # Private images: every translation forms its shape afresh, and
         # forms the same shapes the shared images held.

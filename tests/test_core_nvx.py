@@ -122,10 +122,12 @@ class TestLocalCalls:
     def test_each_variant_gets_its_own_native_result(self):
         def app(pages):
             def main(ctx):
-                first = yield from ctx.mmap(pages * 4096)
-                second = yield from ctx.mmap(4096)
-                heap = yield from ctx.brk(pages * 0x10000)
-                futex = yield from ctx.futex()
+                first = (yield from ctx.syscall("mmap", 0,
+                                                pages * 4096)).retval
+                second = (yield from ctx.syscall("mmap", 0, 4096)).retval
+                heap = (yield from ctx.syscall("brk",
+                                               pages * 0x10000)).retval
+                futex = (yield from ctx.syscall("futex", 0)).retval
                 yielded = (yield from ctx.syscall("sched_yield")).retval
                 uid = yield from ctx.getuid()
                 return second - first, heap, futex, yielded, uid
@@ -174,8 +176,8 @@ class TestFdTransfer:
             [VersionSpec("a", app), VersionSpec("b", app)])
         assert result_of(session.variants[0]) == \
             result_of(session.variants[1])
-        leader_fds = session.variants[0].root_task.fdtable.fds()
-        follower_fds = session.variants[1].root_task.fdtable.fds()
+        leader_fds = sorted(session.variants[0].root_task.fdtable._fds)
+        follower_fds = sorted(session.variants[1].root_task.fdtable._fds)
         assert leader_fds == follower_fds
 
     def test_transferred_description_is_shared(self):
@@ -363,7 +365,7 @@ class TestThreadsAndForks:
         def app(ctx):
             def child(cctx):
                 yield from cctx.time()
-                yield from cctx.exit(9)
+                yield from cctx.syscall("exit_group", 9)
 
             pid = yield from ctx.fork(child)
             _, status = yield from ctx.wait4(pid)

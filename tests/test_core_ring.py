@@ -265,7 +265,8 @@ class TestSharedMemoryPool:
 
         drive(machine, main())
         sim.run()
-        assert pool.live_bytes() == 1024
+        bucket = pool.bucket_for(1000)
+        assert bucket.live_chunks * bucket.chunk_size == 1024
 
     def test_bucket_sizes_cover_cache_line_to_64k(self):
         assert BUCKET_SIZES[0] == 64

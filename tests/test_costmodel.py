@@ -6,7 +6,6 @@ from repro.costmodel import (
     CYCLE_PS,
     DEFAULT_COSTS,
     CostModel,
-    FailoverCosts,
     MachineSpec,
     cycles,
     to_cycles,
@@ -104,12 +103,6 @@ class TestPtraceCosts:
 
 
 class TestModelPlumbing:
-    def test_with_replaces_sections(self):
-        custom = DEFAULT_COSTS.with_(
-            failover=FailoverCosts(detect_signal=1))
-        assert custom.failover.detect_signal == 1
-        assert custom.stream is DEFAULT_COSTS.stream
-
     def test_machine_spec_defaults_match_testbed(self):
         spec = MachineSpec()
         assert spec.logical_cores == 8

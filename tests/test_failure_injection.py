@@ -73,7 +73,7 @@ class TestCascadingCrashes:
                              [VersionSpec("only", crash_after(1))]).start()
         world.run()
         # The coordinator hit FailoverError: nobody left to promote.
-        assert session.coordinator.failed
+        assert session.coordinator.exception is not None
         assert isinstance(session.coordinator.exception, FailoverError)
 
     def test_crash_during_payload_flight_does_not_leak_pool(self):
@@ -97,7 +97,8 @@ class TestCascadingCrashes:
             VersionSpec("steady", reader),
         ])
         # All payload chunks eventually returned to their buckets.
-        assert session.pool.live_bytes() == 0
+        assert all(bucket.live_chunks == 0
+                   for bucket in session.pool.buckets.values())
 
 
 class TestTinyRing:

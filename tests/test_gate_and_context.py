@@ -118,7 +118,7 @@ class TestGateDispatch:
         def main(ctx):
             yield from ctx.syscall("close", -1, site="hot")
             yield from ctx.time()
-            result = yield from ctx.syscall("getpid")
+            result = yield from ctx.syscall("getuid")
             return result.retval
 
         def handled(task, call):
@@ -128,7 +128,7 @@ class TestGateDispatch:
         def configure(task):
             task.gate.intercepting = True
             task.gate.patch_kinds = {"hot": PATCH_INT}
-            task.gate.table = {"getpid": handled}
+            task.gate.table = {"getuid": handled}
 
         plain, world, _ = run_main(main, configure)
         with obs.tracing() as tracer:
@@ -142,7 +142,7 @@ class TestGateDispatch:
         slow = cycles(DEFAULT_COSTS.intercept.slow_path
                       + DEFAULT_COSTS.syscalls.native("close"))
         assert spans[0] == ("close", 0, slow, "intercept")
-        assert [name for name, *_ in spans] == ["close", "time", "getpid"]
+        assert [name for name, *_ in spans] == ["close", "time", "getuid"]
 
     def test_installed_table_handles_call(self):
         seen = []
@@ -169,7 +169,7 @@ class TestGateDispatch:
             yield  # pragma: no cover
 
         def main(ctx):
-            result = yield from ctx.syscall("getpid")
+            result = yield from ctx.syscall("getuid")
             return result.retval
 
         def configure(task):
@@ -184,17 +184,17 @@ class TestGateDispatch:
         def main(ctx):
             for _ in range(3):
                 yield from ctx.time()
-            yield from ctx.getpid()
+            yield from ctx.getuid()
 
         _, _, task = run_main(main)
         assert task.gate.counts["time"] == 3
-        assert task.gate.counts["getpid"] == 1
+        assert task.gate.counts["getuid"] == 1
 
 
 class TestContextApi:
     def test_site_defaults_to_call_name(self):
         def main(ctx):
-            result = yield from ctx.syscall("getpid")
+            result = yield from ctx.syscall("getuid")
             return result
 
         result, _, _ = run_main(main)

@@ -27,7 +27,8 @@ from repro.costmodel import DEFAULT_COSTS, SEC_PS
 from repro.errors import SimulationError
 from repro.experiments.harness import MONITOR_VARAN, run_server_benchmark
 from repro.isa import AddressSpace, Cpu, Segment, assemble, translator
-from repro.isa.disassembler import IMAGE_STORE
+from repro.isa import memory
+from repro.isa.disassembler import IMAGE_STORE_BYTES, ImageStore
 from repro.isa.memory import _U64
 from repro.kernel.uapi import SYSCALL_NAMES, Segfault, Syscall
 from repro.obs import metrics as obs_metrics
@@ -166,7 +167,10 @@ class TestInlinedResumeOrdering:
         target = m.spawn(body(), name="target", start=False)
 
         def joiner():
-            return (yield from target.join())
+            waiter = sim.current_process
+            target.on_done(lambda _p: waiter.wake(None))
+            yield Block()
+            return target.result
 
         waiter = _SpyProcess(m, joiner(), name="waiter").start()
         sim.schedule(10, target.start)
@@ -658,7 +662,8 @@ class TestGuestWorkDoneOnce:
             return real(image, rip, limit)
 
         monkeypatch.setattr(translator, "form_superblock", counting)
-        IMAGE_STORE.clear()
+        monkeypatch.setattr(memory, "IMAGE_STORE",
+                            ImageStore(IMAGE_STORE_BYTES))
         obs_metrics.start_collection()
         results = []
         for source in (_HOT_LOOP.format(outer=2, inner=50),
@@ -686,7 +691,7 @@ class TestGuestWorkDoneOnce:
 def _forking_app(ctx):
     def child(cctx):
         yield from cctx.time()
-        yield from cctx.exit(3)
+        yield from cctx.syscall("exit_group", 3)
 
     pid = yield from ctx.fork(child)
     _, status = yield from ctx.wait4(pid)

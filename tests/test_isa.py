@@ -5,12 +5,12 @@ import pytest
 from repro.errors import AssemblyError, DisassemblyError, ExecutionFault
 from repro.isa import (
     AddressSpace,
+    CodeImage,
     Cpu,
     Segment,
     assemble,
     branch_targets,
     decode_one,
-    disassemble,
 )
 
 
@@ -27,7 +27,7 @@ def make_cpu(source, origin=0x1000, stack=0x8000, extra_segments=()):
 class TestAssembler:
     def test_roundtrip_simple(self):
         code = assemble("movi rax, 42\nhlt\n")
-        insns = disassemble(code)
+        insns = CodeImage(0, code).sweep()
         assert [i.mnemonic for i in insns] == ["movi", "hlt"]
         assert insns[0].operands[1] == 42
 
@@ -41,13 +41,13 @@ class TestAssembler:
             hlt
             """
         )
-        insns = disassemble(code)
+        insns = CodeImage(0, code).sweep()
         jnz = [i for i in insns if i.mnemonic == "jnz"][0]
         assert jnz.branch_target() == insns[1].addr
 
     def test_origin_affects_absolute_labels(self):
         code = assemble("target:\nmovi rax, target\nhlt", origin=0x4000)
-        insns = disassemble(code, base_addr=0x4000)
+        insns = CodeImage(0x4000, code).sweep()
         assert insns[0].operands[1] == 0x4000
 
     def test_unknown_mnemonic(self):
@@ -72,11 +72,12 @@ class TestAssembler:
 
     def test_comments_ignored(self):
         code = assemble("nop ; this is a comment\nhlt")
-        assert [i.mnemonic for i in disassemble(code)] == ["nop", "hlt"]
+        insns = CodeImage(0, code).sweep()
+        assert [i.mnemonic for i in insns] == ["nop", "hlt"]
 
     def test_memory_operands(self):
         code = assemble("load rax, [rbx+16]\nstore [rbx-8], rax\nhlt")
-        insns = disassemble(code)
+        insns = CodeImage(0, code).sweep()
         assert insns[0].operands == (0, 1, 16)
         assert insns[1].operands == (0, 1, -8)
 
@@ -99,7 +100,7 @@ class TestDisassembler:
 
     def test_truncated_instruction(self):
         with pytest.raises(DisassemblyError):
-            disassemble(assemble("movi rax, 1")[:-2])
+            CodeImage(0, assemble("movi rax, 1")[:-2]).sweep()
 
     def test_branch_targets(self):
         code = assemble(
@@ -112,7 +113,7 @@ class TestDisassembler:
             hlt
             """
         )
-        insns = disassemble(code)
+        insns = CodeImage(0, code).sweep()
         targets = branch_targets(insns)
         assert insns[0].addr in targets  # start
         assert insns[2].addr in targets  # after
@@ -208,7 +209,7 @@ class TestInterpreter:
 
         def handler(cpu):
             seen["nr"] = cpu.get("rax")
-            seen["arg0"] = cpu.get_signed("rdi")
+            seen["arg0"] = cpu.get("rdi")
             return 123
             yield  # pragma: no cover - makes this a generator
 
@@ -222,7 +223,7 @@ class TestInterpreter:
         )
         cpu.syscall_handler = handler
         assert cpu.run_sync() == 123
-        assert seen == {"nr": 3, "arg0": -1}
+        assert seen == {"nr": 3, "arg0": 2 ** 64 - 1}
 
     def test_missing_handler_faults(self):
         cpu = make_cpu("syscall\nhlt")
@@ -267,7 +268,7 @@ class TestAddressSpace:
     def test_unmapped_access(self):
         space = AddressSpace()
         with pytest.raises(ExecutionFault):
-            space.read(0x5000, 1)
+            space.read_u64(0x5000)
 
     def test_wx_violation_rejected(self):
         space = AddressSpace()

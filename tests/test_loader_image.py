@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RewriteError
 from repro.rewriter.patchset import KIND_INT, KIND_JMP, KIND_VDSO
-from repro.runtime.image import SiteSpec, build_image, image_for_syscalls
+from repro.runtime.image import SiteSpec, build_image
 from repro.runtime.loader import load_image
 
 
@@ -39,12 +39,6 @@ class TestImageBuilder:
         with pytest.raises(RewriteError):
             build_image("t", [SiteSpec("a", vdso="nonesuch")])
 
-    def test_image_for_syscalls_helper(self):
-        image = image_for_syscalls("t", ["read", "write", "time"])
-        loaded = load_image(image)
-        assert loaded.patch_kinds["time"] == KIND_VDSO
-        assert loaded.patch_kinds["read"] == KIND_JMP
-
 
 class TestLoader:
     def test_vdso_base_randomised_by_seed(self):
@@ -54,13 +48,15 @@ class TestLoader:
         assert first.vdso_symbols["time"] != second.vdso_symbols["time"]
 
     def test_wx_discipline_in_loaded_space(self):
-        image = image_for_syscalls("t", ["read", "write"])
+        image = build_image("t", [SiteSpec("read", "read"),
+                                  SiteSpec("write", "write")])
         loaded = load_image(image)
         for segment in loaded.space.segments:
             assert not ("w" in segment.perms and "x" in segment.perms)
 
     def test_rewrite_stats_populated(self):
-        image = image_for_syscalls("t", ["read", "write", "open"])
+        image = build_image("t", [SiteSpec(name, name)
+                                  for name in ("read", "write", "open")])
         loaded = load_image(image)
         stats = loaded.rewriter.patchset.stats
         assert stats.sites_found == 3
@@ -68,12 +64,13 @@ class TestLoader:
         assert stats.vdso_patched == len(loaded.vdso_symbols)
 
     def test_text_is_decodable_after_patching(self):
-        from repro.isa.disassembler import disassemble
+        from repro.isa import CodeImage
 
-        image = image_for_syscalls("t", ["read", "write", "close"])
+        image = build_image("t", [SiteSpec(name, name)
+                                  for name in ("read", "write", "close")])
         loaded = load_image(image)
-        text = loaded.space.find_by_name("text")
-        insns = disassemble(bytes(text.data), base_addr=text.start)
+        text = next(s for s in loaded.space.segments if s.name == "text")
+        insns = CodeImage(text.start, bytes(text.data)).sweep()
         assert all(i.mnemonic != "syscall" for i in insns)
 
     def test_site_addresses_reported(self):

@@ -51,7 +51,7 @@ class TestLatencyDigest:
         for value in values:
             digest.observe(value)
         assert len(digest.reservoir) == 16
-        assert digest.count == len(values)
+        assert digest.hist.count == len(values)
         p50 = digest.percentile_ps(50)
         p99 = digest.percentile_ps(99)
         assert 0 <= p50 <= p99
@@ -68,7 +68,7 @@ class TestLatencyDigest:
             a.observe(value)
             b.observe(value)
         assert a.reservoir == b.reservoir
-        assert a.snapshot() == b.snapshot()
+        assert a.hist.snapshot() == b.hist.snapshot()
         assert a.percentile_ps(99) == b.percentile_ps(99)
 
     def test_empty(self):
@@ -143,9 +143,9 @@ def _drive(seed: int, arrivals: str = "poisson"):
         "errors": report.errors,
         "started": report.started_ps,
         "finished": report.finished_ps,
-        "hist": report.latency.snapshot(),
+        "hist": report.latency.hist.snapshot(),
         "reservoir": list(report.latency.reservoir),
-        "per_command": {name: digest.snapshot()
+        "per_command": {name: digest.hist.snapshot()
                         for name, digest in report.per_command.items()},
         "timeouts": stats.timeouts,
         "reconnects": stats.reconnects,

@@ -1,14 +1,11 @@
 """Tests for the prior-work baselines: ptrace lockstep and Scribe."""
 
-from repro.apps.spec import CPU2006
 from repro.core.coordinator import VersionSpec
 from repro.costmodel import DEFAULT_COSTS, SEC_PS, cycles
 from repro.errors import DivergenceError
-from repro.experiments.multirevision import run_pair_lockstep
-from repro.experiments.spec_common import run_spec_lockstep
 from repro.kernel.task import PATCH_INT
 from repro.kernel.uapi import O_RDWR
-from repro.nvx import MX_PROFILE, LockstepSession, ScribeSession
+from repro.nvx import LockstepSession, ScribeSession
 from repro.world import World
 
 
@@ -98,13 +95,13 @@ class TestLockstep:
         # must be zero, for trapped calls and for the vDSO calls that
         # never reach the monitor.
         def trapped(ctx):
-            yield from ctx.getpid(site="hot")
+            yield from ctx.getuid(site="hot")
 
         def virtual(ctx):
             yield from ctx.time()
 
         native = DEFAULT_COSTS.syscalls.native
-        for app, stops, call in ((trapped, 2, "getpid"),
+        for app, stops, call in ((trapped, 2, "getuid"),
                                  (virtual, 0, "time")):
             world = World()
             session = LockstepSession(
@@ -120,36 +117,11 @@ class TestLockstep:
             if not stops:
                 assert world.now == cycles(native(call))
 
-    def test_final_check_passes_a_clean_spec_run(self, monkeypatch):
-        # Every syscall of a clean run costs an entry and an exit stop.
-        sessions = []
-        build = World.lockstep
-
-        def capture(world, *args, **kwargs):
-            sessions.append(build(world, *args, **kwargs))
-            return sessions[-1]
-
-        monkeypatch.setattr(World, "lockstep", capture)
-        run_spec_lockstep(CPU2006[0], MX_PROFILE, 0.05)  # 400.perlbench
-        session, = sessions
-        session.final_check()
-        assert (session.stats_stops, session.stats_syscalls) == (32, 16)
-        assert session.invariants.violations == []
-
-    def test_final_check_flags_a_round_that_escaped_its_exit_stop(self):
-        # The divergent round raises after its entry stops: two syscalls
-        # that never reached the exit stop.
-        session, _report = run_pair_lockstep("2435", "2436")
-        assert session.divergence is not None
-        session.final_check()
-        assert session.invariants.violations == [
-            "lockstep[mx]: 6 stops for 4 syscalls (expected 8)"]
-
 
 class TestScribe:
     def test_gate_charges_no_interception(self):
         def app(ctx):
-            yield from ctx.getpid(site="hot")
+            yield from ctx.getuid(site="hot")
             yield from ctx.time()
 
         world = World()
@@ -159,7 +131,7 @@ class TestScribe:
         costs = DEFAULT_COSTS
         expected = sum(cycles(costs.syscalls.native(call))
                        + cycles(costs.scribe.per_event)
-                       for call in ("getpid", "time"))
+                       for call in ("getuid", "time"))
         assert session.tasks[0].threads[0].cpu_ps == world.now == expected
 
     def test_recording_overhead_charged(self):

@@ -7,7 +7,7 @@ from repro.core.events import Event, syscall_event
 from repro.core.ringbuffer import RingBuffer
 from repro.core.shm import BUCKET_SIZES, SharedMemoryPool
 from repro.costmodel import DEFAULT_COSTS
-from repro.isa import assemble, disassemble
+from repro.isa import CodeImage, assemble
 from repro.errors import RecordReplayError
 from repro.recordreplay.logfile import (
     decode_record,
@@ -49,7 +49,7 @@ class TestIsaRoundtrip:
     def test_assemble_disassemble_identity(self, lines):
         source = "\n".join(lines)
         code = assemble(source)
-        insns = disassemble(code)
+        insns = CodeImage(0, code).sweep()
         assert len(insns) == len(lines)
         assert sum(i.length for i in insns) == len(code)
 
@@ -58,7 +58,7 @@ class TestIsaRoundtrip:
     def test_reassembling_disassembly_is_stable(self, lines):
         code = assemble("\n".join(lines))
         rendered = []
-        for insn in disassemble(code):
+        for insn in CodeImage(0, code).sweep():
             text = str(insn).split(": ", 1)[1]
             rendered.append(text)
         assert assemble("\n".join(rendered)) == code
@@ -85,7 +85,7 @@ class TestPoolInvariants:
         machine.spawn(main(), name="p")
         sim.run()
         assert pool.allocs == pool.frees == len(sizes)
-        assert pool.live_bytes() == 0
+        assert all(b.live_chunks == 0 for b in pool.buckets.values())
 
     @given(st.integers(min_value=1, max_value=65536))
     @settings(max_examples=60, deadline=None)

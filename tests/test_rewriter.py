@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionFault
-from repro.isa import AddressSpace, Cpu, Segment, assemble, disassemble
+from repro.isa import AddressSpace, CodeImage, Cpu, Segment, assemble
 from repro.rewriter import (
     KIND_INT,
     KIND_JMP,
@@ -64,7 +64,7 @@ class TestJmpPatching:
         sites = rewriter.patchset.sites
         assert len(sites) == 1 and sites[0].kind == KIND_JMP
         # The patched text must still be fully decodable.
-        insns = disassemble(bytes(text.data), base_addr=TEXT)
+        insns = CodeImage(TEXT, bytes(text.data)).sweep()
         mnemonics = [i.mnemonic for i in insns]
         assert "syscall" not in mnemonics
         assert "jmp" in mnemonics
@@ -314,7 +314,8 @@ class TestStatsAndSafety:
         before = len(rewriter.patchset.sites)
         # Trampolines were mapped during the first rewrite; re-protecting
         # one must not create new sites.
-        tramp = space.find_by_name("varan.trampoline")
+        tramp = next((s for s in space.segments
+                      if s.name == "varan.trampoline"), None)
         assert tramp is not None
         space.mprotect(tramp, "rx")
         assert len(rewriter.patchset.sites) == before

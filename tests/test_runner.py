@@ -7,10 +7,15 @@ never change virtual-time results — a ``--jobs N`` sweep is bit-for-bit
 identical to the serial one.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.experiments import figure5, runner
 from repro.sim.core import Simulator
 
@@ -92,6 +97,21 @@ class TestCliValidation:
         err = _rejected(capsys, ["load", "--rate", value, "--scale", "0.01"])
         assert (f"argument --rate: must be finite and > 0, got {value}"
                 in err)
+
+
+class TestClosedPipe:
+    def test_list_into_a_closed_pipe_exits_quietly(self):
+        # ``python -m repro list | head`` once ended in a traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "list"], stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src))
+        os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 class TestEngineOrdering:

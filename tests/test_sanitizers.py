@@ -7,7 +7,6 @@ from repro.core.config import SessionConfig
 from repro.sanitizers import (
     ASAN,
     MSAN,
-    TSAN,
     SanitizerAbort,
     SimHeap,
     sanitized_spec,
@@ -120,11 +119,6 @@ class TestMsanTsan:
 
         reports, _ = run_sanitized(body, sanitizer=MSAN)
         assert "heap-use-after-free" not in [r.kind for r in reports]
-
-    def test_incompatibility_matrix(self):
-        assert not ASAN.compatible_with(MSAN)
-        assert not MSAN.compatible_with(TSAN)
-        assert ASAN.compatible_with(ASAN)
 
 
 class TestSlowdown:

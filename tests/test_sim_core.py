@@ -304,23 +304,6 @@ class TestLifecycle:
             proc.start()
         sim.run()
 
-    def test_join_returns_result(self):
-        sim, m = world()
-
-        def child():
-            yield Compute(300)
-            return "done"
-
-        child_proc = m.spawn(child(), name="c")
-
-        def parent():
-            value = yield from child_proc.join()
-            return (value, sim.now)
-
-        parent_proc = m.spawn(parent(), name="p")
-        sim.run()
-        assert parent_proc.result == ("done", 300)
-
     def test_kill_blocked_process(self):
         sim, m = world()
 

@@ -273,7 +273,7 @@ class TestInvalidation:
         assert cpu.run_sync() == 5
         # Overwrite the low immediate byte of `movi rax, 5` (opcode +
         # reg byte precede it) through the data path.
-        new_first8 = bytearray(cpu.space.read(TEXT, 8))
+        new_first8 = bytearray(cpu.space.find(TEXT).data[:8])
         new_first8[2] = 9
         cpu.space.write_u64(TEXT, int.from_bytes(new_first8, "little"))
         cpu.rip = TEXT

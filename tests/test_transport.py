@@ -155,6 +155,33 @@ class TestPlacementResolution:
             resolve_placement({0: "mars"}, self.specs(), world,
                               world.server)
 
+    @pytest.mark.parametrize("placement, message", [
+        ({0: 42}, "is not a machine of this world"),
+        ({1: None}, "is not a machine of this world"),
+        ({True: "server"}, "neither a variant index nor a version name"),
+        ({1.0: "server"}, "neither a variant index nor a version name"),
+        ([("v1", "replica1")], "expected a mapping, got list"),
+    ])
+    def test_malformed_placement_raises(self, placement, message):
+        world = self.make_world()
+        with pytest.raises(NvxError, match=message):
+            resolve_placement(placement, self.specs(), world, world.server)
+
+    def test_machine_of_another_world_raises(self):
+        world = self.make_world()
+        with pytest.raises(NvxError, match="not a machine of this world"):
+            resolve_placement({0: self.make_world().server}, self.specs(),
+                              world, world.server)
+
+    @pytest.mark.parametrize("build", ["nvx", "lockstep", "scribe"])
+    def test_session_with_a_non_machine_is_not_built(self, build):
+        # It used to build a session whose variants never started, and
+        # world.run() returned normally.
+        world = self.make_world()
+        with pytest.raises(NvxError, match="not a machine of this world"):
+            getattr(world, build)(self.specs(),
+                                  config=SessionConfig(placement={0: 42}))
+
 
 class TestNetRingFrames:
     def test_remote_peek_gated_on_frame_arrival(self):
@@ -312,16 +339,6 @@ class TestMetrics:
             "net.frames", "net.bytes", "net.acks", "net.remote_lag",
             "net.payload_elided", "net.bytes_saved"}
         assert all(value == 0 for value in stats.as_dict().values())
-
-    def test_extra_metrics_registers_counters(self):
-        from repro.obs.metrics import MetricsRegistry
-        sim, a, b, network, ring = rig(max_batch=2)
-        publish_n(sim, a, ring, 2)
-        reg = MetricsRegistry()
-        ring.extra_metrics(reg)
-        snap = reg.snapshot()["counters"]
-        assert snap["net.frames"] == ring.net.frames
-        assert snap["net.bytes"] == ring.net.bytes
 
     def test_drain_carries_per_world_net_counters(self):
         # NetStats is scoped per World: drain() sums the worlds of the
