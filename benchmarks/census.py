@@ -119,7 +119,6 @@ CATEGORIES = {
 }
 
 _KERNEL = "repro/kernel/kernel.py:Kernel._sys_"
-_TRANSPORT = "repro/core/transport.py:EventTransport."
 _TABLES = "repro/core/tables.py:make_"
 
 #: Never-entered functions that stay: key -> category.
@@ -143,10 +142,6 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
         "repro/sim/sync.py:WaitQueue.__len__",
     ],
     "declaration": [
-        *[_TRANSPORT + name for name in (
-            "add_consumer", "advance", "lag_of", "min_cursor", "peek",
-            "publish", "remove_consumer", "wait_advanced",
-            "wait_published", "wake_all")],
         "repro/kernel/epoll.py:Epoll.on_last_close",
         "repro/kernel/net.py:ListenerSocket.on_last_close",
         "repro/kernel/net.py:PipeEnd.on_last_close",

@@ -90,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="(chaos/trace) follower placement: 'local' "
                              "(shared-memory ring, default) or 'remote' "
-                             "(networked transport to replica machines)")
+                             "(networked ring to replica machines); "
+                             "trace accepts it only for experiments "
+                             "that take a placement")
     parser.add_argument("--clients", type=_at_least_one, default=None,
                         help="(load) open-loop client pool size before "
                              "--scale (default 1000)")
@@ -218,6 +220,7 @@ def run_trace_command(args) -> int:
     arguments produce byte-identical files.
     """
     from repro import obs
+    from repro.errors import NvxError
     from repro.experiments.registry import (
         EXPERIMENTS,
         ExperimentConfig,
@@ -244,8 +247,13 @@ def run_trace_command(args) -> int:
     options = (() if args.placement is None
                else (("placement", args.placement),))
     config = ExperimentConfig(scale=args.scale, options=options)
-    with obs.tracing(tracer):
-        run_experiment(args.target, config=config)
+    try:
+        with obs.tracing(tracer):
+            run_experiment(args.target, config=config)
+    except NvxError as exc:
+        tracer.close()
+        print(f"trace {args.target}: {exc}", file=sys.stderr)
+        return 2
     records = tracer.records
     with open(args.out, "w") as fh:
         fh.write(obs.chrome_trace_json(records))
@@ -259,6 +267,11 @@ def main(argv=None) -> int:
     from repro.experiments.runner import SCALED_EXPERIMENTS as scaled
 
     args = build_parser().parse_args(argv)
+    if args.placement is not None and args.experiment not in ("chaos",
+                                                              "trace"):
+        print(f"--placement applies to chaos and trace only, not "
+              f"{args.experiment!r}", file=sys.stderr)
+        return 2
     if args.experiment == "list":
         for experiment_id in sorted(EXPERIMENTS):
             print(experiment_id)

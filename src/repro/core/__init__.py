@@ -28,16 +28,8 @@ from repro.core.netring import (
     REPLICATE_SELECTIVE,
     NetRing,
     NetStats,
-    net_transport,
 )
 from repro.core.ringbuffer import DEFAULT_CAPACITY, RingBuffer, RingStats
-from repro.core.transport import (
-    EventTransport,
-    TransportContext,
-    local_transport,
-    resolve_placement,
-    resolve_transport,
-)
 from repro.core.shm import (
     BUCKET_SIZES,
     Bucket,
@@ -73,14 +65,8 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "RingBuffer",
     "RingStats",
-    "EventTransport",
-    "TransportContext",
-    "local_transport",
-    "resolve_placement",
-    "resolve_transport",
     "NetRing",
     "NetStats",
-    "net_transport",
     "REPLICATE_FULL",
     "REPLICATE_SELECTIVE",
     "BUCKET_SIZES",

@@ -14,16 +14,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.bpf.rules import RewriteRules
-from repro.core.config import SessionConfig, resolve_session_config
+from repro.core.config import (
+    SessionConfig,
+    resolve_placement,
+    resolve_session_config,
+)
 from repro.core.datachannel import DataChannel
 from repro.core.events import EV_EXIT
 from repro.core.monitor import PROMOTED, ReplicaMonitor, RingTuple
+from repro.core.netring import REPLICATE_FULL, NetRing
+from repro.core.ringbuffer import RingBuffer
 from repro.core.shm import SharedMemoryPool
-from repro.core.transport import (
-    TransportContext,
-    resolve_placement,
-    resolve_transport,
-)
 from repro.core.tables import install_tables
 from repro.costmodel import cycles
 from repro.errors import FailoverError, NvxError
@@ -141,10 +142,18 @@ class NvxSession:
         #: Machines declared dead by whole-machine fault injection;
         #: leader election avoids them.
         self.dead_machines: set = set()
-        has_remote = any(m is not machines[0] for m in machines)
-        #: Event-transport factory: local shared-memory ring unless the
-        #: placement is distributed or an explicit factory was given.
-        self.transport = resolve_transport(cfg.transport, has_remote)
+        #: A follower on another machine makes every tuple's ring a
+        #: NetRing with the config's dMVX policy; otherwise it is the
+        #: shared-memory RingBuffer.
+        self.distributed = any(m is not machines[0] for m in machines)
+        if not self.distributed and (cfg.replicate != REPLICATE_FULL
+                                     or cfg.compress):
+            raise NvxError(
+                f"SessionConfig(replicate={cfg.replicate!r}, "
+                f"compress={cfg.compress!r}) needs a follower placed on "
+                f"another machine")
+        self.replicate = cfg.replicate
+        self.compress = cfg.compress
         self.tuples: List[RingTuple] = []
         self._next_tuple_id = 0
         self.control = WaitQueue(world.sim, name="varan.control")
@@ -301,15 +310,18 @@ class NvxSession:
         leader = self.leader
         leader_machine = (leader.machine if leader is not None
                           else self.machine)
-        ctx = TransportContext(
-            sim=self.world.sim, costs=self.costs,
-            capacity=self.ring_capacity,
-            name=f"ring{self._next_tuple_id}", tracer=self.tracer,
-            network=getattr(self.world, "network", None),
-            producer_machine=leader_machine,
-            consumer_machines={v.vid: v.machine for v in self.variants},
-            net_stats=getattr(self.world, "net_stats", None))
-        ring = self.transport(ctx)
+        network = self.world.network
+        name = f"ring{self._next_tuple_id}"
+        if self.distributed:
+            ring = NetRing(
+                self.world.sim, self.costs, network, leader_machine,
+                {v.vid: v.machine for v in self.variants},
+                capacity=self.ring_capacity, name=name, tracer=self.tracer,
+                compress=self.compress, replicate=self.replicate)
+        else:
+            ring = RingBuffer(self.world.sim, self.costs,
+                              capacity=self.ring_capacity, name=name,
+                              tracer=self.tracer)
         ring.sample_distances = self.sample_distances
         # Session rings always run with slot integrity checks so injected
         # corruption surfaces diagnostically; the conformance oracle (if
@@ -321,8 +333,7 @@ class NvxSession:
             ring.add_consumer(variant.vid)
             channels[variant.vid] = DataChannel(
                 self.world.sim, self.costs,
-                network=getattr(self.world, "network", None),
-                producer_machine=leader_machine,
+                network=network, producer_machine=leader_machine,
                 consumer_machine=variant.machine)
         tuple_ = RingTuple(self._next_tuple_id, ring, channels)
         self._next_tuple_id += 1
@@ -456,9 +467,9 @@ class NvxSession:
             # boundary, then wake receivers parked on a dead leader so
             # they rescue lost descriptors from a mirror.
             tuple_.regime_boundary = tuple_.ring.head
-            # Distributed transports re-anchor at the new leader's
-            # machine (reveal the backlog, restart flow control); the
-            # local ring's hook is a no-op.
+            # A NetRing re-anchors at the new leader's machine (reveal
+            # the backlog, restart flow control); a RingBuffer's hook
+            # is a no-op.
             tuple_.ring.on_promote(new_leader.vid, new_leader.machine)
             for follower_channel in tuple_.channels.values():
                 follower_channel.rebind_producer(new_leader.machine)
@@ -509,10 +520,9 @@ class NvxSession:
             for vid, replica in tuple_.replicas.items():
                 role = "leader" if replica.is_leader else "follower"
                 reg.observe(f"{role}.wait_ns", replica.wait_ps // 1000)
-        # net.* counters belong to the World (obs.metrics.drain() sums
-        # them over the sessions' worlds), as tcache.* belong to each
-        # TranslationCache; per-ring counters are available directly via
-        # ring.net.
+            if self.distributed:
+                for name, value in ring.net.as_dict().items():
+                    reg.inc(name, value)
         return reg.snapshot()
 
     def await_promotion_complete(self, task):

@@ -20,7 +20,6 @@ from repro.core.events import (
     Event,
     syscall_event,
 )
-from repro.core.transport import EventTransport
 from repro.errors import DivergenceError, NvxError
 from repro.kernel.uapi import SYSCALL_NUMBERS, Syscall, SysResult
 from repro.sim.core import Compute
@@ -41,14 +40,14 @@ BLOCKING_CALLS = frozenset({
 
 
 class RingTuple:
-    """The event transport + channels of one process tuple (§3.3.3).
+    """The ring + channels of one process tuple (§3.3.3).
 
-    ``ring`` is any :class:`~repro.core.transport.EventTransport` —
-    the shared-memory ring on a single host, the networked ring when
-    followers are placed on remote machines.
+    ``ring`` is the shared-memory :class:`~repro.core.ringbuffer.RingBuffer`
+    on a single host, or its :class:`~repro.core.netring.NetRing`
+    subclass when followers are placed on remote machines.
     """
 
-    def __init__(self, tuple_id: int, ring: EventTransport,
+    def __init__(self, tuple_id: int, ring,
                  channels: Dict[int, DataChannel]) -> None:
         self.id = tuple_id
         self.ring = ring
@@ -73,9 +72,9 @@ class ReplicaMonitor:
         self.task = task
         self.tuple = tuple_
         #: Both fixed for the monitor's lifetime (a promotion swaps the
-        #: table, never the variant id or the tuple's transport).
+        #: table, never the variant id or the tuple's ring).
         self.vid: int = variant.vid
-        self.ring: EventTransport = tuple_.ring
+        self.ring = tuple_.ring
         #: Session-level tracer (None when observability is off).  Uses
         #: getattr because replay-only sessions duck-type this interface.
         self.tracer = getattr(session, "tracer", None)

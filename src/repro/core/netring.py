@@ -4,7 +4,9 @@ DMON and dMVX showed VARAN's leader/follower event stream extends across
 machines.  :class:`NetRing` keeps the leader's shared-memory ring
 exactly as it is — local followers and the producer hot path are
 untouched — and adds a shipping layer for followers placed on *other*
-machines:
+machines.  ``NvxSession`` builds one per process tuple whenever its
+placement puts a follower on a second machine, and a plain
+:class:`RingBuffer` otherwise:
 
 * **frames** — newly published events are batched into coalesced frames
   (one 64-byte frame header plus one packed 64-byte
@@ -45,13 +47,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.costmodel import CYCLE_PS, US_PS, cycles
+from repro.costmodel import CYCLE_PS, cycles
 from repro.errors import NvxError
 from repro.sim.core import Compute
 
 from repro.core.events import EV_SYSCALL, EVENT_SIZE, Event
 from repro.core.ringbuffer import DEFAULT_CAPACITY, RingBuffer
-from repro.core.transport import TransportContext
 
 #: Frame header: magic, producer regime, base sequence, event count,
 #: byte length, checksum — one cache line, like the event slots.
@@ -59,11 +60,6 @@ FRAME_HEADER_BYTES = 64
 
 #: One acknowledgement message: follower id, cursor, checksum.
 ACK_BYTES = 64
-
-#: Default coalescing window before an unfilled frame is cut anyway.
-#: Kept below the same-rack link latency (12 us) so batching never
-#: dominates the remote follower's lag.
-DEFAULT_COALESCE_PS = 8 * US_PS
 
 #: Modelled LZ4-class ratio on event-line + payload bodies.
 COMPRESS_RATIO = 0.55
@@ -83,14 +79,12 @@ LOCAL_REGENERABLE = frozenset({
 
 
 class NetStats:
-    """Network-transport counters, shaped like the translator's
-    ``CacheStats`` but scoped *per World*: every
-    :class:`~repro.world.World` owns one instance that all of its
-    networked rings feed (``repro.obs`` drains it for the always-present
-    ``net.*`` keys), and each ring additionally keeps its own instance
-    for per-session metrics.  Nothing is process-global, so parallel
-    sweep workers and back-to-back sessions cannot bleed counters into
-    each other."""
+    """Network-transport counters of one :class:`NetRing`, shaped like
+    the translator's ``CacheStats``.  A session's metrics snapshot sums
+    them over its rings (``repro.obs`` pads zero ``net.*`` keys for
+    points without one); nothing is process-global, so parallel sweep
+    workers and back-to-back sessions cannot bleed counters into each
+    other."""
 
     __slots__ = ("frames", "bytes", "acks", "remote_lag",
                  "payload_elided", "bytes_saved")
@@ -119,23 +113,27 @@ class NetStats:
 
 
 class NetRing(RingBuffer):
-    """A :class:`RingBuffer` whose remote consumers see mirrored frames."""
+    """A :class:`RingBuffer` whose remote consumers see mirrored frames.
+
+    Batching derives from the ring and the link: a frame is cut at
+    half a ring (at most 16 events), a remote follower acks every
+    quarter ring (at most 8 events), and an unfilled frame is cut after
+    two thirds of the link latency (8 us on the calibrated 12 us rack),
+    so coalescing never dominates a remote follower's lag.
+    """
 
     __slots__ = ("network", "producer_machine", "_machines", "_remote",
                  "_visible", "_acked", "_ack_sent", "_ship_from",
                  "_flush_scheduled", "_send_floor", "_ack_floor",
                  "coalesce_ps", "max_batch", "ack_batch", "compress",
-                 "replicate", "net", "world_net", "_ps_net_pack",
+                 "replicate", "net", "_ps_net_pack",
                  "_ps_compress_per_byte")
 
     def __init__(self, sim, costs, network, producer_machine,
                  consumer_machines: Dict[int, object],
                  capacity: int = DEFAULT_CAPACITY, name: str = "netring",
-                 tracer=None, coalesce_ps: int = DEFAULT_COALESCE_PS,
-                 max_batch: Optional[int] = None,
-                 ack_batch: Optional[int] = None, compress: bool = False,
-                 replicate: str = REPLICATE_FULL,
-                 world_stats: Optional[NetStats] = None) -> None:
+                 tracer=None, compress: bool = False,
+                 replicate: str = REPLICATE_FULL) -> None:
         super().__init__(sim, costs, capacity=capacity, name=name,
                          tracer=tracer)
         if network is None:
@@ -164,18 +162,12 @@ class NetRing(RingBuffer):
         self._send_floor: Dict[str, int] = {}
         #: Per-vid in-order stream floor (acks).
         self._ack_floor: Dict[int, int] = {}
-        self.coalesce_ps = coalesce_ps
-        self.max_batch = (max_batch if max_batch is not None
-                         else min(16, max(1, capacity // 2)))
-        self.ack_batch = (ack_batch if ack_batch is not None
-                          else max(1, min(8, capacity // 4)))
+        self.coalesce_ps = costs.network.latency_ps * 2 // 3
+        self.max_batch = min(16, max(1, capacity // 2))
+        self.ack_batch = max(1, min(8, capacity // 4))
         self.compress = compress
         self.replicate = replicate
         self.net = NetStats()
-        #: The owning world's aggregate sink (rings built outside a
-        #: world get a private one so the increment sites stay branch
-        #: free).
-        self.world_net = world_stats if world_stats is not None else NetStats()
         self._ps_net_pack = cycles(costs.stream.net_pack_event)
         self._ps_compress_per_byte = (
             costs.stream.net_compress_per_byte * CYCLE_PS)
@@ -277,13 +269,11 @@ class NetRing(RingBuffer):
                       else 0) - (shipped - EVENT_SIZE)
             if elided > 0:
                 self.net.payload_elided += elided
-                self.world_net.payload_elided += elided
         nbytes = FRAME_HEADER_BYTES + body
         if self.compress:
             compressed = FRAME_HEADER_BYTES + int(body * COMPRESS_RATIO)
             saved = nbytes - compressed
             self.net.bytes_saved += saved
-            self.world_net.bytes_saved += saved
             nbytes = compressed
         tracer = self.tracer
         for machine in sorted(by_machine, key=lambda m: m.name):
@@ -295,8 +285,6 @@ class NetRing(RingBuffer):
             self._send_floor[machine.name] = arrival
             self.net.frames += 1
             self.net.bytes += nbytes
-            self.world_net.frames += 1
-            self.world_net.bytes += nbytes
             if tracer is not None:
                 tracer.instant_here(
                     self.sim, "net", "frame",
@@ -344,21 +332,18 @@ class NetRing(RingBuffer):
             floor_ps=self._ack_floor.get(vid, 0))
         self._ack_floor[vid] = arrival
         self.net.acks += 1
-        self.world_net.acks += 1
 
     def _ack_arrived(self, vid: int, cursor: int) -> None:
         if vid not in self.cursors or vid not in self._remote:
             return
         if cursor > self._acked.get(vid, 0):
             self._acked[vid] = cursor
-            lag = self.head - cursor
-            self.net.remote_lag += lag
-            self.world_net.remote_lag += lag
+            self.net.remote_lag += self.head - cursor
             self.not_full.notify_ready()
 
     # -- failover -----------------------------------------------------------
 
-    def on_promote(self, vid: int, machine=None) -> None:
+    def on_promote(self, vid: int, machine) -> None:
         """Re-anchor the transport at the new leader's machine.
 
         The event log is durable across the crash (frames already
@@ -368,10 +353,9 @@ class NetRing(RingBuffer):
         *actual* cursors, and the per-stream floors reset: the new
         leader opens fresh connections.
         """
-        if machine is not None:
-            self.producer_machine = machine
-            if vid in self._machines:
-                self._machines[vid] = machine
+        self.producer_machine = machine
+        if vid in self._machines:
+            self._machines[vid] = machine
         self._remote = {v for v in self.cursors
                         if self._is_remote_machine(v)}
         self._send_floor.clear()
@@ -388,25 +372,3 @@ class NetRing(RingBuffer):
         self.published.notify_ready()
         self.not_full.notify_ready()
 
-
-def net_transport(coalesce_ps: int = DEFAULT_COALESCE_PS,
-                  max_batch: Optional[int] = None,
-                  ack_batch: Optional[int] = None, compress: bool = False,
-                  replicate: str = REPLICATE_FULL):
-    """Factory for the networked transport (see :mod:`repro.core.transport`).
-
-    ``replicate`` selects the dMVX policy: :data:`REPLICATE_FULL` ships
-    every payload, :data:`REPLICATE_SELECTIVE` only externally-sourced
-    ones.  ``compress`` trades leader CPU for frame bytes.
-    """
-
-    def build(ctx: TransportContext) -> NetRing:
-        return NetRing(ctx.sim, ctx.costs, ctx.network,
-                       ctx.producer_machine, ctx.consumer_machines,
-                       capacity=ctx.capacity, name=ctx.name,
-                       tracer=ctx.tracer, coalesce_ps=coalesce_ps,
-                       max_batch=max_batch, ack_batch=ack_batch,
-                       compress=compress, replicate=replicate,
-                       world_stats=ctx.net_stats)
-
-    return build

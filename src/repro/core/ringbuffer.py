@@ -24,7 +24,6 @@ from repro.sim.core import TIMEOUT, Compute, Simulator
 from repro.sim.sync import WaitQueue
 
 from repro.core.events import Event, pack_event
-from repro.core.transport import EventTransport
 
 #: Paper default: 256 events of 64 bytes.
 DEFAULT_CAPACITY = 256
@@ -110,14 +109,13 @@ class RingStats:
         return ordered[(len(ordered) - 1) // 2]
 
 
-class RingBuffer(EventTransport):
+class RingBuffer:
     """One ring per process tuple (§3.3.3).
 
-    This is the *local* :class:`~repro.core.transport.EventTransport`:
-    leader and followers share one machine's memory, so publishes are
-    visible immediately and the distributed hooks stay the base class's
-    no-ops.  ``repro.core.netring.NetRing`` subclasses this to mirror
-    event lines to remote machines.
+    Leader and followers share one machine's memory, so publishes are
+    visible immediately.  ``repro.core.netring.NetRing`` subclasses
+    this to mirror event lines to followers on other machines; a
+    session builds one or the other per tuple from its placement.
     """
 
     __slots__ = ("sim", "costs", "capacity", "name", "slots", "head",
@@ -364,3 +362,11 @@ class RingBuffer(EventTransport):
         self.published.notify_all()
         self.advanced.notify_all()
         self.not_full.notify_all()
+
+    def on_promote(self, vid: int, machine) -> None:
+        """Failover hook: the producer role moved to variant ``vid`` on
+        ``machine``.
+
+        Nothing to do here: shared memory survives the old leader.
+        ``NetRing`` re-anchors shipping at the new leader's machine.
+        """

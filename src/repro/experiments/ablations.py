@@ -21,6 +21,7 @@ from typing import Dict
 from repro.core.events import syscall_event
 from repro.core.ringbuffer import RingBuffer
 from repro.costmodel import DEFAULT_COSTS, cycles
+from repro.experiments.expconfig import apply_config
 from repro.experiments.harness import ExperimentResult
 from repro.sim import Machine, Simulator
 from repro.sim.core import Compute
@@ -199,6 +200,7 @@ def waitlock(events: int = 300) -> ExperimentResult:
 
 def run(config=None) -> ExperimentResult:
     """All three ablations merged into one report."""
+    apply_config(config)
     merged = ExperimentResult("ablations",
                               "Design-choice ablations (§2.2/§3.3.1/§6)")
     for sub in (pump_vs_ring(), ring_capacity(), waitlock()):

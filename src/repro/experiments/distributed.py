@@ -8,9 +8,9 @@ locally-regenerable ones (file reads, stat) are re-executed on the
 follower's replica of the environment.
 
 This driver measures the same trade-off on our substrate: a
-syscall-heavy workload under (a) the local shared-memory transport,
-(b) the networked transport with full replication, (c) selective
-replication, (d) selective replication plus frame compression — plus a
+syscall-heavy workload under (a) the local shared-memory ring, (b) the
+networked ring with full replication, (c) selective replication, (d)
+selective replication plus frame compression — plus a
 cross-machine failover run where the *leader's whole machine* is
 crashed mid-workload and a remote follower is promoted.
 """
@@ -19,11 +19,7 @@ from __future__ import annotations
 
 from repro.core.config import SessionConfig
 from repro.core.coordinator import VersionSpec
-from repro.core.netring import (
-    REPLICATE_FULL,
-    REPLICATE_SELECTIVE,
-    net_transport,
-)
+from repro.core.netring import REPLICATE_FULL, REPLICATE_SELECTIVE
 from repro.costmodel import US_PS
 from repro.experiments.expconfig import apply_config
 from repro.experiments.harness import ExperimentResult
@@ -79,14 +75,14 @@ def _make_world() -> World:
     return world
 
 
-def _run(iters: int, followers: int, placement=None, transport=None,
-         fault_plan=None):
-    """One session run; returns (session, elapsed_us, expected_acc)."""
+def _run(iters: int, followers: int, placement=None,
+         replicate=REPLICATE_FULL, compress=False, fault_plan=None):
+    """One session run; returns (session, elapsed_us)."""
     world = _make_world()
     main = _workload(iters)
     specs = [VersionSpec(f"v{i}", main) for i in range(followers + 1)]
-    config = SessionConfig(placement=placement, transport=transport,
-                           fault_plan=fault_plan)
+    config = SessionConfig(placement=placement, replicate=replicate,
+                           compress=compress, fault_plan=fault_plan)
     session = world.nvx(specs, config=config).start()
     world.run()
     return session, world.sim.now / US_PS
@@ -100,10 +96,10 @@ def _run_native(iters: int) -> float:
 
 
 def _net_row(session):
-    """Network counters of the session's transport ({} when local)."""
-    net = getattr(session.root_tuple.ring, "net", None)
-    if net is None:
+    """Network counters of the session's root ring (zero when local)."""
+    if not session.distributed:
         return {"net_frames": 0, "net_kb": 0.0, "saved_kb": 0.0}
+    net = session.root_tuple.ring.net
     return {"net_frames": net.frames,
             "net_kb": net.bytes / 1024.0,
             "saved_kb": net.bytes_saved / 1024.0}
@@ -128,20 +124,17 @@ def run(config=None, iters: int = 48, followers: int = 2,
 
     remote_map = {i: ("replica1", "replica2")[(i - 1) % 2]
                   for i in range(1, followers + 1)}
-    scenarios = [("varan local", None, None)]
+    scenarios = [("varan local", None, REPLICATE_FULL, False)]
     if placement == "remote":
         scenarios += [
-            ("remote full", remote_map,
-             net_transport(replicate=REPLICATE_FULL)),
-            ("remote selective", remote_map,
-             net_transport(replicate=REPLICATE_SELECTIVE)),
-            ("remote selective+zip", remote_map,
-             net_transport(replicate=REPLICATE_SELECTIVE, compress=True)),
+            ("remote full", remote_map, REPLICATE_FULL, False),
+            ("remote selective", remote_map, REPLICATE_SELECTIVE, False),
+            ("remote selective+zip", remote_map, REPLICATE_SELECTIVE, True),
         ]
     remote_full_us = None
-    for scenario, pmap, transport in scenarios:
+    for scenario, pmap, replicate, compress in scenarios:
         session, elapsed_us = _run(iters, followers, placement=pmap,
-                                   transport=transport)
+                                   replicate=replicate, compress=compress)
         if scenario == "remote full":
             remote_full_us = elapsed_us
         row = {"scenario": scenario, "time_us": elapsed_us,
@@ -158,7 +151,6 @@ def run(config=None, iters: int = 48, followers: int = 2,
                                 at_ps=int(remote_full_us * US_PS) // 2),))
         fsession, failover_us = _run(iters, followers,
                                      placement=remote_map,
-                                     transport=net_transport(),
                                      fault_plan=plan)
         survivors = [v for v in fsession.variants if v.alive]
         row = {"scenario": "remote machine-crash failover",

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.errors import NvxError
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -19,7 +21,7 @@ class ExperimentConfig:
     others ignore it, matching ``python -m repro all --scale``).
     ``parts`` restricts a decomposable driver to a subset of its part
     keys.  ``options`` are (name, value) pairs overriding driver
-    keywords by name; unknown names are an error.
+    keywords by name; unknown names are an :class:`NvxError`.
     """
 
     scale: Optional[float] = None
@@ -43,7 +45,7 @@ def apply_config(config: Optional[ExperimentConfig], parts_key=None,
         values[parts_key] = tuple(config.parts)
     for key, value in config.options:
         if key not in values:
-            raise TypeError(
+            raise NvxError(
                 f"unknown experiment option {key!r}; "
                 f"driver accepts: {sorted(values)}")
         values[key] = value

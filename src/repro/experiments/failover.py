@@ -20,6 +20,7 @@ from repro.clients.base import connect_with_retry, recv_until
 from repro.core.config import SessionConfig
 from repro.core.coordinator import VersionSpec
 from repro.costmodel import US_PS
+from repro.experiments.expconfig import apply_config
 from repro.experiments.harness import ExperimentResult
 from repro.world import World
 
@@ -109,6 +110,7 @@ def _run_lighttpd_pair(buggy_first: bool):
 
 
 def run(config=None) -> ExperimentResult:
+    apply_config(config)
     result = ExperimentResult("failover-5.1", "Transparent failover",
                               paper_reference=PAPER_FAILOVER)
 

@@ -22,7 +22,7 @@ from repro.clients.loadgen import OpenLoopConfig, make_open_loop, spawn_pool
 from repro.clients.topology import LoadTopology
 from repro.core.config import SessionConfig
 from repro.core.coordinator import VersionSpec
-from repro.core.netring import REPLICATE_SELECTIVE, net_transport
+from repro.core.netring import REPLICATE_FULL, REPLICATE_SELECTIVE
 from repro.costmodel import SEC_PS
 from repro.experiments.expconfig import apply_config
 from repro.experiments.harness import ExperimentResult
@@ -60,14 +60,14 @@ def _run_cell(scenario: str, followers: int, remote: bool,
         specs = [VersionSpec(f"v{i}", make_redis())
                  for i in range(followers + 1)]
         placement = None
-        transport = None
+        replicate = REPLICATE_FULL
         if remote:
             placement = {i: _REPLICAS[(i - 1) % len(_REPLICAS)]
                          for i in range(1, followers + 1)}
-            transport = net_transport(replicate=REPLICATE_SELECTIVE)
+            replicate = REPLICATE_SELECTIVE
         world.nvx(specs, config=SessionConfig(
             daemon=True, placement=placement,
-            transport=transport)).start()
+            replicate=replicate)).start()
     config = OpenLoopConfig(rate_rps=rate_rps, duration_ps=duration_ps,
                             seed=seed)
     placements, report, stats = make_open_loop(topology, config)

@@ -16,6 +16,7 @@ from repro.clients import make_apachebench
 from repro.core.config import SessionConfig
 from repro.core.coordinator import VersionSpec
 from repro.errors import DivergenceError
+from repro.experiments.expconfig import apply_config
 from repro.experiments.harness import ExperimentResult
 from repro.kernel.uapi import SYSCALL_NUMBERS
 from repro.nvx.lockstep import MX_PROFILE
@@ -109,6 +110,7 @@ def run_pair_lockstep(old_rev: str, new_rev: str):
 
 
 def run(config=None) -> ExperimentResult:
+    apply_config(config)
     result = ExperimentResult(
         "multirevision-5.2",
         "Multi-revision execution across syscall-sequence divergences")

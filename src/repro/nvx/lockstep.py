@@ -26,8 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.config import SessionConfig, resolve_session_config
-from repro.core.transport import resolve_placement
+from repro.core.config import (
+    SessionConfig,
+    resolve_placement,
+    resolve_session_config,
+)
 from repro.costmodel import CostModel, cycles
 from repro.errors import DivergenceError, NvxError
 from repro.kernel.task import VDSO_CALLS

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.config import SessionConfig, resolve_session_config
-from repro.core.transport import resolve_placement
+from repro.core.config import (
+    SessionConfig,
+    resolve_placement,
+    resolve_session_config,
+)
 from repro.costmodel import CostModel, cycles
 from repro.errors import NvxError
 from repro.kernel.uapi import Syscall

@@ -2,12 +2,12 @@
 
 Sessions, translation caches and fuzz journals expose a
 ``metrics_snapshot()`` built on demand from the counters they already
-keep (``SessionStats``, ``RingStats``, ``CacheStats``, ``FuzzStats``,
-per-monitor wait accounting) — nothing on the syscall hot path is
-touched.  A snapshot is a plain JSON-able dict, and snapshots merge
-associatively so the sweep runner can combine per-point fragments in
-canonical point order and get the same numbers whether the points ran
-serially or over a process pool.
+keep (``SessionStats``, ``RingStats``, each ``NetRing``'s ``NetStats``,
+``CacheStats``, ``FuzzStats``, per-monitor wait accounting) — nothing
+on the syscall hot path is touched.  A snapshot is a plain JSON-able
+dict, and snapshots merge associatively so the sweep runner can
+combine per-point fragments in canonical point order and get the same
+numbers whether the points ran serially or over a process pool.
 
 The module also carries the per-process collection registry the sweep
 runner drives: :func:`start_collection` arms it, each of those owners
@@ -136,29 +136,6 @@ _collecting = False
 _sessions: List = []
 
 
-def _net_counters(sessions) -> Dict[str, int]:
-    """Networked-transport counters for this point: the sum over the
-    distinct worlds its sessions ran on.
-
-    NetStats is scoped per World (see ``core.netring.NetStats``), so no
-    base/delta dance is needed — a point's sessions run on worlds built
-    inside the point, whose counters start at zero in every worker
-    process.  Keys are always present (zero for points that ship no
-    frames) so serial and parallel sweeps merge identically.
-    """
-    from repro.core.netring import NetStats
-    totals = NetStats().as_dict()
-    seen = set()
-    for session in sessions:
-        stats = getattr(getattr(session, "world", None), "net_stats", None)
-        if stats is None or id(stats) in seen:
-            continue
-        seen.add(id(stats))
-        for name, value in stats.as_dict().items():
-            totals[name] += value
-    return totals
-
-
 def start_collection() -> None:
     """Arm session registration for the sweep point about to run."""
     global _collecting, _sessions
@@ -178,23 +155,22 @@ def drain() -> dict:
     """Snapshot every session, translation cache and fuzz journal
     registered since :func:`start_collection`, merge, and disarm.
 
-    Translation-cache counters are per Cpu and fuzz counters per
-    campaign; each comes with its own registered owner, so the snapshot
-    is what this point's execution did, independent of which worker
-    process ran it.  Networked-transport counters are scoped per World
-    and summed over the sessions' worlds directly.  The keys are always
-    present (zero for points that execute no guest code / ship no
-    frames / never fuzz) so serial and parallel sweeps merge
+    Translation-cache counters are per Cpu, fuzz counters per campaign
+    and networked-ring counters per session; each comes with its own
+    registered owner, so the snapshot is what this point's execution
+    did, independent of which worker process ran it.  The keys are
+    always present (zero for points that execute no guest code / ship
+    no frames / never fuzz) so serial and parallel sweeps merge
     identically.
     """
     global _collecting, _sessions
     sessions, _sessions = _sessions, []
     _collecting = False
+    from repro.core.netring import NetStats
     from repro.fuzz.journal import FuzzStats
     from repro.isa.translator import CacheStats
-    net = {"counters": _net_counters(sessions)}
     snapshots = [s.metrics_snapshot() for s in sessions]
     snapshots.append({"counters": CacheStats().as_dict()})
     snapshots.append({"counters": FuzzStats().as_dict()})
-    snapshots.append(net)
+    snapshots.append({"counters": NetStats().as_dict()})
     return merge_snapshots(snapshots)

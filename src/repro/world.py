@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.config import SessionConfig
-from repro.core.netring import NetStats
 from repro.costmodel import CostModel, DEFAULT_COSTS
 from repro.errors import NvxError
 from repro.kernel.kernel import Kernel
@@ -47,10 +46,6 @@ class World:
             for name in machine_names
         }
         self.kernel = Kernel(self.sim, self.network, costs, seed=seed)
-        #: Aggregate networked-transport counters for every session run
-        #: on this world (scoped here, not process-global, so parallel
-        #: sweep workers and back-to-back sessions never bleed).
-        self.net_stats = NetStats()
 
     def machine(self, name: str) -> Machine:
         """The named machine, with a diagnosable error when absent."""

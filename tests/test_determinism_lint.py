@@ -24,8 +24,6 @@ ID_ALLOWED = {
         "by_segment: blocks translated from one live segment",
     ("core/ringbuffer.py", "event_seal"):
         "the seal compares the payload by pointer",
-    ("obs/metrics.py", "_net_counters"):
-        "each world's NetStats is summed once",
 }
 
 CLOCK_MODULES = {"time", "datetime"}

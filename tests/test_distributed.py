@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import VersionSpec, net_transport
+from repro.core import VersionSpec
 from repro.core.config import SessionConfig
 from repro.costmodel import DEFAULT_COSTS, NetworkSpec, US_PS
 from repro.faults.invariants import InvariantChecker
@@ -31,7 +31,8 @@ MACHINES = ("server", "client", "replica1", "replica2")
 DATA = bytes((i * 37) & 0xFF for i in range(2048))
 
 #: Network costs zeroed: frames and acks still flow through the full
-#: NetRing protocol, they just take no virtual time — so any outcome
+#: NetRing protocol, they just take no virtual time (the coalescing
+#: window, two thirds of the link latency, is zero too) — so any outcome
 #: difference against the local transport is a protocol bug, not flow
 #: control timing.
 ZERO_COST = replace(
@@ -76,15 +77,14 @@ def workload_from_seed(seed: int):
     return main
 
 
-def run_session(n_variants, placement=None, transport=None, plan=None,
+def run_session(n_variants, placement=None, plan=None,
                 costs=DEFAULT_COSTS, seed=1, capacity=16):
     world = make_world(costs)
     main = workload_from_seed(seed)
     specs = [VersionSpec(f"v{i}", main) for i in range(n_variants)]
     checker = InvariantChecker(roundtrip_every=1)
-    config = SessionConfig(placement=placement, transport=transport,
-                           fault_plan=plan, invariants=checker,
-                           ring_capacity=capacity)
+    config = SessionConfig(placement=placement, fault_plan=plan,
+                           invariants=checker, ring_capacity=capacity)
     session = world.nvx(specs, config=config).start()
     world.run()
     checker.final_check()
@@ -252,7 +252,8 @@ class TestTransportEquivalence:
         local = run_session(3, plan=plan, seed=seed)
         remote = run_session(
             3, placement=REMOTE_MAP, plan=plan, costs=ZERO_COST,
-            transport=net_transport(coalesce_ps=0), seed=seed)
+            seed=seed)
+        assert remote[0].root_tuple.ring.coalesce_ps == 0
         return (outcome_of(local[0], local[2]),
                 outcome_of(remote[0], remote[2]))
 
@@ -300,7 +301,7 @@ class TestTransportEquivalenceProperty:
         local = run_session(3, plan=plan, seed=seed)
         remote = run_session(
             3, placement=REMOTE_MAP, plan=plan, costs=ZERO_COST,
-            transport=net_transport(coalesce_ps=0), seed=seed)
+            seed=seed)
         assert outcome_of(local[0], local[2]) == \
             outcome_of(remote[0], remote[2])
 

@@ -99,6 +99,42 @@ class TestCliValidation:
                 in err)
 
 
+class TestPlacementReachesOnlyItsReaders:
+    """``--placement`` is read by chaos and by trace of a driver that
+    takes a placement; everywhere else it is a one-line error, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["load"], ["fuzz"], ["figure4"], ["all"]])
+    def test_commands_that_ignore_it_refuse_it(self, capsys, monkeypatch,
+                                               argv):
+        from repro import __main__ as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} ran with --placement")
+        for name in ("run_sweep_command", "run_load_command",
+                     "run_fuzz_command"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr("repro.experiments.registry.run_experiment",
+                            must_not_run)
+        assert cli.main(argv + ["--placement", "remote"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--placement" in err
+
+    @pytest.mark.parametrize("target", ["figure4", "table1", "ablations",
+                                        "failover-5.1", "multirevision-5.2"])
+    def test_trace_of_a_driver_without_placement_refuses_it(
+            self, capsys, tmp_path, target):
+        from repro.__main__ import main
+
+        out = tmp_path / "trace.json"
+        assert main(["trace", target, "--placement", "remote",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"trace {target}: unknown experiment "
+                              f"option 'placement'; driver accepts: ")
+        assert err.count("\n") == 1 and not out.exists()
+
+
 class TestClosedPipe:
     def test_list_into_a_closed_pipe_exits_quietly(self):
         # ``python -m repro list | head`` once ended in a traceback.

@@ -1,19 +1,12 @@
-"""Unit tests for the EventTransport API and the networked NetRing:
-factories, placement resolution, frames/acks/flow control, selective
-replication, compression, and failover re-anchoring."""
+"""Unit tests for the networked NetRing and the session options that
+choose it: ring selection by placement, the dMVX policy options,
+placement resolution, frames/acks/flow control, selective replication,
+compression, failover re-anchoring and the ``net.*`` metrics."""
 
 import pytest
 
-from repro.core import (
-    NetRing,
-    RingBuffer,
-    local_transport,
-    net_transport,
-    resolve_placement,
-    resolve_transport,
-    syscall_event,
-)
-from repro.core.config import SessionConfig
+from repro.core import NetRing, RingBuffer, VersionSpec, syscall_event
+from repro.core.config import SessionConfig, resolve_placement
 from repro.core.netring import (
     ACK_BYTES,
     FRAME_HEADER_BYTES,
@@ -21,16 +14,17 @@ from repro.core.netring import (
     REPLICATE_SELECTIVE,
 )
 from repro.core.events import EVENT_SIZE
-from repro.core.transport import EventTransport, TransportContext
-from repro.costmodel import DEFAULT_COSTS, NetworkSpec
+from repro.costmodel import DEFAULT_COSTS, NetworkSpec, US_PS
 from repro.errors import NvxError
 from repro.sim import Machine, Simulator
 from repro.sim.network import Network
+from repro.world import World
 
 
 def rig(capacity=8, **kwargs):
     """A sim, two machines, a network and a NetRing with one remote
-    consumer (vid 1 on machine b) and one local (vid 2 on machine a)."""
+    consumer (vid 1 on machine b) and one local (vid 2 on machine a).
+    A frame is cut at ``capacity // 2`` events."""
     sim = Simulator()
     a = Machine(sim, name="a")
     b = Machine(sim, name="b")
@@ -60,41 +54,51 @@ class FakePayload:
         self.data = b"p" * length
 
 
+def tiny_main(ctx):
+    yield from ctx.getuid()
+    return True
+
+
 class TestTransportAPI:
-    def test_base_class_is_abstract(self):
-        transport = EventTransport()
-        for method in ("publish", "peek", "advance", "min_cursor"):
-            with pytest.raises((NotImplementedError, TypeError)):
-                getattr(transport, method)()
+    def test_session_ring_follows_placement(self):
+        specs = [VersionSpec("a", tiny_main), VersionSpec("b", tiny_main)]
+        for placement, kind in ((None, RingBuffer),
+                                ({1: "server"}, RingBuffer),
+                                ({1: "replica1"}, NetRing)):
+            world = World(machine_names=("server", "client", "replica1"))
+            session = world.nvx(specs, config=SessionConfig(
+                placement=placement)).start()
+            world.run()
+            assert type(session.root_tuple.ring) is kind
 
-    def test_local_factory_builds_ringbuffer(self):
-        sim = Simulator()
-        ctx = TransportContext(sim=sim, costs=DEFAULT_COSTS, capacity=8,
-                               name="r")
-        ring = local_transport()(ctx)
-        assert type(ring) is RingBuffer and ring.capacity == 8
+    def test_batching_derives_from_capacity_and_latency(self):
+        sim, a, b, network, ring = rig(capacity=8)
+        assert (ring.max_batch, ring.ack_batch) == (4, 2)
+        assert ring.coalesce_ps == 8 * US_PS
+        sim, a, b, network, ring = rig(capacity=256)
+        assert (ring.max_batch, ring.ack_batch) == (16, 8)
 
-    def test_resolve_default_is_local(self):
-        sim = Simulator()
-        ctx = TransportContext(sim=sim, costs=DEFAULT_COSTS, capacity=8,
-                               name="r")
-        assert type(resolve_transport(None, False)(ctx)) is RingBuffer
+    @pytest.mark.parametrize("options, message", [
+        ({"replicate": "sometimes"}, "replicate must be"),
+        ({"replicate": None}, "replicate must be"),
+        ({"compress": 1}, "compress must be a bool"),
+        ({"compress": "yes"}, "compress must be a bool"),
+    ])
+    def test_config_rejects_bad_policy(self, options, message):
+        with pytest.raises(NvxError, match=message):
+            SessionConfig(**options)
 
-    def test_resolve_default_with_remote_is_netring(self):
-        sim = Simulator()
-        a = Machine(sim, name="a")
-        b = Machine(sim, name="b")
-        ctx = TransportContext(sim=sim, costs=DEFAULT_COSTS, capacity=8,
-                               name="r", network=Network(sim),
-                               producer_machine=a,
-                               consumer_machines={1: b})
-        assert type(resolve_transport(None, True)(ctx)) is NetRing
-
-    def test_resolve_rejects_non_callable(self):
-        with pytest.raises(NvxError):
-            resolve_transport(42, False)
-        with pytest.raises(NvxError, match="factory"):
-            resolve_transport(RingBuffer, False)  # a class, not a factory
+    @pytest.mark.parametrize("options", [
+        {"replicate": REPLICATE_SELECTIVE},
+        {"compress": True},
+        {"replicate": REPLICATE_SELECTIVE, "placement": {1: "server"}},
+    ])
+    def test_policy_without_a_remote_follower_is_refused(self, options):
+        world = World(machine_names=("server", "client", "replica1"))
+        with pytest.raises(NvxError, match="another machine"):
+            world.nvx([VersionSpec("a", tiny_main),
+                       VersionSpec("b", tiny_main)],
+                      config=SessionConfig(**options))
 
     def test_netring_requires_network(self):
         sim = Simulator()
@@ -112,12 +116,9 @@ class TestTransportAPI:
 
 class TestPlacementResolution:
     def make_world(self):
-        from repro.world import World
         return World(machine_names=("server", "client", "replica1"))
 
     def specs(self, n=3):
-        from repro.core import VersionSpec
-
         def main(ctx):
             yield
         return [VersionSpec(f"v{i}", main) for i in range(n)]
@@ -201,7 +202,7 @@ class TestNetRingFrames:
         assert ring.net.frames == 1
 
     def test_full_batch_flushes_immediately(self):
-        sim, a, b, network, ring = rig(max_batch=4)
+        sim, a, b, network, ring = rig()
         frames = {}
 
         def producer():
@@ -214,7 +215,7 @@ class TestNetRingFrames:
 
     def test_control_event_flushes_immediately(self):
         from repro.core.events import EV_EXIT, Event
-        sim, a, b, network, ring = rig(max_batch=8)
+        sim, a, b, network, ring = rig(capacity=16)
 
         def producer():
             yield from ring.publish(syscall_event("close", 0, 1, 0))
@@ -225,7 +226,7 @@ class TestNetRingFrames:
         assert ring.peek(1) is not None
 
     def test_frame_bytes_cover_header_and_lines(self):
-        sim, a, b, network, ring = rig(max_batch=4)
+        sim, a, b, network, ring = rig()
         publish_n(sim, a, ring, 4)
         assert ring.net.bytes == FRAME_HEADER_BYTES + 4 * EVENT_SIZE
 
@@ -276,27 +277,27 @@ class TestNetRingFrames:
 
 class TestReplicationPolicies:
     def test_selective_elides_local_regenerable_payload(self):
-        sim, a, b, network, ring = rig(max_batch=2,
+        sim, a, b, network, ring = rig(capacity=4,
                                        replicate=REPLICATE_SELECTIVE)
         publish_n(sim, a, ring, 2, name="pread", payload=FakePayload(300))
         assert ring.net.payload_elided == 600
         assert ring.net.bytes == FRAME_HEADER_BYTES + 2 * EVENT_SIZE
 
     def test_full_ships_payload_bytes(self):
-        sim, a, b, network, ring = rig(max_batch=2)
+        sim, a, b, network, ring = rig(capacity=4)
         publish_n(sim, a, ring, 2, name="pread", payload=FakePayload(300))
         assert ring.net.payload_elided == 0
         assert ring.net.bytes == FRAME_HEADER_BYTES + 2 * (EVENT_SIZE + 300)
 
     def test_selective_still_ships_external_payloads(self):
-        sim, a, b, network, ring = rig(max_batch=2,
+        sim, a, b, network, ring = rig(capacity=4,
                                        replicate=REPLICATE_SELECTIVE)
         publish_n(sim, a, ring, 2, name="recv", payload=FakePayload(100))
         assert ring.net.payload_elided == 0
         assert ring.net.bytes == FRAME_HEADER_BYTES + 2 * (EVENT_SIZE + 100)
 
     def test_compression_saves_bytes(self):
-        sim, a, b, network, ring = rig(max_batch=4, compress=True)
+        sim, a, b, network, ring = rig(compress=True)
         publish_n(sim, a, ring, 4)
         assert ring.net.bytes_saved > 0
         assert ring.net.bytes < FRAME_HEADER_BYTES + 4 * EVENT_SIZE
@@ -304,27 +305,29 @@ class TestReplicationPolicies:
 
 class TestFailover:
     def test_on_promote_reveals_backlog_and_reanchors(self):
-        sim, a, b, network, ring = rig(max_batch=64, coalesce_ps=10**12)
-        done = {}
+        sim, a, b, network, ring = rig()
+        seen = {}
 
         def producer():
             for i in range(3):
                 yield from ring.publish(syscall_event("close", 0, i + 1, 0))
-            # Frames never flushed (huge batch + timer): remote blind.
-            done["remote_blind"] = ring.peek(1) is None
+            # Below a batch and inside the coalescing window: no frame
+            # has left, so the remote follower is blind.
+            seen["remote_blind"] = ring.peek(1) is None
+            ring.on_promote(1, b)
+            # vid 1 now produces from machine b; backlog fully visible.
+            seen["remote_after"] = ring.peek(1) is not None
         a.spawn(producer(), name="producer")
         sim.run()
-        assert done["remote_blind"]
-        ring.on_promote(1, b)
-        # vid 1 now produces from machine b; backlog fully visible.
+        assert seen == {"remote_blind": True, "remote_after": True}
         assert ring.producer_machine is b
-        assert ring.peek(1) is not None
+        assert ring.net.frames == 0
         # vid 2 (machine a) became remote relative to the new leader.
         assert 2 in ring._remote and 1 not in ring._remote
         assert ring._visible[2] == ring.head
 
     def test_promote_resets_flow_control_to_live_cursors(self):
-        sim, a, b, network, ring = rig(max_batch=1)
+        sim, a, b, network, ring = rig(capacity=3)
         publish_n(sim, a, ring, 3)
         ring.advance(1)
         ring.on_promote(1, b)
@@ -340,42 +343,32 @@ class TestMetrics:
             "net.payload_elided", "net.bytes_saved"}
         assert all(value == 0 for value in stats.as_dict().values())
 
-    def test_drain_carries_per_world_net_counters(self):
-        # NetStats is scoped per World: drain() sums the worlds of the
-        # sessions registered since start_collection(), so a ring built
-        # on another world (or a leftover from a previous point) cannot
-        # bleed into this point's snapshot.
-        from repro.core import VersionSpec
+    def test_drain_sums_the_sessions_rings_only(self):
+        # Two remote-placed sessions share one World; a bare NetRing
+        # built outside any session ships frames too but registers
+        # nothing, so drain() must not see it.
         from repro.obs import metrics as obs_metrics
-        from repro.world import World
-
-        def main(ctx):
-            yield from ctx.compute(1_000)
-            return 0
 
         obs_metrics.start_collection()
         world = World(machine_names=("server", "client", "replica1"))
-        session = world.nvx(
-            [VersionSpec("a", main), VersionSpec("b", main)],
-            config=SessionConfig(placement={1: "replica1"})).start()
+        sessions = [
+            world.nvx([VersionSpec("a", tiny_main),
+                       VersionSpec("b", tiny_main)],
+                      config=SessionConfig(placement={1: "replica1"},
+                                           replicate=replicate)).start()
+            for replicate in ("full", REPLICATE_SELECTIVE)]
         world.run()
+        sim, a, b, network, bare = rig(capacity=4)
+        publish_n(sim, a, bare, 2)
+        assert bare.net.frames > 0
         counters = obs_metrics.drain()["counters"]
-        assert counters["net.frames"] == world.net_stats.frames > 0
-        assert counters["net.bytes"] == world.net_stats.bytes > 0
-        assert session.root_tuple.ring.world_net is world.net_stats
-
-    def test_world_net_counters_do_not_bleed_across_sessions(self):
-        # A second, unrelated world's traffic must not show up in a
-        # point that only registered the first world's session.
-        sim, a, b, network, ring = rig(max_batch=2)
-        publish_n(sim, a, ring, 2)
-        assert ring.world_net.frames == ring.net.frames > 0
-
-        from repro.obs import metrics as obs_metrics
-        obs_metrics.start_collection()
-        counters = obs_metrics.drain()["counters"]
-        assert counters["net.frames"] == 0
-        assert counters["net.bytes"] == 0
+        expected = NetStats().as_dict()
+        for session in sessions:
+            for tuple_ in session.tuples:
+                for name, value in tuple_.ring.net.as_dict().items():
+                    expected[name] += value
+        assert {name: counters[name] for name in expected} == expected
+        assert expected["net.frames"] > 0 and expected["net.acks"] > 0
 
     def test_drain_net_keys_always_present(self):
         from repro.obs import metrics as obs_metrics
@@ -388,9 +381,6 @@ class TestMetrics:
 
 class TestWorldFacade:
     def test_config_placement_runs_a_follower_remotely(self):
-        from repro.world import World
-        from repro.core import VersionSpec
-
         def main(ctx):
             fd = yield from ctx.open("/tmp/f")
             data = yield from ctx.read(fd, 8)
@@ -412,19 +402,12 @@ class TestWorldFacade:
             assert thread.result == b"x" * 8
 
     def test_config_transport_selects_policy(self):
-        from repro.world import World
-        from repro.core import VersionSpec
-
-        def main(ctx):
-            yield from ctx.getuid()
-            return True
-
         world = World(machine_names=("server", "client", "replica1"))
         session = world.nvx(
-            [VersionSpec("a", main), VersionSpec("b", main)],
-            config=SessionConfig(
-                placement={1: "replica1"},
-                transport=net_transport(replicate=REPLICATE_SELECTIVE))
-        ).start()
+            [VersionSpec("a", tiny_main), VersionSpec("b", tiny_main)],
+            config=SessionConfig(placement={1: "replica1"},
+                                 replicate=REPLICATE_SELECTIVE,
+                                 compress=True)).start()
         world.run()
-        assert session.root_tuple.ring.replicate == REPLICATE_SELECTIVE
+        ring = session.root_tuple.ring
+        assert (ring.replicate, ring.compress) == (REPLICATE_SELECTIVE, True)
