@@ -166,6 +166,8 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
         # The BITFLIP fault kind: no chaos or fuzz campaign draws it.
         "repro/faults/injector.py:FaultInjector._bitflip",
         "repro/isa/memory.py:AddressSpace.bitflip",
+        # Ring damage in a replay session: no campaign injects there.
+        "repro/core/config.py:Session.report_ring_fault",
     ],
     "int0": [
         "repro/rewriter/entrypoint.py:make_int0_handler.<locals>.handler",

@@ -14,15 +14,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.bpf.rules import RewriteRules
-from repro.core.config import (
-    SessionConfig,
-    resolve_placement,
-    resolve_session_config,
-)
+from repro.core.config import Session, SessionConfig
 from repro.core.datachannel import DataChannel
 from repro.core.events import EV_EXIT
 from repro.core.monitor import PROMOTED, ReplicaMonitor, RingTuple
-from repro.core.netring import REPLICATE_FULL, NetRing
+from repro.core.netring import NetRing
 from repro.core.ringbuffer import RingBuffer
 from repro.core.shm import SharedMemoryPool
 from repro.core.tables import install_tables
@@ -95,78 +91,86 @@ class SessionStats:
     promotion_latencies_ps: List[int] = field(default_factory=list)
 
 
-class NvxSession:
+def count_rings(session, reg: obs_metrics.MetricsRegistry) -> None:
+    """The ``count`` of the kinds that stream events through rings
+    (NvxSession, ReplaySession): their stats and every tuple's ring."""
+    stats = session.stats
+    reg.inc("session.divergences", stats.divergences)
+    reg.inc("session.divergences_allowed", stats.divergences_allowed)
+    reg.inc("session.divergences_skipped", stats.divergences_skipped)
+    reg.inc("session.events_skipped", stats.events_skipped)
+    reg.inc("session.promotions", stats.promotions)
+    reg.inc("session.crashes", len(stats.crashes))
+    reg.inc("session.fatal_divergences", len(stats.fatal_divergences))
+    reg.inc("session.ring_faults", len(stats.ring_faults))
+    reg.gauge_max("session.setup_ns", stats.setup_ps // 1000)
+    for latency_ps in stats.promotion_latencies_ps:
+        reg.observe("failover.promotion_latency_ns", latency_ps // 1000)
+    for tuple_ in session.tuples:
+        ring = tuple_.ring
+        rs = ring.stats
+        reg.inc("ring.published", rs.published)
+        reg.inc("ring.consumed", rs.consumed)
+        reg.inc("ring.producer_stalls", rs.producer_stalls)
+        reg.inc("ring.stall_ns", rs.stall_ps // 1000)
+        reg.inc("ring.waitlock_sleeps", rs.waitlock_sleeps)
+        reg.inc("ring.spin_waits", rs.spin_waits)
+        reg.gauge_max("ring.occupancy", ring.head - ring.min_cursor())
+        for distance in rs.distance_samples:
+            reg.observe("ring.occupancy_at_publish", distance)
+        for vid in ring.cursors:
+            reg.observe("follower.lag_events", ring.lag_of(vid))
+        for vid, replica in tuple_.replicas.items():
+            role = "leader" if replica.is_leader else "follower"
+            reg.observe(f"{role}.wait_ns", replica.wait_ps // 1000)
+        if isinstance(ring, NetRing):
+            for name, value in ring.net.as_dict().items():
+                reg.inc(name, value)
+
+
+class NvxSession(Session):
     """One Varan NVX group: N versions behaving as a single process.
 
     Options arrive through a shared :class:`SessionConfig`.
     """
 
+    checks_invariants = True
+    #: Replay-phase sessions synthesise descriptors locally instead of
+    #: collecting them from a data channel.
+    replay_mode = False
+
     def __init__(self, world, specs: List[VersionSpec],
                  config: Optional[SessionConfig] = None) -> None:
-        if not specs:
-            raise NvxError("session needs at least one version")
-        cfg = resolve_session_config("NvxSession", config)
-        self.world = world
-        self.costs = world.costs
-        self.machine = cfg.machine or world.server
+        super().__init__(world, specs, config)
+        cfg = self.config
         self.rules = cfg.rules or RewriteRules()
         self.ring_capacity = cfg.ring_capacity
-        self.daemon = cfg.daemon
-        self.sample_distances = cfg.sample_distances
         #: The world's tracer (usually None: zero-cost hot-path no-ops).
         self.tracer = world.tracer
         self.pool = SharedMemoryPool(world.sim, world.costs)
         self.stats = SessionStats()
-        #: NVX conformance oracle (always on unless invariants=False):
-        #: observes every ring publish/consume and asserts the contract.
-        self.invariants = None
-        if cfg.invariants is not False:
-            if cfg.invariants is None:
-                from repro.faults.invariants import InvariantChecker
-                self.invariants = InvariantChecker()
-            else:
-                self.invariants = cfg.invariants
-            self.invariants.attach_session(self)
+        #: The conformance oracle observes every ring publish/consume
+        #: and failover, and asserts the contract.
+        self.invariants.attach_session(self)
         #: Scheduled fault injection, armed at start().
         self.injector = None
         if cfg.fault_plan is not None:
             from repro.faults.injector import FaultInjector
             self.injector = FaultInjector(self, cfg.fault_plan)
-        #: Per-variant machine from the placement map; variants not
-        #: named stay on the session machine (the single-host default).
-        machines = resolve_placement(cfg.placement, specs, world,
-                                     self.machine)
-        self.variants = [Variant(i, spec, machines[i])
+        self.variants = [Variant(i, spec, self.placement[i])
                          for i, spec in enumerate(specs)]
         self.variants[0].is_leader = True
         #: Machines declared dead by whole-machine fault injection;
         #: leader election avoids them.
         self.dead_machines: set = set()
-        #: A follower on another machine makes every tuple's ring a
-        #: NetRing with the config's dMVX policy; otherwise it is the
-        #: shared-memory RingBuffer.
-        self.distributed = any(m is not machines[0] for m in machines)
-        if not self.distributed and (cfg.replicate != REPLICATE_FULL
-                                     or cfg.compress):
-            raise NvxError(
-                f"SessionConfig(replicate={cfg.replicate!r}, "
-                f"compress={cfg.compress!r}) needs a follower placed on "
-                f"another machine")
-        self.replicate = cfg.replicate
-        self.compress = cfg.compress
         self.tuples: List[RingTuple] = []
         self._next_tuple_id = 0
         self.control = WaitQueue(world.sim, name="varan.control")
         self._pending: Deque = deque()
-        obs_metrics.register(self)
-        self.ready = False
         self.coordinator = None
         #: Callables invoked with each newly created RingTuple — used by
         #: auxiliary clients such as the record-phase follower (§5.4).
         self.tuple_hooks: List[Callable] = []
-        #: Replay-phase sessions synthesise descriptors locally instead
-        #: of collecting them from a data channel.
-        self.replay_mode = False
 
     # -- public API -----------------------------------------------------------
 
@@ -238,9 +242,7 @@ class NvxSession:
 
         root = self.new_tuple()
         for variant in self.variants:
-            task = self.world.kernel.spawn_task(
-                variant.machine, self._wrap_main(variant),
-                name=variant.name, daemon=self.daemon)
+            task = self.spawn(variant.vid, self._wrap_main(variant))
             variant.tasks.append(task)
             self._bind(variant, task, root)
 
@@ -312,20 +314,23 @@ class NvxSession:
                           else self.machine)
         network = self.world.network
         name = f"ring{self._next_tuple_id}"
+        cfg = self.config
+        # A distributed session streams over a NetRing with the config's
+        # dMVX policy, a single-host one over the shared-memory ring.
         if self.distributed:
             ring = NetRing(
                 self.world.sim, self.costs, network, leader_machine,
                 {v.vid: v.machine for v in self.variants},
                 capacity=self.ring_capacity, name=name, tracer=self.tracer,
-                compress=self.compress, replicate=self.replicate)
+                compress=cfg.compress, replicate=cfg.replicate)
         else:
             ring = RingBuffer(self.world.sim, self.costs,
                               capacity=self.ring_capacity, name=name,
                               tracer=self.tracer)
-        ring.sample_distances = self.sample_distances
+        ring.sample_distances = cfg.sample_distances
         # Session rings always run with slot integrity checks so injected
-        # corruption surfaces diagnostically; the conformance oracle (if
-        # enabled) rides the same per-ring observer hook.
+        # corruption surfaces diagnostically; the conformance oracle
+        # rides the same per-ring observer hook.
         ring.integrity = True
         ring.observer = self.invariants
         channels = {}
@@ -479,51 +484,8 @@ class NvxSession:
 
     # -- observability ------------------------------------------------------
 
-    def metrics_snapshot(self) -> Dict:
-        """Session metrics as a mergeable registry snapshot (``repro.obs``).
-
-        Everything derives from sim-side counters, so snapshots of the
-        same run are identical no matter when or where they are taken.
-        """
-        reg = obs_metrics.MetricsRegistry()
-        stats = self.stats
-        reg.inc("session.divergences", stats.divergences)
-        reg.inc("session.divergences_allowed", stats.divergences_allowed)
-        reg.inc("session.divergences_skipped", stats.divergences_skipped)
-        reg.inc("session.events_skipped", stats.events_skipped)
-        reg.inc("session.promotions", stats.promotions)
-        reg.inc("session.crashes", len(stats.crashes))
-        reg.inc("session.fatal_divergences", len(stats.fatal_divergences))
-        reg.inc("session.ring_faults", len(stats.ring_faults))
-        if self.invariants is not None:
-            reg.inc("invariant.checks",
-                    self.invariants.events_checked
-                    + self.invariants.consumes_checked)
-            reg.inc("invariant.violations", len(self.invariants.violations))
-        reg.gauge_max("session.setup_ns", stats.setup_ps // 1000)
-        for latency_ps in stats.promotion_latencies_ps:
-            reg.observe("failover.promotion_latency_ns", latency_ps // 1000)
-        for tuple_ in self.tuples:
-            ring = tuple_.ring
-            rs = ring.stats
-            reg.inc("ring.published", rs.published)
-            reg.inc("ring.consumed", rs.consumed)
-            reg.inc("ring.producer_stalls", rs.producer_stalls)
-            reg.inc("ring.stall_ns", rs.stall_ps // 1000)
-            reg.inc("ring.waitlock_sleeps", rs.waitlock_sleeps)
-            reg.inc("ring.spin_waits", rs.spin_waits)
-            reg.gauge_max("ring.occupancy", ring.head - ring.min_cursor())
-            for distance in rs.distance_samples:
-                reg.observe("ring.occupancy_at_publish", distance)
-            for vid in ring.cursors:
-                reg.observe("follower.lag_events", ring.lag_of(vid))
-            for vid, replica in tuple_.replicas.items():
-                role = "leader" if replica.is_leader else "follower"
-                reg.observe(f"{role}.wait_ns", replica.wait_ps // 1000)
-            if self.distributed:
-                for name, value in ring.net.as_dict().items():
-                    reg.inc(name, value)
-        return reg.snapshot()
+    #: Metrics: the session's stats and every tuple's ring.
+    count = count_rings
 
     def await_promotion_complete(self, task):
         """Generator: lazily finish promoting *this* task to leader.
@@ -540,3 +502,4 @@ class NvxSession:
         monitor.ring.remove_consumer(monitor.vid)
         install_tables(monitor)
         task.gate._varan_role = "leader"
+

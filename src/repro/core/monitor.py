@@ -75,9 +75,8 @@ class ReplicaMonitor:
         #: table, never the variant id or the tuple's ring).
         self.vid: int = variant.vid
         self.ring = tuple_.ring
-        #: Session-level tracer (None when observability is off).  Uses
-        #: getattr because replay-only sessions duck-type this interface.
-        self.tracer = getattr(session, "tracer", None)
+        #: Session-level tracer (None when observability is off).
+        self.tracer = session.tracer
         self.clock = 0  # Lamport clock, shared by the task's threads
         #: Virtual time this replica spent *waiting* (for events, for
         #: ring space) as opposed to processing — lets measurements
@@ -159,16 +158,6 @@ class ReplicaMonitor:
     # Follower side
     # =========================================================================
 
-    def _report_ring_fault(self, exc: NvxError) -> None:
-        """Route an integrity failure this consumer observed (injected
-        slot corruption, a torn write) to the session: the coordinator
-        drops this replica, which also releases any producer
-        backpressure its dead cursor was holding.  The caller re-raises
-        so the replica thread dies with the diagnostic."""
-        report = getattr(self.session, "report_ring_fault", None)
-        if report is not None:
-            report(self, exc)
-
     def published_ready(self) -> bool:
         """Wake predicate of a consumer parked on an empty ring.
 
@@ -194,8 +183,8 @@ class ReplicaMonitor:
         while True:
             try:
                 event = self.ring.peek(self.vid)
-            except NvxError as exc:
-                self._report_ring_fault(exc)
+            except NvxError as exc:  # ring damage: the session drops us
+                self.session.report_ring_fault(self, exc)
                 raise
             if event is None:
                 # Drained. If we were promoted meanwhile, the backlog of
@@ -252,7 +241,7 @@ class ReplicaMonitor:
         try:
             self.ring.advance(self.vid)
         except NvxError as exc:  # torn-write seal mismatch
-            self._report_ring_fault(exc)
+            self.session.report_ring_fault(self, exc)
             raise
         return data
 

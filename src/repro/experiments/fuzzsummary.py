@@ -39,7 +39,7 @@ def run(config=None, seed: int = 1, budget: int = 6) -> ExperimentResult:
         "metric": "novel journal entries", "value": len(journal.entries),
     })
     result.rows.append({
-        "metric": "duplicate findings", "value": journal.duplicates,
+        "metric": "duplicate findings", "value": journal.stats.duplicates,
     })
     result.rows.append({
         "metric": "distinct divergence classes",

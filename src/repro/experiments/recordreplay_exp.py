@@ -105,7 +105,7 @@ def triage_crash(scale: float = 0.01):
         for rev in REVISIONS
     ]
     replay = ReplaySession(replay_world, candidates, recorder.log_bytes,
-                           daemon=True)
+                           config=SessionConfig(daemon=True))
     replay.start()
     replay_world.run()
     return {

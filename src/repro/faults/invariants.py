@@ -18,8 +18,8 @@ asserts the contract Varan's robustness claims rest on:
 
 The checker is pure observation: it charges no virtual time and draws no
 randomness, so enabling it cannot change any simulated result — which is
-why sessions keep it on by default (``SessionConfig(invariants=False)``
-opts out).  Violations are recorded, counted process-wide (so sweep
+why every NvxSession and LockstepSession runs one (its own, or a
+checker shared through ``SessionConfig.invariants``).  Violations are recorded, counted process-wide (so sweep
 runners can fail loudly), and emitted as tracer instants when a tracer
 is armed.
 """

@@ -82,7 +82,6 @@ class Journal:
     seed: int
     budget: int
     entries: List[JournalEntry] = field(default_factory=list)
-    duplicates: int = 0
     stats: FuzzStats = field(default_factory=FuzzStats)
     _seen: Set[str] = field(default_factory=set)
 
@@ -96,7 +95,6 @@ class Journal:
         """Record a finding; returns True when it is novel."""
         digest = _digest(kind, detail)
         if digest in self._seen:
-            self.duplicates += 1
             self.stats.duplicates += 1
             return False
         self._seen.add(digest)
@@ -123,6 +121,6 @@ class Journal:
         summary = " ".join(f"{kind}={counts[kind]}" for kind in KINDS)
         lines.append(f"classes: {summary}")
         lines.append(f"total: {len(self.entries)} novel entries, "
-                     f"{self.duplicates} duplicates, "
+                     f"{self.stats.duplicates} duplicates, "
                      f"{len(self.kinds())} distinct classes")
         return "\n".join(lines) + "\n"

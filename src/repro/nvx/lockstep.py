@@ -26,16 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.config import (
-    SessionConfig,
-    resolve_placement,
-    resolve_session_config,
-)
-from repro.costmodel import CostModel, cycles
+from repro.core.config import Session, SessionConfig
+from repro.costmodel import cycles
 from repro.errors import DivergenceError, NvxError
 from repro.kernel.task import VDSO_CALLS
 from repro.kernel.uapi import Syscall, SysResult
-from repro.obs import metrics as obs_metrics
 from repro.sim.core import Compute
 from repro.sim.sync import Barrier, Mutex
 
@@ -66,37 +61,31 @@ TACHYON_PROFILE = MonitorProfile(name="tachyon", bookkeeping=450,
                                  copy_factor=1.1)
 
 
-class LockstepSession:
+class LockstepSession(Session):
     """Run N versions under a ptrace-style centralized lockstep monitor.
 
     The public surface deliberately mirrors
     :class:`repro.core.coordinator.NvxSession` so experiments can swap
-    monitors with one argument.
+    monitors with one argument.  Its invariant checker sees every
+    barrier rendezvous, so mixed-syscall rounds are caught even when
+    the monitor's own divergence handling would tolerate them.
     """
+
+    checks_invariants = True
+    task_prefix = "ls"
 
     def __init__(self, world, specs: List,
                  config: Optional[SessionConfig] = None,
                  profile: MonitorProfile = MX_PROFILE) -> None:
-        if not specs:
-            raise NvxError("lockstep session needs at least one version")
-        cfg = resolve_session_config("LockstepSession", config)
-        self.world = world
-        self.costs: CostModel = world.costs
-        self.machine = cfg.machine or world.server
+        super().__init__(world, specs, config)
         self.profile = profile
-        self.daemon = cfg.daemon
-        self.specs = specs
-        #: Per-version machine (``placement=`` in the config); versions
-        #: off the monitor's machine pay a network round trip per ptrace
-        #: stop — the classical architecture distributes *terribly*,
-        #: which is part of the point of measuring it.
-        self.placement = resolve_placement(cfg.placement, specs, world,
-                                           self.machine)
+        #: Versions off the monitor's machine pay a network round trip
+        #: per ptrace stop — the classical architecture distributes
+        #: *terribly*, which is part of the point of measuring it.
         self._remote_stop_ps = [
             (2 * world.costs.network.latency_ps
              if machine is not self.machine else 0)
             for machine in self.placement]
-        self.tasks: List = []
         #: The centralized monitor: a mutex every stop must pass through.
         self.monitor_lock = Mutex(world.sim)
         self.barrier = Barrier(world.sim, parties=len(specs))
@@ -105,37 +94,17 @@ class LockstepSession:
         self.stats_stops = 0
         self.stats_syscalls = 0
         self.divergence: Optional[str] = None
-        self.ready = False
-        #: NVX conformance oracle: every barrier rendezvous is reported
-        #: so mixed-syscall rounds are caught even when the monitor's own
-        #: divergence handling would tolerate them.
-        self.invariants = None
-        if cfg.invariants is not False:
-            if cfg.invariants is None:
-                from repro.faults.invariants import InvariantChecker
-                self.invariants = InvariantChecker()
-            else:
-                self.invariants = cfg.invariants
         # Per-stop hot path: the ptrace mechanics and the profile's
         # bookkeeping are constants — price them once.
         self._stop_overhead = (self.costs.ptrace.stop_cost()
                                + profile.bookkeeping)
         self._copy_factor = profile.copy_factor
-        obs_metrics.register(self)
 
     # -- setup -------------------------------------------------------------
 
     def start(self) -> "LockstepSession":
-        for index, spec in enumerate(self.specs):
-            task = self.world.kernel.spawn_task(
-                self.placement[index], spec.main,
-                name=f"ls{index}:{spec.name}", daemon=self.daemon)
-            self.tasks.append(task)
-            gate = task.gate
-            gate.intercepting = False  # no rewriting: ptrace pre-dispatch
-            gate.pre_dispatch = None
-            gate.table = None
-            self._install(task, index)
+        for index in range(len(self.specs)):
+            self._install(self.spawn(index), index)
         self.ready = True
         return self
 
@@ -234,15 +203,9 @@ class LockstepSession:
             raise NvxError("lockstep: executing version produced no result")
         return result
 
-
     # -- observability ------------------------------------------------------
 
-    def metrics_snapshot(self) -> Dict:
-        reg = obs_metrics.MetricsRegistry()
+    def count(self, reg) -> None:
         reg.inc("lockstep.stops", self.stats_stops)
         reg.inc("lockstep.syscalls", self.stats_syscalls)
         reg.inc("lockstep.divergences", 0 if self.divergence is None else 1)
-        if self.invariants is not None:
-            reg.inc("invariant.checks", self.invariants.lockstep_rounds)
-            reg.inc("invariant.violations", len(self.invariants.violations))
-        return reg.snapshot()

@@ -8,50 +8,27 @@ Used as the comparison point for Varan's record-replay clients.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.core.config import (
-    SessionConfig,
-    resolve_placement,
-    resolve_session_config,
-)
-from repro.costmodel import CostModel, cycles
-from repro.errors import NvxError
+from repro.core.config import Session
+from repro.costmodel import cycles
 from repro.kernel.uapi import Syscall
-from repro.obs import metrics as obs_metrics
 from repro.sim.core import Compute
 
 
-class ScribeSession:
-    """Run versions with Scribe-style kernel recording enabled."""
+class ScribeSession(Session):
+    """Run versions with Scribe-style kernel recording enabled.
 
-    def __init__(self, world, specs: List,
-                 config: Optional[SessionConfig] = None) -> None:
-        if not specs:
-            raise NvxError("scribe session needs at least one version")
-        cfg = resolve_session_config("ScribeSession", config)
-        self.world = world
-        self.costs: CostModel = world.costs
-        self.machine = cfg.machine or world.server
-        self.daemon = cfg.daemon
-        self.specs = specs
-        #: Per-version machine (``placement=``): Scribe records inside
-        #: each machine's kernel, so distribution adds no stop cost.
-        self.placement = resolve_placement(cfg.placement, specs, world,
-                                           self.machine)
-        self.tasks: List = []
-        self.events_recorded = 0
-        self.bytes_recorded = 0
-        self.ready = False
-        obs_metrics.register(self)
+    Scribe records inside each machine's kernel, so placing versions on
+    other machines adds no stop cost.
+    """
+
+    task_prefix = "scribe"
+    #: Log counters; the first recorded event makes them per-session.
+    events_recorded = 0
+    bytes_recorded = 0
 
     def start(self) -> "ScribeSession":
-        for index, spec in enumerate(self.specs):
-            task = self.world.kernel.spawn_task(
-                self.placement[index], spec.main,
-                name=f"scribe{index}:{spec.name}", daemon=self.daemon)
-            self.tasks.append(task)
-            self._install(task)
+        for index in range(len(self.specs)):
+            self._install(self.spawn(index))
         self.ready = True
         return self
 
@@ -76,8 +53,6 @@ class ScribeSession:
 
     # -- observability ------------------------------------------------------
 
-    def metrics_snapshot(self) -> Dict:
-        reg = obs_metrics.MetricsRegistry()
+    def count(self, reg) -> None:
         reg.inc("scribe.events_recorded", self.events_recorded)
         reg.inc("scribe.bytes_recorded", self.bytes_recorded)
-        return reg.snapshot()

@@ -12,66 +12,77 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.bpf.rules import RewriteRules
-from repro.core.coordinator import SessionStats, Variant, VersionSpec
+from repro.core.config import Session, SessionConfig
+from repro.core.coordinator import (
+    SessionStats,
+    Variant,
+    VersionSpec,
+    count_rings,
+)
 from repro.core.events import Event
 from repro.core.monitor import ReplicaMonitor, RingTuple
 from repro.core.ringbuffer import RingBuffer
 from repro.core.shm import SharedMemoryPool
 from repro.core.tables import install_tables
 from repro.costmodel import cycles
-from repro.errors import NvxError, RecordReplayError
+from repro.errors import RecordReplayError
 from repro.recordreplay.logfile import decode_records
 from repro.sim.core import Compute
 
 
-class ReplaySession:
+class ReplaySession(Session):
     """Replay a recorded log against N candidate versions.
 
-    Duck-types the parts of :class:`~repro.core.coordinator.NvxSession`
-    the follower machinery relies on.  Single-process logs only: a FORK
-    event in the log is a replay error.
+    Provides the parts of :class:`~repro.core.coordinator.NvxSession`
+    the follower machinery relies on; options arrive through a shared
+    :class:`SessionConfig` (``rules``, ``ring_capacity``, ``daemon``,
+    ``placement``).  Single-process logs only: a FORK event in the log
+    is a replay error.
     """
 
+    #: Followers synthesise descriptors locally instead of collecting
+    #: them from a data channel.
+    replay_mode = True
+    #: Metrics: NvxSession's session and ring counters.
+    count = count_rings
+
     def __init__(self, world, specs: List[VersionSpec], log_bytes: bytes,
-                 machine=None, rules: Optional[RewriteRules] = None,
-                 ring_capacity: int = 256, daemon: bool = False) -> None:
-        if not specs:
-            raise NvxError("replay needs at least one version")
-        self.world = world
-        self.costs = world.costs
-        self.machine = machine or world.server
-        self.rules = rules or RewriteRules()
+                 config: Optional[SessionConfig] = None) -> None:
+        super().__init__(world, specs, config)
+        self.rules = self.config.rules or RewriteRules()
         self.pool = SharedMemoryPool(world.sim, world.costs)
         self.stats = SessionStats()
-        self.replay_mode = True
-        self.daemon = daemon
         self.records = list(decode_records(log_bytes))
-        self.variants = [Variant(i, spec, self.machine)
+        self.variants = [Variant(i, spec, self.placement[i])
                          for i, spec in enumerate(specs)]
-        ring = RingBuffer(world.sim, world.costs, capacity=ring_capacity,
+        ring = RingBuffer(world.sim, world.costs,
+                          capacity=self.config.ring_capacity,
                           name="replay-ring")
         self.tuples = [RingTuple(0, ring, channels={})]
         self.events_replayed = 0
-        self.crashed: List[str] = []
 
     @property
     def root_tuple(self) -> RingTuple:
         return self.tuples[0]
+
+    @property
+    def crashed(self) -> List[str]:
+        """Names of the versions that crashed, in crash order."""
+        return [name for name, _fault, _ps in self.stats.crashes]
 
     def start(self) -> "ReplaySession":
         ring = self.root_tuple.ring
         for variant in self.variants:
             ring.add_consumer(variant.vid)
         for variant in self.variants:
-            task = self.world.kernel.spawn_task(
-                self.machine, variant.spec.main, name=variant.name,
-                daemon=self.daemon)
+            task = self.spawn(variant.vid)
             variant.tasks.append(task)
             monitor = ReplicaMonitor(self, variant, task, self.root_tuple)
             install_tables(monitor)
             task.segv_hook = self._crash_hook(variant)
         self.machine.spawn(self._publisher(), name="varan.replay-leader",
                            daemon=True)
+        self.ready = True
         return self
 
     # -- the artificial leader ------------------------------------------------
@@ -96,7 +107,7 @@ class ReplaySession:
             yield from ring.publish(fresh)
             self.events_replayed += 1
 
-    # -- NvxSession duck-typing -------------------------------------------------
+    # -- replica failures ---------------------------------------------------
 
     def report_divergence(self, monitor, call, event) -> None:
         self.stats.fatal_divergences.append(
@@ -106,7 +117,6 @@ class ReplaySession:
 
     def _crash_hook(self, variant: Variant):
         def hook(task, fault):
-            self.crashed.append(variant.name)
             self.stats.crashes.append(
                 (variant.name, str(fault), self.world.sim.now))
             variant.alive = False

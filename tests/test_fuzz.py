@@ -43,7 +43,7 @@ class TestJournal:
         assert journal.record("crash", "same detail", 5) is False
         assert journal.record("divergence", "same detail", 5) is True
         assert len(journal.entries) == 2
-        assert journal.duplicates == 1
+        assert journal.stats.duplicates == 1
 
     def test_render_is_stable_and_fixed_shape(self):
         journal = Journal(seed=9, budget=3)
