@@ -183,18 +183,15 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
     ],
     "mechanism": [
         *[_KERNEL + name for name in (
-            "accept4", "arch_prctl", "brk", "chdir", "clock_nanosleep",
-            "exit", "exit_group", "futex", "getcpu", "getcwd", "getdents",
-            "getrlimit", "getrusage", "kill", "lstat", "madvise", "mmap",
-            "mprotect", "munmap", "poll", "prctl", "recvmsg",
-            "rt_sigaction", "rt_sigprocmask", "sched_getaffinity",
-            "sched_setaffinity", "sched_yield", "select",
+            "accept4", "arch_prctl", "brk", "chdir", "exit", "exit_group",
+            "futex", "getcpu", "getcwd", "getdents", "getrlimit",
+            "getrusage", "kill", "madvise", "mmap", "mprotect", "munmap",
+            "poll", "prctl", "rt_sigaction", "rt_sigprocmask",
+            "sched_getaffinity", "sched_setaffinity", "sched_yield",
             "set_robust_list", "set_tid_address", "setrlimit",
             "sigaltstack", "umask", "uname")],
         _TABLES + "follower_table.<locals>.follower_exit",
-        _TABLES + "follower_table.<locals>.local",
         _TABLES + "leader_table.<locals>.leader_exit",
-        _TABLES + "leader_table.<locals>.local",
     ],
     "recovery": [
         "repro/core/monitor.py:ReplicaMonitor._regenerate_fds",

@@ -20,7 +20,6 @@ class ServerStats:
 
     requests: int = 0
     connections: int = 0
-    bytes_in: int = 0
     bytes_out: int = 0
     errors: int = 0
 
@@ -44,14 +43,13 @@ class EpollServer:
 
     def __init__(self, ctx, port: int, handle_request,
                  parse_request, stats: Optional[ServerStats] = None,
-                 accept_burst: int = 16, recv_size: int = 4096,
+                 recv_size: int = 4096,
                  conn_setup_cycles: int = 0) -> None:
         self.ctx = ctx
         self.port = port
         self.handle_request = handle_request
         self.parse_request = parse_request
         self.stats = stats or ServerStats()
-        self.accept_burst = accept_burst
         self.recv_size = recv_size
         #: Per-connection server work (allocating the connection object,
         #: TLS-less handshake bookkeeping, prefork hand-off...) — the
@@ -107,7 +105,6 @@ class EpollServer:
         if not data:
             yield from self._close(epfd, fd)
             return
-        self.stats.bytes_in += len(data)
         conn.buffer += data
         while True:
             request, rest = self.parse_request(conn.buffer)

@@ -96,7 +96,6 @@ def make_memcached(port: int = 11211, stats: ServerStats = None,
                             yield from wctx.close(fd, site="srv_close")
                             buffers.pop(fd, None)
                             continue
-                        stats.bytes_in += len(data)
                         buffers[fd] += data
                         while True:
                             request, rest = parse_line_request(

@@ -85,7 +85,6 @@ def make_nginx(port: int = 8080, stats: ServerStats = None,
                     if not data:
                         yield from _drop(ctx, epfd, fd, conns)
                         continue
-                    stats.bytes_in += len(data)
                     conn.buffer += data
                     while True:
                         request, rest = parse_http_request(conn.buffer)

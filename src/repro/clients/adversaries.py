@@ -30,14 +30,13 @@ run — which is what lets the fuzz journal be byte-identical per seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.clients.base import connect_with_retry, recv_until
 from repro.costmodel import MS_PS, SEC_PS, US_PS
 from repro.kernel.uapi import SysError
 
-__all__ = ["ADVERSARIES", "AdversaryStats", "make_adversaries"]
+__all__ = ["ADVERSARIES", "make_adversaries"]
 
 #: The default mix, in canonical order.
 ADVERSARIES = ("slowloris", "oversize", "truncate", "protocol",
@@ -46,22 +45,6 @@ ADVERSARIES = ("slowloris", "oversize", "truncate", "protocol",
 #: Per-behaviour stream salt (any fixed distinct constants work; these
 #: keep streams independent without hashing strings).
 _SALTS = {name: 0x51AB_0000 + i for i, name in enumerate(ADVERSARIES)}
-
-
-@dataclass
-class AdversaryStats:
-    """What the fleet did to the server (deterministic counters)."""
-
-    connections: int = 0
-    requests_sent: int = 0
-    bytes_sent: int = 0
-    #: Connections torn down mid-request (truncate + storm closes).
-    aborts: int = 0
-    #: Requests the server answered with an error line.
-    rejected: int = 0
-    #: Send/recv attempts that failed at the socket layer (the server
-    #: side vanished — e.g. a crashed leader before failover finished).
-    socket_errors: int = 0
 
 
 def _deadline(ctx, deadline_ps: int) -> bool:
@@ -73,9 +56,8 @@ def _reconnect(ctx, fd, addr):
     return (yield from connect_with_retry(ctx, addr, attempts=50))
 
 
-def _adv_slowloris(ctx, rng, stats, addr, deadline_ps):
+def _adv_slowloris(ctx, rng, addr, deadline_ps):
     fd = yield from connect_with_retry(ctx, addr)
-    stats.connections += 1
     request = b"SET loris:key " + bytes([rng.randrange(97, 123)]) * 8 \
         + b"\r\n"
     while not _deadline(ctx, deadline_ps):
@@ -85,25 +67,19 @@ def _adv_slowloris(ctx, rng, stats, addr, deadline_ps):
             try:
                 yield from ctx.send(fd, request[i:i + 1])
             except SysError:
-                stats.socket_errors += 1
                 fd = yield from _reconnect(ctx, fd, addr)
-                stats.connections += 1
                 break
-            stats.bytes_sent += 1
             yield from ctx.nanosleep(rng.randint(5, 40) * MS_PS)
         else:
-            stats.requests_sent += 1
             try:
                 yield from recv_until(ctx, fd, b"\r\n")
             except SysError:
-                stats.socket_errors += 1
+                pass
     yield from ctx.close(fd)
-    return stats.requests_sent
 
 
-def _adv_oversize(ctx, rng, stats, addr, deadline_ps):
+def _adv_oversize(ctx, rng, addr, deadline_ps):
     fd = yield from connect_with_retry(ctx, addr)
-    stats.connections += 1
     while not _deadline(ctx, deadline_ps):
         size = rng.randint(6_000, 20_000)  # far beyond recv_size=4096
         body = bytes([rng.randrange(97, 123)]) * size
@@ -111,39 +87,28 @@ def _adv_oversize(ctx, rng, stats, addr, deadline_ps):
         try:
             for off in range(0, len(line), 4096):
                 yield from ctx.send(fd, line[off:off + 4096])
-            stats.bytes_sent += len(line)
-            stats.requests_sent += 1
-            response = yield from recv_until(ctx, fd, b"\r\n")
-            if response.startswith(b"-"):
-                stats.rejected += 1
+            yield from recv_until(ctx, fd, b"\r\n")
         except SysError:
-            stats.socket_errors += 1
             fd = yield from _reconnect(ctx, fd, addr)
-            stats.connections += 1
         yield from ctx.nanosleep(rng.randint(2, 20) * MS_PS)
     yield from ctx.close(fd)
-    return stats.requests_sent
 
 
-def _adv_truncate(ctx, rng, stats, addr, deadline_ps):
+def _adv_truncate(ctx, rng, addr, deadline_ps):
     fragments = (b"SET trunc:key val", b"GET trunc", b"HMGET h f1 f",
                  b"LPUSH l", b"PIN")
     while not _deadline(ctx, deadline_ps):
         fd = yield from connect_with_retry(ctx, addr)
-        stats.connections += 1
         fragment = fragments[rng.randrange(len(fragments))]
         try:
             yield from ctx.send(fd, fragment)  # no terminator, ever
-            stats.bytes_sent += len(fragment)
         except SysError:
-            stats.socket_errors += 1
+            pass
         yield from ctx.close(fd)  # tear down mid-request
-        stats.aborts += 1
         yield from ctx.nanosleep(rng.randint(3, 30) * MS_PS)
-    return stats.aborts
 
 
-def _adv_protocol(ctx, rng, stats, addr, deadline_ps):
+def _adv_protocol(ctx, rng, addr, deadline_ps):
     abuse = (b"FROBNICATE a b c\r\n",        # unknown verb
              b"SET onlykey\r\n",             # missing argument
              b"INCR proto:str\r\n",          # type confusion (see SET)
@@ -151,68 +116,47 @@ def _adv_protocol(ctx, rng, stats, addr, deadline_ps):
              b"HMGET missinghash f1 f2\r\n",  # issue-344 crash trigger
              b"GET\r\n")
     fd = yield from connect_with_retry(ctx, addr)
-    stats.connections += 1
     while not _deadline(ctx, deadline_ps):
         line = abuse[rng.randrange(len(abuse))]
         try:
             yield from ctx.send(fd, line)
-            stats.bytes_sent += len(line)
-            stats.requests_sent += 1
             response = yield from recv_until(ctx, fd, b"\r\n")
-            if response.startswith(b"-"):
-                stats.rejected += 1
             if not response:
-                stats.socket_errors += 1
                 fd = yield from _reconnect(ctx, fd, addr)
-                stats.connections += 1
         except SysError:
-            stats.socket_errors += 1
             fd = yield from _reconnect(ctx, fd, addr)
-            stats.connections += 1
         yield from ctx.nanosleep(rng.randint(1, 15) * MS_PS)
     yield from ctx.close(fd)
-    return stats.requests_sent
 
 
-def _adv_flood(ctx, rng, stats, addr, deadline_ps):
+def _adv_flood(ctx, rng, addr, deadline_ps):
     fd = yield from connect_with_retry(ctx, addr)
-    stats.connections += 1
     while not _deadline(ctx, deadline_ps):
         burst = bytes(rng.randrange(33, 127) for _ in range(
             rng.randint(200, 1200)))
         try:
             yield from ctx.send(fd, burst)
-            stats.bytes_sent += len(burst)
-            stats.requests_sent += 1
             # Drain occasionally so the server's writes never wedge the
             # whole accept loop behind one saturated socket.
             if rng.random() < 0.33:
                 yield from ctx.recv(fd, 4096)
         except SysError:
-            stats.socket_errors += 1
             fd = yield from _reconnect(ctx, fd, addr)
-            stats.connections += 1
         yield from ctx.nanosleep(rng.randint(500, 4000) * US_PS)
     yield from ctx.close(fd)
-    return stats.requests_sent
 
 
-def _adv_reconnect(ctx, rng, stats, addr, deadline_ps):
+def _adv_reconnect(ctx, rng, addr, deadline_ps):
     while not _deadline(ctx, deadline_ps):
         fd = yield from connect_with_retry(ctx, addr)
-        stats.connections += 1
         if rng.random() < 0.25:
             try:
                 yield from ctx.send(fd, b"PING\r\n")
-                stats.bytes_sent += 6
-                stats.requests_sent += 1
                 yield from recv_until(ctx, fd, b"\r\n")
             except SysError:
-                stats.socket_errors += 1
+                pass
         yield from ctx.close(fd)
-        stats.aborts += 1
         yield from ctx.nanosleep(rng.randint(200, 2500) * US_PS)
-    return stats.connections
 
 
 _BEHAVIOURS = {
@@ -229,21 +173,17 @@ def make_adversaries(mix: Tuple[str, ...] = ADVERSARIES, seed: int = 0,
                      server: str = "server", port: int = 6379,
                      machine: str = "client",
                      duration_ps: int = SEC_PS
-                     ) -> Tuple[List[Tuple[str, str, object]],
-                                AdversaryStats]:
+                     ) -> List[Tuple[str, str, object]]:
     """Build the byzantine fleet.
 
-    Returns ``(placements, stats)`` where ``placements`` are
-    ``(machine_name, actor_name, main)`` triples ready for
-    :func:`repro.clients.loadgen.spawn_pool`, and ``stats`` aggregates
-    the whole fleet's counters.  One actor per mix entry; repeat a name
-    in ``mix`` to weight it.
+    Returns ``(machine_name, actor_name, main)`` triples ready for
+    :func:`repro.clients.loadgen.spawn_pool`.  One actor per mix entry;
+    repeat a name in ``mix`` to weight it.
     """
     unknown = sorted(set(mix) - set(_BEHAVIOURS))
     if unknown:
         raise ValueError(f"unknown adversaries {unknown}; "
                          f"known: {sorted(_BEHAVIOURS)}")
-    stats = AdversaryStats()
     addr = (server, port)
     placements = []
     for index, name in enumerate(mix):
@@ -255,13 +195,11 @@ def make_adversaries(mix: Tuple[str, ...] = ADVERSARIES, seed: int = 0,
         def main(ctx, _behaviour=behaviour, _rng=rng):
             deadline_ps = ctx.sim.now + duration_ps
             try:
-                return (yield from _behaviour(ctx, _rng, stats, addr,
-                                              deadline_ps))
+                yield from _behaviour(ctx, _rng, addr, deadline_ps)
             except SysError:
                 # The service died for good (every variant gone);
                 # nothing left to torment.
-                stats.socket_errors += 1
-                return -1
+                pass
 
         placements.append((machine, f"adv-{name}-{index}", main))
-    return placements, stats
+    return placements

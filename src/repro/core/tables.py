@@ -67,9 +67,6 @@ def make_leader_table(monitor: ReplicaMonitor):
     kernel = monitor.task.kernel
     session = monitor.session
 
-    def local(task, call):
-        return (yield from kernel.native(task, call))
-
     def _virtualized(call):
         """Map leader pids in pid-bearing arguments to local pids.
 
@@ -132,7 +129,7 @@ def make_leader_table(monitor: ReplicaMonitor):
         yield from monitor.publish_control(EV_EXIT, retval=status)
         raise StopTask(status)
 
-    table: Dict[str, Callable] = {name: local for name in LOCAL_CALLS}
+    table: Dict[str, Callable] = dict.fromkeys(LOCAL_CALLS, kernel.native)
     table["listen"] = leader_listen
     table["fork"] = leader_fork
     table["clone"] = leader_clone
@@ -149,9 +146,6 @@ def make_follower_table(monitor: ReplicaMonitor):
     """Build (table, default_handler) for a follower replica."""
     kernel = monitor.task.kernel
     session = monitor.session
-
-    def local(task, call):
-        return (yield from kernel.native(task, call))
 
     def _redispatch_as_leader(task, call):
         """The -ERESTARTSYS path after promotion (§3.2, §5.1)."""
@@ -257,7 +251,7 @@ def make_follower_table(monitor: ReplicaMonitor):
         yield from monitor.consume(matched)
         raise StopTask(matched.retval)
 
-    table: Dict[str, Callable] = {name: local for name in LOCAL_CALLS}
+    table: Dict[str, Callable] = dict.fromkeys(LOCAL_CALLS, kernel.native)
     table["fork"] = follower_fork
     table["clone"] = follower_clone
     table["exit"] = follower_exit

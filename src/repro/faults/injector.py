@@ -71,7 +71,6 @@ class NetworkFaults:
         self.loss_windows = sorted(loss_windows)
         self._rng = random.Random(seed)
         self.messages_held = 0
-        self.messages_lost = 0
 
     def adjust(self, src_name: str, dst_name: str, now: int,
                arrival: int) -> int:
@@ -85,7 +84,6 @@ class NetworkFaults:
                 arrival = max(arrival, end + transit)
         for start, end in self.loss_windows:
             if start <= now < end and self._rng.random() < LOSS_PROBABILITY:
-                self.messages_lost += 1
                 arrival += RETRANSMIT_PS
         return arrival
 

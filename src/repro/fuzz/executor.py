@@ -185,7 +185,7 @@ def _run_server(revisions: Tuple[str, ...], adversary_mix,
                             name="probe")
     try:
         if adversary_mix:
-            placements, _stats = make_adversaries(
+            placements = make_adversaries(
                 mix=adversary_mix, seed=sub_seed, port=port,
                 duration_ps=SERVER_HORIZON_PS)
             spawn_pool(world, placements)

@@ -102,8 +102,6 @@ class Cpu:
         self.int0_handler: Optional[Callable] = None
         self.vsys_handler: Optional[Callable] = None
         self.vmcall_handler: Optional[Callable] = None
-        #: Scratch slot handlers can use to pass per-site context.
-        self.handler_context = None
 
     # -- register helpers ------------------------------------------------
 

@@ -9,6 +9,7 @@ descriptor locally).
 
 from __future__ import annotations
 
+import inspect
 import struct
 import zlib
 from typing import Callable, Dict, Optional, Tuple
@@ -62,11 +63,10 @@ class Kernel:
         self._next_pid = 100
         #: (machine_name, port) → ListenerSocket
         self.listeners: Dict[Tuple[str, int], ListenerSocket] = {}
-        self.syscall_log_enabled = False
-        self.syscall_log = []
-        #: syscall name → bound ``_sys_<name>`` handler, filled on first
-        #: use (only names that resolve are kept, so it stays bounded).
-        self._handlers: Dict[str, Callable] = {}
+        #: syscall name → (bound ``_sys_<name>`` handler, whether it is a
+        #: generator), filled on first use (only names that resolve are
+        #: kept, so it stays bounded).
+        self._handlers: Dict[str, Tuple[Callable, bool]] = {}
 
     # -- world plumbing ---------------------------------------------------
 
@@ -87,7 +87,7 @@ class Kernel:
         """
         from repro.runtime.context import ProcessContext
 
-        task = Task(self, machine, name, self._next_pid, parent=parent)
+        task = Task(self, machine, name, self._next_pid)
         task.daemon = daemon
         self._next_pid += 1
         self.tasks[task.pid] = task
@@ -116,18 +116,22 @@ class Kernel:
         return (yield from self.execute(task, call))
 
     def execute(self, task: Task, call: Syscall):
-        """Generator: pure semantics; returns a SysResult."""
+        """Generator: pure semantics; returns a SysResult.
+
+        A ``_sys_<name>`` handler returns its SysResult; a handler that
+        can block is a generator, driven here with ``yield from``.
+        """
         try:
-            handler = self._handlers[call.name]
+            handler, blocks = self._handlers[call.name]
         except KeyError:
             handler = getattr(self, f"_sys_{call.name}", None)
             if handler is None:
                 return SysResult(-ENOSYS)
-            self._handlers[call.name] = handler
-        result = yield from handler(task, call)
-        if self.syscall_log_enabled:
-            self.syscall_log.append((task.name, call.name, result.retval))
-        return result
+            blocks = inspect.isgeneratorfunction(handler)
+            self._handlers[call.name] = handler, blocks
+        if blocks:
+            return (yield from handler(task, call))
+        return handler(task, call)
 
     # -- clock -------------------------------------------------------------
 
@@ -151,11 +155,9 @@ class Kernel:
             return SysResult(result)
         fd = task.fdtable.install(result)
         return SysResult(fd, new_fds=(fd,))
-        yield  # pragma: no cover - uniform generator shape
 
     def _sys_close(self, task: Task, call: Syscall):
         return SysResult(task.fdtable.close(call.arg(0)))
-        yield  # pragma: no cover
 
     def _sys_read(self, task: Task, call: Syscall):
         fd, size = call.arg(0), call.arg(1)
@@ -190,7 +192,6 @@ class Kernel:
         if isinstance(description, PipeEnd):
             return SysResult(description.write_bytes(data))
         return SysResult(-EBADF)
-        yield  # pragma: no cover
 
     def _sys_pread(self, task: Task, call: Syscall):
         fd, size, offset = call.arg(0), call.arg(1), call.arg(2)
@@ -199,7 +200,6 @@ class Kernel:
             return SysResult(-EBADF)
         data = description.inode.read_at(offset, size)
         return SysResult(len(data), data=data)
-        yield  # pragma: no cover
 
     def _stat_bytes(self, inode) -> bytes:
         kind = {"file": 0o100000, "dir": 0o040000,
@@ -211,10 +211,8 @@ class Kernel:
         if inode is None:
             return SysResult(-ENOENT)
         return SysResult(0, data=self._stat_bytes(inode))
-        yield  # pragma: no cover
 
-    def _sys_lstat(self, task: Task, call: Syscall):
-        return (yield from self._sys_stat(task, call))
+    _sys_lstat = _sys_stat
 
     def _sys_fstat(self, task: Task, call: Syscall):
         description = task.fdtable.get(call.arg(0))
@@ -223,7 +221,6 @@ class Kernel:
         if isinstance(description, FileDesc):
             return SysResult(0, data=self._stat_bytes(description.inode))
         return SysResult(0, data=struct.pack("<qq", 0o140000, 0))
-        yield  # pragma: no cover
 
     def _sys_fcntl(self, task: Task, call: Syscall):
         from repro.kernel.uapi import F_GETFD, F_GETFL, F_SETFD, F_SETFL
@@ -244,21 +241,17 @@ class Kernel:
                 description.flags = arg
             return SysResult(0)
         return SysResult(-EINVAL)
-        yield  # pragma: no cover
 
     def _sys_getdents(self, task: Task, call: Syscall):
         return SysResult(0, data=b"")
-        yield  # pragma: no cover
 
     def _sys_getcwd(self, task: Task, call: Syscall):
         data = task.cwd.encode()
         return SysResult(len(data), data=data)
-        yield  # pragma: no cover
 
     def _sys_chdir(self, task: Task, call: Syscall):
         task.cwd = call.arg(0)
         return SysResult(0)
-        yield  # pragma: no cover
 
     # =====================================================================
     # Sockets
@@ -270,7 +263,6 @@ class Kernel:
                             flags=flags)
         fd = task.fdtable.install(sock)
         return SysResult(fd, new_fds=(fd,))
-        yield  # pragma: no cover
 
     def _sys_bind(self, task: Task, call: Syscall):
         fd, addr = call.arg(0), call.arg(1)
@@ -284,7 +276,6 @@ class Kernel:
             return SysResult(-EADDRINUSE)
         description.local_addr = (task.machine.name, addr[1])
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_listen(self, task: Task, call: Syscall):
         fd, backlog = call.arg(0), call.arg(1, 128)
@@ -300,7 +291,6 @@ class Kernel:
         task.fdtable.install(listener, at=fd)
         self.listeners[listener.addr] = listener
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_accept(self, task: Task, call: Syscall):
         fd = call.arg(0)
@@ -348,33 +338,17 @@ class Kernel:
         description.poke()  # EPOLLOUT rises on the connecting socket
         return SysResult(0)
 
-    def _sys_send(self, task: Task, call: Syscall):
-        inner = Syscall("write", call.args, data=call.data)
-        return (yield from self._sys_write(task, inner))
-
-    def _sys_sendto(self, task: Task, call: Syscall):
-        return (yield from self._sys_send(task, call))
-
-    def _sys_recv(self, task: Task, call: Syscall):
-        inner = Syscall("read", call.args, nbytes=call.nbytes)
-        return (yield from self._sys_read(task, inner))
-
-    def _sys_recvfrom(self, task: Task, call: Syscall):
-        return (yield from self._sys_recv(task, call))
-
-    def _sys_recvmsg(self, task: Task, call: Syscall):
-        return (yield from self._sys_recv(task, call))
+    _sys_send = _sys_sendto = _sys_write
+    _sys_recv = _sys_recvfrom = _sys_recvmsg = _sys_read
 
     def _sys_setsockopt(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_pipe(self, task: Task, call: Syscall):
         read_end, write_end = PipeEnd.make_pipe(self.sim)
         fd_r = task.fdtable.install(read_end)
         fd_w = task.fdtable.install(write_end)
         return SysResult(0, new_fds=(fd_r, fd_w), aux=(fd_r, fd_w))
-        yield  # pragma: no cover
 
     # =====================================================================
     # epoll / poll
@@ -384,7 +358,6 @@ class Kernel:
         epoll = Epoll(self.sim)
         fd = task.fdtable.install(epoll)
         return SysResult(fd, new_fds=(fd,))
-        yield  # pragma: no cover
 
     def _sys_epoll_ctl(self, task: Task, call: Syscall):
         epfd, op, fd, events = (call.arg(0), call.arg(1), call.arg(2),
@@ -396,7 +369,6 @@ class Kernel:
         if target is None:
             return SysResult(-EBADF)
         return SysResult(epoll.ctl(op, fd, target, events))
-        yield  # pragma: no cover
 
     def _sys_epoll_wait(self, task: Task, call: Syscall):
         epfd, max_events = call.arg(0), call.arg(1, 64)
@@ -425,8 +397,7 @@ class Kernel:
             yield from waiters.wait()
         return SysResult(1)
 
-    def _sys_select(self, task: Task, call: Syscall):
-        return (yield from self._sys_poll(task, call))
+    _sys_select = _sys_poll
 
     # =====================================================================
     # Processes, threads, signals
@@ -439,14 +410,13 @@ class Kernel:
             return SysResult(-EINVAL)
         child = self._fork_task(task, child_main)
         return SysResult(child.pid)
-        yield  # pragma: no cover
 
     def _fork_task(self, task: Task, child_main,
                    name: Optional[str] = None) -> Task:
         from repro.runtime.context import ProcessContext
 
         child = Task(self, task.machine, name or f"{task.name}.child",
-                     self._next_pid, parent=task)
+                     self._next_pid)
         child.daemon = task.daemon
         self._next_pid += 1
         child.fdtable = task.fdtable.clone()
@@ -462,8 +432,8 @@ class Kernel:
         """args: (flags, thread_main) — CLONE_THREAD spawns a thread."""
         flags, thread_main = call.arg(0), call.arg(1)
         if not flags & CLONE_THREAD:
-            return (yield from self._sys_fork(
-                task, Syscall("fork", (thread_main,), site=call.site)))
+            return self._sys_fork(
+                task, Syscall("fork", (thread_main,), site=call.site))
         from repro.runtime.context import ProcessContext
 
         ctx = ProcessContext(task)
@@ -472,11 +442,9 @@ class Kernel:
 
     def _sys_exit(self, task: Task, call: Syscall):
         raise StopTask(call.arg(0, 0))
-        yield  # pragma: no cover
 
     def _sys_exit_group(self, task: Task, call: Syscall):
         raise StopTask(call.arg(0, 0))
-        yield  # pragma: no cover
 
     def _sys_wait4(self, task: Task, call: Syscall):
         pid = call.arg(0, -1)
@@ -499,7 +467,6 @@ class Kernel:
             return SysResult(-ENOENT)
         self.deliver_signal(target, sig)
         return SysResult(0)
-        yield  # pragma: no cover
 
     def deliver_signal(self, target: Task, sig: int) -> None:
         handler = target.signal_handlers.get(sig)
@@ -515,33 +482,26 @@ class Kernel:
         else:
             task.signal_handlers[sig] = handler
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_rt_sigprocmask(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_sigaltstack(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     # -- identity (the multi-revision experiment's syscalls, §5.2) --------
 
     def _sys_getuid(self, task: Task, call: Syscall):
         return SysResult(task.uid)
-        yield  # pragma: no cover
 
     def _sys_geteuid(self, task: Task, call: Syscall):
         return SysResult(task.euid)
-        yield  # pragma: no cover
 
     def _sys_getgid(self, task: Task, call: Syscall):
         return SysResult(task.gid)
-        yield  # pragma: no cover
 
     def _sys_getegid(self, task: Task, call: Syscall):
         return SysResult(task.egid)
-        yield  # pragma: no cover
 
     # =====================================================================
     # Time (vDSO family), sleeping, scheduling
@@ -549,29 +509,24 @@ class Kernel:
 
     def _sys_time(self, task: Task, call: Syscall):
         return SysResult(self.now_seconds())
-        yield  # pragma: no cover
 
     def _sys_gettimeofday(self, task: Task, call: Syscall):
         micros = self.now_micros()
         return SysResult(0, aux=(micros // 1_000_000, micros % 1_000_000))
-        yield  # pragma: no cover
 
     def _sys_clock_gettime(self, task: Task, call: Syscall):
         nanos = self.now_nanos()
         return SysResult(0, aux=(nanos // 1_000_000_000,
                                  nanos % 1_000_000_000))
-        yield  # pragma: no cover
 
     def _sys_getcpu(self, task: Task, call: Syscall):
         return SysResult(0, aux=(0, 0))
-        yield  # pragma: no cover
 
     def _sys_nanosleep(self, task: Task, call: Syscall):
         yield Sleep(max(0, call.arg(0)))
         return SysResult(0)
 
-    def _sys_clock_nanosleep(self, task: Task, call: Syscall):
-        return (yield from self._sys_nanosleep(task, call))
+    _sys_clock_nanosleep = _sys_nanosleep
 
     def _sys_sched_yield(self, task: Task, call: Syscall):
         yield Sleep(0)
@@ -586,26 +541,21 @@ class Kernel:
         addr = task.mmap_base
         task.mmap_base += (length + 0xFFF) & ~0xFFF
         return SysResult(addr)
-        yield  # pragma: no cover
 
     def _sys_munmap(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_mprotect(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_madvise(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_brk(self, task: Task, call: Syscall):
         request = call.arg(0, 0)
         if request:
             task.heap_brk = request
         return SysResult(task.heap_brk)
-        yield  # pragma: no cover
 
     # =====================================================================
     # Misc
@@ -615,57 +565,44 @@ class Kernel:
         # Process-local synchronisation; semantics provided by the
         # higher-level sync primitives. Charged but otherwise a no-op.
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_uname(self, task: Task, call: Syscall):
         return SysResult(0, data=b"Linux varan-sim 3.13.0 x86_64")
-        yield  # pragma: no cover
 
     def _sys_getrandom(self, task: Task, call: Syscall):
         size = call.arg(0, 16)
         inode = self.fs(task.machine).lookup("/dev/urandom")
         data = inode.read_at(0, size)
         return SysResult(len(data), data=data)
-        yield  # pragma: no cover
 
     def _sys_getrlimit(self, task: Task, call: Syscall):
         return SysResult(0, aux=(65536, 65536))
-        yield  # pragma: no cover
 
     def _sys_setrlimit(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_getrusage(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_umask(self, task: Task, call: Syscall):
         old = task.umask
         task.umask = call.arg(0)
         return SysResult(old)
-        yield  # pragma: no cover
 
     def _sys_prctl(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_arch_prctl(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_set_tid_address(self, task: Task, call: Syscall):
         return SysResult(task.current_tid())
-        yield  # pragma: no cover
 
     def _sys_set_robust_list(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover
 
     def _sys_sched_getaffinity(self, task: Task, call: Syscall):
         return SysResult(task.machine.spec.logical_cores)
-        yield  # pragma: no cover
 
     def _sys_sched_setaffinity(self, task: Task, call: Syscall):
         return SysResult(0)
-        yield  # pragma: no cover

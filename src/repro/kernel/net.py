@@ -102,8 +102,6 @@ class StreamSocket(Pollable):
         self.closed = False
         self.local_addr: Optional[Tuple[str, int]] = None
         self.remote_addr: Optional[Tuple[str, int]] = None
-        self.bytes_in = 0
-        self.bytes_out = 0
         #: Arrival time of our last transmission: later segments (and
         #: the FIN) must not overtake it (in-order stream delivery).
         self._last_tx_arrival = 0
@@ -127,7 +125,6 @@ class StreamSocket(Pollable):
     def deliver(self, data: bytes) -> None:
         """Called at the *receiving* endpoint when bytes arrive."""
         self.rx.push(data)
-        self.bytes_in += len(data)
         self.poke()
 
     def deliver_eof(self) -> None:
@@ -139,7 +136,6 @@ class StreamSocket(Pollable):
         if self.closed or self.peer is None:
             return -EPIPE
         peer = self.peer
-        self.bytes_out += len(data)
         if self.network is not None and peer.machine is not self.machine:
             payload = bytes(data)
             self._last_tx_arrival = self.network.deliver(

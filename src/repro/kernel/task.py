@@ -3,12 +3,18 @@ system-call gate every call funnels through."""
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 from repro.costmodel import CostModel, cycles
 from repro.errors import KernelError
-from repro.kernel.uapi import EBADF, EMFILE, Segfault, Syscall, SysResult
+from repro.kernel.uapi import (
+    EBADF,
+    EMFILE,
+    Segfault,
+    Syscall,
+    SysError,
+    SysResult,
+)
 from repro.kernel.vfs import FileDescription
 from repro.sim.core import Compute, Process
 from repro.sim.machine import Machine
@@ -91,7 +97,6 @@ class SyscallGate:
         self.table: Optional[Dict[str, Callable]] = None
         self.default_handler: Optional[Callable] = None
         self.patch_kinds: Dict[str, str] = {}
-        self.counts: Counter = Counter()
         #: Extra per-call dispatch charge (used by ptrace-style monitors).
         self.pre_dispatch: Optional[Callable] = None
         # Per-dispatch hot path: the three interception charges are
@@ -117,17 +122,18 @@ class SyscallGate:
         the dispatch remains a scheduling point."""
         self._cmd_vdso = self._cmd_slow = self._cmd_fast = Compute(0)
 
-    def dispatch(self, call: Syscall):
+    def dispatch(self, call: Syscall, checked: bool = False):
         """Generator: route one syscall, returning a SysResult.
 
         With tracing on, the routing is wrapped in a syscall span; off,
         that costs one attribute load and two None checks per dispatch.
+        With ``checked``, a failed call raises :class:`SysError` after
+        the span instead of returning.
         """
         task = self.task
         tracer = task.kernel.tracer
         if tracer is not None:
             start_ps = task.kernel.sim.now
-        self.counts[call.name] += 1
         if self.pre_dispatch is not None:
             yield from self.pre_dispatch(task, call)
         handler = None
@@ -145,19 +151,19 @@ class SyscallGate:
             tracer.span_here(task.kernel.sim, start_ps, "syscall", call.name,
                              (("retval", getattr(result, "retval", 0)),
                               ("role", role)))
+        if checked and result.retval < 0:
+            raise SysError(result.errno, call.name)
         return result
 
 
 class Task:
     """A simulated OS process: descriptor table + one or more threads."""
 
-    def __init__(self, kernel, machine: Machine, name: str, pid: int,
-                 parent: Optional["Task"] = None) -> None:
+    def __init__(self, kernel, machine: Machine, name: str, pid: int) -> None:
         self.kernel = kernel
         self.machine = machine
         self.name = name
         self.pid = pid
-        self.parent = parent
         self.fdtable = FdTable()
         self.gate = SyscallGate(self, kernel.costs)
         self.threads: List[Process] = []

@@ -27,7 +27,6 @@ class Inode:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.nlink = 1
 
     def size(self) -> int:
         return 0

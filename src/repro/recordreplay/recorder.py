@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.coordinator import NvxSession
 from repro.costmodel import cycles
-from repro.errors import NvxError
+from repro.errors import NvxError, RecordReplayError
 from repro.recordreplay.logfile import encode_event
 from repro.sim.core import Compute
 
@@ -79,4 +79,10 @@ class Recorder:
 
     @property
     def log_bytes(self) -> bytes:
+        """The recorded log; :class:`RecordReplayError` if ring damage
+        cut the recording short, so no truncated log passes as whole."""
+        if self.corrupted is not None:
+            raise RecordReplayError(
+                f"recording truncated after {self.events_recorded} "
+                f"events: {self.corrupted}")
         return bytes(self.inode.data)

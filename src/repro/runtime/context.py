@@ -22,7 +22,6 @@ from repro.kernel.uapi import (
     O_RDONLY,
     SOCK_STREAM,
     Syscall,
-    SysError,
     SysResult,
 )
 from repro.sim.core import Compute
@@ -43,11 +42,8 @@ class ProcessContext:
             Syscall(name, args, site or name, data, nbytes))
 
     def _checked(self, name: str, *args, site=None, data=b"", nbytes=0):
-        result = yield from self.task.gate.dispatch(
-            Syscall(name, args, site or name, data, nbytes))
-        if result.retval < 0:
-            raise SysError(result.errno, name)
-        return result
+        return self.task.gate.dispatch(
+            Syscall(name, args, site or name, data, nbytes), checked=True)
 
     def compute(self, ncycles: float):
         """Generator: burn CPU (application work between syscalls)."""

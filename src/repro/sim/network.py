@@ -22,7 +22,6 @@ class Network:
         self.spec = spec or NetworkSpec()
         self._busy_until: Dict[Tuple[str, str], int] = {}
         self.bytes_sent = 0
-        self.messages_sent = 0
         #: Optional fault hook (``repro.faults.NetworkFaults``): may
         #: delay a delivery (partition hold, loss retransmission) but
         #: never drop it, so injected network faults preserve liveness.
@@ -63,6 +62,5 @@ class Network:
                                          arrival)
         arrival = max(arrival, floor_ps)
         self.bytes_sent += nbytes
-        self.messages_sent += 1
         self.sim.schedule(arrival - self.sim.now, fn)
         return arrival

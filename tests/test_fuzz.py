@@ -93,8 +93,8 @@ class TestGeneratorDeterminism:
 
 class TestAdversaryDeterminism:
     def test_same_fleet_same_streams(self):
-        pa, sa = make_adversaries(seed=4)
-        pb, sb = make_adversaries(seed=4)
+        pa = make_adversaries(seed=4)
+        pb = make_adversaries(seed=4)
         assert [(m, n) for m, n, _ in pa] == [(m, n) for m, n, _ in pb]
         assert len(pa) == len(ADVERSARIES)
 

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.core import NvxSession, VersionSpec
+from repro.core.config import SessionConfig
 from repro.core.events import (
     ETYPE_NAMES,
     EV_EXIT,
@@ -13,6 +14,7 @@ from repro.core.events import (
     syscall_event,
 )
 from repro.errors import RecordReplayError
+from repro.faults import CORRUPT_SLOT, Fault, FaultPlan
 from repro.kernel.uapi import O_RDWR, SYSCALL_NAMES, Segfault
 from repro.recordreplay import (
     Recorder,
@@ -295,10 +297,11 @@ def app(ctx):
     return (data, t)
 
 
-def record_run():
+def record_run(plan=None, main=app):
     world = World()
     world.kernel.fs(world.server).create("/tmp/input", b"the-input")
-    session = NvxSession(world, [VersionSpec("prod", app)])
+    session = NvxSession(world, [VersionSpec("prod", main)],
+                         config=SessionConfig(fault_plan=plan))
     recorder = Recorder(session, "/var/log.bin")
     session.start()
     world.run()
@@ -322,6 +325,29 @@ class TestRecorder:
         leader = session.variants[0].root_task.threads[0]
         assert leader.exception is None
         assert leader.result[0] == b"the-input"
+
+    def test_truncated_recording_is_refused(self):
+        # Aim a corrupt-slot fault between the app's first call and the
+        # end of the clean run, so it lands on a slot the recorder has
+        # yet to drain: the recorder stops there, and handing its log
+        # out as complete would replay a silently shortened run.
+        starts = []
+
+        def marked(ctx):
+            starts.append(ctx.sim.now)
+            return (yield from app(ctx))
+
+        clean, session = record_run(main=marked)
+        at_ps = (starts[0] + session.world.sim.now) // 2
+        recorder, session = record_run(
+            FaultPlan((Fault(CORRUPT_SLOT, at_ps=at_ps, ring=0),)))
+        assert any("poisoned" in line for line in session.injector.log)
+        assert 0 < recorder.events_recorded < clean.events_recorded
+        with pytest.raises(
+                RecordReplayError,
+                match=f"truncated after {recorder.events_recorded} events: "
+                      f"ring0: slot corruption"):
+            recorder.log_bytes
 
 
 class TestReplay:
