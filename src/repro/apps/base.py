@@ -43,8 +43,7 @@ class EpollServer:
 
     def __init__(self, ctx, port: int, handle_request,
                  parse_request, stats: Optional[ServerStats] = None,
-                 recv_size: int = 4096,
-                 conn_setup_cycles: int = 0) -> None:
+                 recv_size: int = 4096, conn_setup_cycles: int = 0) -> None:
         self.ctx = ctx
         self.port = port
         self.handle_request = handle_request
