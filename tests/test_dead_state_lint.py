@@ -6,7 +6,7 @@ state that nothing reads.
   handler is a generator only where it can block (DESIGN.md §5d).
 * An attribute stored in ``src/repro`` must be read somewhere: its name
   loaded as an attribute in the package, the examples, the tests or the
-  benchmark drivers, or spelled as a string constant (``getattr``,
+  benchmark scripts, or spelled as a string constant (``getattr``,
   ``__slots__``-driven ``as_dict``).  The census is by name, so a store
   whose name some other object's attribute shares passes; it catches a
   counter bumped for no reader, not every one.  A store that stays
