@@ -114,7 +114,9 @@ CATEGORIES = {
                 "from the log or loses a descriptor in a failover, which "
                 "no user-facing run provokes",
     "semantics": "instruction semantics: a BPF opcode the assembler "
-                 "accepts that no shipped rule uses",
+                 "accepts that no shipped rule uses, or a VX86 opcode's "
+                 "per-step executor that no shipped guest runs in a cold "
+                 "block",
     "support": "called only by a mechanism-table handler",
 }
 
@@ -200,6 +202,9 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
     ],
     "semantics": [
         "repro/bpf/interpreter.py:BpfProgram._alu",
+        "repro/isa/cpu.py:_callr",
+        "repro/isa/cpu.py:_jz",
+        "repro/isa/cpu.py:_sub",
     ],
     "support": [
         # Read by _sys_set_tid_address.

@@ -77,9 +77,22 @@ class SessionConfig:
             raise NvxError(f"SessionConfig.replicate must be "
                            f"{REPLICATE_FULL!r} or {REPLICATE_SELECTIVE!r}, "
                            f"got {self.replicate!r}")
-        if not isinstance(self.compress, bool):
-            raise NvxError(f"SessionConfig.compress must be a bool, got "
-                           f"{self.compress!r}")
+        for name in ("compress", "daemon", "sample_distances"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise NvxError(f"SessionConfig.{name} must be a bool, got "
+                               f"{value!r}")
+        # Imported here: the faults package imports the core.
+        from repro.bpf.rules import RewriteRules
+        from repro.faults.invariants import InvariantChecker
+        from repro.faults.plan import FaultPlan
+        for name, kind in (("rules", RewriteRules),
+                           ("fault_plan", FaultPlan),
+                           ("invariants", InvariantChecker)):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                raise NvxError(f"SessionConfig.{name} must be None or of "
+                               f"type {kind.__name__}, got {value!r}")
 
 
 def resolve_placement(placement, specs, world, default_machine) -> List:

@@ -10,7 +10,7 @@ and return the value to place in RAX.
 Execution normally runs through a :class:`~repro.isa.translator.
 TranslationCache`: code is cut once into superblocks of decoded
 instructions, a cold block runs them on the per-step executor
-(:meth:`Cpu._execute_plain`), a hot one runs as a fused compiled body
+(:data:`EXECUTORS`), a hot one runs as a fused compiled body
 (:mod:`repro.isa.fuser`), and each block's cycles are charged as one
 batch.  Pass ``translate=False`` to get the original
 decode-every-instruction loop — the two are observably identical (same
@@ -52,6 +52,7 @@ from repro.isa.opcodes import (
     OP_PUSH,
     OP_PUSHA,
     OP_RET,
+    OP_SPECS,
     OP_STORE,
     OP_SUB,
     OP_SUBI,
@@ -175,7 +176,7 @@ class Cpu:
         lookup = tcache.lookup
         stats = tcache.stats
         space = self.space
-        execute = self._execute_plain
+        executors = EXECUTORS
         fuse_threshold = tcache.fuse_threshold
         # Chain/dispatch tallies accumulate in locals and flush in the
         # finally, keeping the per-block path free of attribute stores.
@@ -214,7 +215,6 @@ class Cpu:
                         if hot >= fuse_threshold:
                             fn = block.fn = fuse_block(self, block)
                             stats.fused_blocks += 1
-                    i = 0
                     try:
                         if fn is not None:
                             # Fused bodies return how many times they ran
@@ -223,13 +223,12 @@ class Cpu:
                             # the insn budget nears expiry, or the cycle
                             # batch fills (see repro.isa.fuser).
                             it = fn(remaining, batch_cycles - pending)
-                        else:
+                        elif block.writes:
                             it = 1
                             segment = block.segment
                             version = block.version
-                            for insn in insns:
-                                execute(insn)
-                                i += 1
+                            for i, insn in enumerate(insns, 1):
+                                executors[insn.op_id](self, insn)
                                 # Only a write can move the version; the
                                 # block's own closing branch needs no
                                 # bail, it leaves the block anyway.
@@ -238,6 +237,12 @@ class Cpu:
                                              != T_BRANCH)):
                                     raise BlockExit(self.rip,
                                                     block.cum[i - 1], i)
+                        else:
+                            # Nothing here can write memory, so nothing
+                            # can move the version.
+                            it = 1
+                            for insn in insns:
+                                executors[insn.op_id](self, insn)
                     except BlockExit as bx:
                         # A store rewrote this block's own code: retire
                         # what ran and resume at the next instruction,
@@ -252,9 +257,13 @@ class Cpu:
                         break
                     except BaseException:
                         # The executor left rip at the faulting
-                        # instruction; charge the cycles retired before
-                        # it (a fused body records them itself).
+                        # instruction (block addresses are distinct), so
+                        # its index is the count that retired before it;
+                        # charge their cycles (a fused body records them
+                        # itself).
+                        i = 0
                         if fn is None:
+                            i = block.bounds.index(self.rip)
                             self._fault_cycles = block.cum[i - 1] if i else 0
                         self.cycles += self._fault_cycles
                         self.insns_retired = executed + i
@@ -266,8 +275,9 @@ class Cpu:
                         raise ExecutionFault(
                             f"{self.name}: exceeded {max_insns} insns")
                     executed += n * it
-                    self.cycles += block.cycles * it
-                    pending += block.cycles * it
+                    cycles = block.cycles * it
+                    self.cycles += cycles
+                    pending += cycles
                     # In-place iterations are self-chain-follows: count
                     # them so dispatches + follows still equals block
                     # entries.
@@ -360,7 +370,7 @@ class Cpu:
                 else:
                     yield from self._invoke(self.vmcall_handler, "vmcall")
             else:
-                self._execute_plain(insn)
+                EXECUTORS[op_id](self, insn)
             cyc = insn.spec.cycles
             self.cycles += cyc
             pending += cyc
@@ -385,68 +395,160 @@ class Cpu:
             self.regs[_RAX] = result & _MASK
 
     def _execute_plain(self, insn) -> None:
-        # Numeric-id dispatch with regs hoisted to a local: the per-step
-        # loop is the differential oracle and runs in every CI job, so
-        # its constant factor matters too (≈15% over the mnemonic-string
-        # chain, see PR notes).
-        op_id = insn.op_id
-        ops = insn.operands
-        regs = self.regs
-        next_rip = insn.end
-        if op_id == OP_MOV:
-            regs[ops[0]] = regs[ops[1]]
-        elif op_id == OP_MOVI:
-            regs[ops[0]] = ops[1] & _MASK
-        elif op_id == OP_ADD:
-            regs[ops[0]] = (regs[ops[0]] + regs[ops[1]]) & _MASK
-        elif op_id == OP_ADDI:
-            regs[ops[0]] = (regs[ops[0]] + ops[1]) & _MASK
-        elif op_id == OP_SUB:
-            result = (regs[ops[0]] - regs[ops[1]]) & _MASK
-            regs[ops[0]] = result
-            self.zf = result == 0
-        elif op_id == OP_SUBI:
-            result = (regs[ops[0]] - ops[1]) & _MASK
-            regs[ops[0]] = result
-            self.zf = result == 0
-        elif op_id == OP_CMP:
-            self.zf = regs[ops[0]] == regs[ops[1]]
-        elif op_id == OP_CMPI:
-            self.zf = regs[ops[0]] == ops[1] & _MASK
-        elif op_id == OP_LOAD:
-            regs[ops[0]] = self.space.read_u64(regs[ops[1]] + ops[2])
-        elif op_id == OP_STORE:
-            self.space.write_u64(regs[ops[1]] + ops[2], regs[ops[0]])
-        elif op_id == OP_PUSH:
-            self.push(regs[ops[0]])
-        elif op_id == OP_POP:
-            regs[ops[0]] = self.pop()
-        elif op_id == OP_JMP:
-            next_rip = insn.end + ops[0]
-        elif op_id == OP_JZ:
-            if self.zf:
-                next_rip = insn.end + ops[0]
-        elif op_id == OP_JNZ:
-            if not self.zf:
-                next_rip = insn.end + ops[0]
-        elif op_id == OP_CALL:
-            self.push(insn.end)
-            next_rip = insn.end + ops[0]
-        elif op_id == OP_CALLR:
-            self.push(insn.end)
-            next_rip = regs[ops[0]]
-        elif op_id == OP_RET:
-            next_rip = self.pop()
-        elif op_id == OP_NOP:
-            pass
-        elif op_id == OP_PUSHA:
-            for i, value in enumerate(regs):
-                if i != _RSP:
-                    self.push(value)
-        elif op_id == OP_POPA:
-            for i in reversed(range(len(regs))):
-                if i != _RSP:
-                    regs[i] = self.pop()
-        else:  # pragma: no cover - closed opcode table
-            raise ExecutionFault(f"unhandled mnemonic {insn.mnemonic}")
-        self.rip = next_rip
+        """Run one decoded non-handler instruction (the per-step
+        executor; see :data:`EXECUTORS`)."""
+        EXECUTORS[insn.op_id](self, insn)
+
+
+# -- the per-step executor ----------------------------------------------------
+#
+# One function per opcode, each taking ``(cpu, insn)`` and leaving
+# ``cpu.rip`` at the next instruction; :data:`EXECUTORS` indexes them by
+# op id, so a dispatch is one tuple subscript however late the opcode
+# sits in the table.  The per-step loop is the differential oracle and
+# runs in every CI job, and cold translated blocks run on it too, so its
+# constant factor matters.
+
+
+def _mov(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    regs[ops[0]] = regs[ops[1]]
+    cpu.rip = insn.end
+
+
+def _movi(cpu, insn):
+    ops = insn.operands
+    cpu.regs[ops[0]] = ops[1] & _MASK
+    cpu.rip = insn.end
+
+
+def _add(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    regs[ops[0]] = (regs[ops[0]] + regs[ops[1]]) & _MASK
+    cpu.rip = insn.end
+
+
+def _addi(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    regs[ops[0]] = (regs[ops[0]] + ops[1]) & _MASK
+    cpu.rip = insn.end
+
+
+def _sub(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    result = (regs[ops[0]] - regs[ops[1]]) & _MASK
+    regs[ops[0]] = result
+    cpu.zf = result == 0
+    cpu.rip = insn.end
+
+
+def _subi(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    result = (regs[ops[0]] - ops[1]) & _MASK
+    regs[ops[0]] = result
+    cpu.zf = result == 0
+    cpu.rip = insn.end
+
+
+def _cmp(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    cpu.zf = regs[ops[0]] == regs[ops[1]]
+    cpu.rip = insn.end
+
+
+def _cmpi(cpu, insn):
+    ops = insn.operands
+    cpu.zf = cpu.regs[ops[0]] == ops[1] & _MASK
+    cpu.rip = insn.end
+
+
+def _load(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    regs[ops[0]] = cpu.space.read_u64(regs[ops[1]] + ops[2])
+    cpu.rip = insn.end
+
+
+def _store(cpu, insn):
+    ops = insn.operands
+    regs = cpu.regs
+    cpu.space.write_u64(regs[ops[1]] + ops[2], regs[ops[0]])
+    cpu.rip = insn.end
+
+
+def _push(cpu, insn):
+    cpu.push(cpu.regs[insn.operands[0]])
+    cpu.rip = insn.end
+
+
+def _pop(cpu, insn):
+    cpu.regs[insn.operands[0]] = cpu.pop()
+    cpu.rip = insn.end
+
+
+def _jmp(cpu, insn):
+    cpu.rip = insn.end + insn.operands[0]
+
+
+def _jz(cpu, insn):
+    cpu.rip = insn.end + insn.operands[0] if cpu.zf else insn.end
+
+
+def _jnz(cpu, insn):
+    cpu.rip = insn.end if cpu.zf else insn.end + insn.operands[0]
+
+
+def _call(cpu, insn):
+    cpu.push(insn.end)
+    cpu.rip = insn.end + insn.operands[0]
+
+
+def _callr(cpu, insn):
+    cpu.push(insn.end)
+    # Target read after the push (matters for ``callr rsp``).
+    cpu.rip = cpu.regs[insn.operands[0]]
+
+
+def _ret(cpu, insn):
+    cpu.rip = cpu.pop()
+
+
+def _nop(cpu, insn):
+    cpu.rip = insn.end
+
+
+def _pusha(cpu, insn):
+    regs = cpu.regs
+    for i, value in enumerate(regs):
+        if i != _RSP:
+            cpu.push(value)
+    cpu.rip = insn.end
+
+
+def _popa(cpu, insn):
+    regs = cpu.regs
+    for i in reversed(range(len(regs))):
+        if i != _RSP:
+            regs[i] = cpu.pop()
+    cpu.rip = insn.end
+
+
+_BY_ID = {
+    OP_MOV: _mov, OP_MOVI: _movi, OP_ADD: _add, OP_ADDI: _addi,
+    OP_SUB: _sub, OP_SUBI: _subi, OP_CMP: _cmp, OP_CMPI: _cmpi,
+    OP_LOAD: _load, OP_STORE: _store, OP_PUSH: _push, OP_POP: _pop,
+    OP_JMP: _jmp, OP_JZ: _jz, OP_JNZ: _jnz, OP_CALL: _call,
+    OP_CALLR: _callr, OP_RET: _ret, OP_NOP: _nop, OP_PUSHA: _pusha,
+    OP_POPA: _popa,
+}
+
+#: The per-step executor of each op id (``OP_SPECS`` order); None for
+#: the handler instructions and ``hlt``, which both run loops dispatch
+#: before the executor (and blocks end before).
+EXECUTORS = tuple(_BY_ID.get(op_id) for op_id in range(len(OP_SPECS)))

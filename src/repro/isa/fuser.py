@@ -2,8 +2,8 @@
 
 A cold :class:`~repro.isa.translator.CodeBlock` runs its decoded
 instructions one by one on the per-step executor
-(``Cpu._execute_plain``); every instruction pays a Python call and an
-opcode dispatch.  Once a block runs hot (see
+(``repro.isa.cpu.EXECUTORS``); every instruction pays a Python call
+and an opcode dispatch.  Once a block runs hot (see
 ``TranslationCache.fuse_threshold``) it is *fused*: the instruction
 sequence is compiled — ``compile``/``exec`` of generated source — into a
 single function with the touched guest registers held in Python locals
@@ -46,6 +46,23 @@ remap memory once the guard passed.  If the guard fails (a page not yet
 cached, a permission, aliasing slots), the same function runs the
 unpromoted loop instead, which is the code every other loop gets, so
 faults, bails and store forwarding behave exactly as without promotion.
+A loop with no memory op at all is promoted with no guard.
+
+Trip loops: since nothing in a promoted trip can fault or bail, no
+statement needs the trip number, and the loop is ``for _it in range(1,
+_k + 1):``.  A conditional terminator with one edge back to the entry
+becomes ``if <leave>: cpu.rip = <exit>; break`` with ``else: cpu.rip =
+<entry>``; a ``jmp`` (or both edges to the entry) tests nothing.  Within
+the trip, a ``cmp``/``cmpi``/``sub``/``subi`` whose zf a later one
+overwrites writes no ``zf`` (the terminator reads only the last one,
+which stays, live-out); a slot base that only promoted ``push``/``pop``
+and dead-flag ``addi``/``subi`` write, and nothing else reads, is not
+updated at all, since it is back at its entry value after every trip;
+a closing ``subi rC, 1; jnz <entry>`` whose rC nothing else touches is
+a *counted* loop of ``min(_k, rC)`` trips (rC = 0 means 2**64) with no
+per-trip test, and rC, zf and rip are set once after it; and each move
+between locals folds into the statement next to it.  Unpromoted loops
+keep their ``while``: their fault and bail epilogues read ``_it``.
 
 The generated function is observably identical to running the block
 instruction by instruction: same registers, zf, rip, cycles and
@@ -269,12 +286,13 @@ def _loop_slots(insns):
     first-access order, and ``at`` maps the index of every memory op to
     its slot.  The slot's address is the base register's value at loop
     entry plus ``offset`` (what push/pop/addi/subi moved it by earlier in
-    the trip, mod 2**64), plus ``disp``.  ``None`` when the body has no
-    memory access, has one that is not ``load``/``store``/``push``/``pop``,
-    or uses a base register that is not back at its entry value after
-    one trip (written by anything but constant push/pop/addi/subi steps,
-    or by steps that do not sum to zero): only then is every slot's
-    address the same on every trip.
+    the trip, mod 2**64), plus ``disp``.  A body with no memory access
+    has no slots and is promoted too.  ``None`` when the body has a
+    memory op that is not ``load``/``store``/``push``/``pop``, or uses a
+    base register that is not back at its entry value after one trip
+    (written by anything but constant push/pop/addi/subi steps, or by
+    steps that do not sum to zero): only then is every slot's address
+    the same on every trip.
     """
     moved: Dict[int, Optional[int]] = {}  # None: written otherwise
     slots: Dict[tuple, list] = {}
@@ -319,8 +337,6 @@ def _loop_slots(insns):
             step(ops[0], -ops[1])
         elif op_id in (OP_MOV, OP_MOVI, OP_ADD, OP_SUB):
             moved[ops[0]] = None
-    if not slots:
-        return None
     for base, _offset, _disp in slots:
         offset = moved.get(base, 0)
         if offset is None or offset % 2 ** 64:
@@ -328,14 +344,8 @@ def _loop_slots(insns):
     return slots, at
 
 
-def _emit_body(em: _Emitter, block, bails: list, is_loop: bool,
-               promoted: Optional[Dict[int, str]] = None) -> None:
-    """Emit one run of the block's instructions.
-
-    ``promoted`` maps the index of every memory op of a promoted loop to
-    the local holding its slot: the op becomes a move between locals,
-    with no page lookup, fault epilogue or bail check.
-    """
+def _emit_body(em: _Emitter, block, bails: list, is_loop: bool) -> None:
+    """Emit one run of the block's instructions."""
     insns = block.insns
     n = len(insns)
     terminator = block.terminator
@@ -348,19 +358,6 @@ def _emit_body(em: _Emitter, block, bails: list, is_loop: bool,
         cyc_before = cum[i - 1] if i else 0
         is_term = i == n - 1 and terminator == T_BRANCH
 
-        if promoted is not None and i in promoted:
-            slot = promoted[i]
-            if op_id == OP_PUSH:
-                em.emit(f"{slot} = r{opnd[0]}")
-                em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
-            elif op_id == OP_POP:
-                em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
-                em.emit(f"r{opnd[0]} = {slot}")
-            elif op_id == OP_LOAD:
-                em.emit(f"r{opnd[0]} = {slot}")
-            else:  # OP_STORE
-                em.emit(f"{slot} = r{opnd[0]}")
-            continue
         if op_id == OP_NOP:
             continue
         if op_id == OP_MOV:
@@ -495,10 +492,10 @@ def _emit_body(em: _Emitter, block, bails: list, is_loop: bool,
             raise AssertionError(f"unfusable op id {op_id}")
 
 
-def _emit_loop(em: _Emitter, block, bails: list,
-               promoted: Optional[Dict[int, str]] = None) -> None:
+def _emit_loop(em: _Emitter, block, bails: list) -> None:
     """``while True:`` over the body until the branch leaves the entry or
     ``_k`` trips ran; the trip count is ``_it``."""
+    em.emit("_it = 0")
     em.emit("while True:")
     em.base += 1
     em.loop_total = block.cycles
@@ -510,7 +507,7 @@ def _emit_loop(em: _Emitter, block, bails: list,
     # every guard in the body spills it all.
     em.dirty = set(em.localized)
     em.zf_dirty = em.zf_used
-    _emit_body(em, block, bails, True, promoted)
+    _emit_body(em, block, bails, True)
     em.emit("_it += 1")
     em.emit(f"if _it >= _k or _nr != {block.entry}:")
     em.emit("cpu.rip = _nr", 2)
@@ -519,7 +516,136 @@ def _emit_loop(em: _Emitter, block, bails: list,
     em.loop_total = None
 
 
-def _emit_promoted_loop(em: _Emitter, block, bails: list, slots: dict,
+def _trip(block, at: Dict[int, tuple], names: Dict[tuple, str]):
+    """One trip of a promoted loop: its statements and how it repeats.
+
+    Returns ``(statements, counter)``.  Each statement is ``[targets,
+    template, args]`` (``args`` are the locals the template reads), in
+    program order, for every body instruction but the terminator, with:
+
+    * no ``zf =`` for a ``cmp``/``cmpi``/``sub``/``subi`` whose flag a
+      later one in the trip overwrites (the only reader is the
+      terminator, after the last writer; that write stays, live-out);
+    * no update of a *silent* slot base: one that only promoted
+      ``push``/``pop`` and dead-flag ``addi``/``subi`` write and nothing
+      reads but as an address (its slots are fixed, and ``_loop_slots``
+      proved it back at its entry value after every trip);
+    * no ``counter`` instruction: ``(index, register)`` of a closing
+      ``subi rC, 1; jnz <entry>`` whose register nothing else in the
+      trip reads or writes, or None.  The caller runs such a loop
+      ``min(_k, rC)`` trips and sets rC, zf and rip once, after it;
+    * each move between locals folded into its neighbour: a move whose
+      target the next statement reads and overwrites becomes that
+      statement's operand, and a move of what the previous statement
+      just assigned becomes one more target of it.
+    """
+    insns = block.insns
+    body = insns[:-1]
+    term = insns[-1]
+    writers = [i for i, insn in enumerate(body) if insn.op_id in _ZF_WRITERS]
+    last_zf = writers[-1] if writers else None
+    counter = None
+    if (term.op_id == OP_JNZ and last_zf is not None
+            and term.end + term.operands[0] == block.entry):
+        insn = body[last_zf]
+        reg = insn.operands[0]
+        if (insn.op_id == OP_SUBI and insn.operands[1] == 1
+                and not any(reg in _insn_regs(other)
+                            for i, other in enumerate(body)
+                            if i != last_zf)):
+            counter = (last_zf, reg)
+    silent = set()
+    for base in {key[0] for key in names}:
+        for i, insn in enumerate(body):
+            op_id = insn.op_id
+            ops = insn.operands
+            if i in at:
+                # Promoted: only a stored value reads a register.
+                reads = op_id in (OP_STORE, OP_PUSH) and ops[0] == base
+            elif op_id == OP_ADDI or op_id == OP_SUBI:
+                reads = ops[0] == base and op_id == OP_SUBI and i == last_zf
+            else:
+                reads = base in _insn_regs(insn)
+            if reads:
+                break
+        else:
+            silent.add(base)
+
+    out: List[list] = []
+
+    def put(target: str, template: str, *args: str) -> None:
+        stmt = [[target], template, list(args)]
+        if out:
+            prev = out[-1]
+            moved = prev[0][0]
+            if prev[1] == "{}" and moved == target and moved in args:
+                # ``t = x`` then ``t = f(t)``: ``t = f(x)``.
+                stmt[2] = [prev[2][0] if a == moved else a for a in args]
+                out.pop()
+        out.append(stmt)
+
+    rsp = f"r{_RSP}"
+    for i, insn in enumerate(body):
+        op_id = insn.op_id
+        ops = insn.operands
+        dead_zf = i != last_zf
+        if counter is not None and i == counter[0]:
+            continue
+        if i in at:
+            slot = names[at[i]]
+            if op_id == OP_PUSH:
+                put(slot, "{}", f"r{ops[0]}")
+                if _RSP not in silent:
+                    put(rsp, f"({{}} - 8) & {_MASK}", rsp)
+            elif op_id == OP_POP:
+                if _RSP not in silent:
+                    put(rsp, f"({{}} + 8) & {_MASK}", rsp)
+                put(f"r{ops[0]}", "{}", slot)
+            elif op_id == OP_LOAD:
+                put(f"r{ops[0]}", "{}", slot)
+            else:  # OP_STORE
+                put(slot, "{}", f"r{ops[0]}")
+        elif op_id == OP_MOV:
+            if ops[0] != ops[1]:
+                put(f"r{ops[0]}", "{}", f"r{ops[1]}")
+        elif op_id == OP_MOVI:
+            put(f"r{ops[0]}", str(ops[1] & _MASK))
+        elif op_id == OP_ADD:
+            put(f"r{ops[0]}", f"({{}} + {{}}) & {_MASK}", f"r{ops[0]}",
+                f"r{ops[1]}")
+        elif op_id == OP_ADDI:
+            if ops[0] not in silent:
+                put(f"r{ops[0]}", f"({{}} + {ops[1]}) & {_MASK}",
+                    f"r{ops[0]}")
+        elif op_id == OP_SUB or op_id == OP_SUBI:
+            if op_id == OP_SUBI and ops[0] in silent:
+                continue
+            d = f"r{ops[0]}"
+            if op_id == OP_SUB:
+                put(d, f"({{}} - {{}}) & {_MASK}", d, f"r{ops[1]}")
+            else:
+                put(d, f"({{}} - {ops[1]}) & {_MASK}", d)
+            if not dead_zf:
+                put("zf", "{} == 0", d)
+        elif op_id == OP_CMP:
+            if not dead_zf:
+                put("zf", "{} == {}", f"r{ops[0]}", f"r{ops[1]}")
+        elif op_id == OP_CMPI:
+            if not dead_zf:
+                put("zf", f"{{}} == {ops[1] & _MASK}", f"r{ops[0]}")
+        # else: nop or a spanned jmp — no state moves.
+    statements: List[list] = []
+    for stmt in out:
+        if statements and stmt[1] == "{}" and stmt[2][0] in statements[-1][0]:
+            # ``p = e`` then ``t = p``: ``p = t = e``.
+            statements[-1][0] += stmt[0]
+        else:
+            statements.append(stmt)
+    return [" = ".join(targets) + " = " + template.format(*args)
+            for targets, template, args in statements], counter
+
+
+def _emit_promoted_loop(em: _Emitter, block, slots: dict,
                         at: Dict[int, tuple]) -> None:
     """The loop with its slots in locals, behind a once-per-call guard.
 
@@ -527,7 +653,10 @@ def _emit_promoted_loop(em: _Emitter, block, bails: list, slots: dict,
     on every trip (page cached, bounds, ``r_ok``/``w_ok``), and adds two:
     no slot is in the block's own segment (so no store can bail) and no
     two slots overlap (so a local holds all of its slot).  If any fails,
-    control falls through to the unpromoted loop.
+    control falls through to the unpromoted loop; a loop with no slots
+    has no guard and no fallback.  Nothing in the promoted loop can
+    fault or bail, so it is a counted ``for`` whose trip number ``_it``
+    no statement reads (see :func:`_trip`).
     """
     conds = []
     for j, ((base, offset, disp), (loads, stores, _first)) in enumerate(
@@ -548,22 +677,53 @@ def _emit_promoted_loop(em: _Emitter, block, bails: list, slots: dict,
     for j in range(len(slots)):
         for k in range(j):
             conds.append(f"(_a{j} - _a{k} >= 8 or _a{k} - _a{j} >= 8)")
-    em.emit(f"if {' and '.join(conds)}:")
-    em.base += 1
+    if conds:
+        em.emit(f"if {' and '.join(conds)}:")
+        em.base += 1
     for j, (_loads, _stores, read_first) in enumerate(slots.values()):
         if read_first:
             em.emit(f"_m{j} = unpack(_p{j}.data, _a{j} - _p{j}.start)[0]")
-    number = {key: j for j, key in enumerate(slots)}
-    _emit_loop(em, block, bails,
-               {i: f"_m{number[key]}" for i, key in at.items()})
+    names = {key: f"_m{j}" for j, key in enumerate(slots)}
+    statements, counter = _trip(block, at, names)
+    entry = block.entry
+    term = block.insns[-1]
+    taken = term.end + term.operands[0]
+    # A conditional with one edge to the entry tests the other per trip.
+    tested = (counter is None and term.op_id != OP_JMP
+              and taken != term.end)
+    if counter is not None:
+        reg = f"r{counter[1]}"
+        em.emit(f"_k = {reg} if 0 < {reg} < _k else _k")
+    if statements or tested:
+        em.emit("for _it in range(1, _k + 1):")
+        for line in statements:
+            em.emit(line, 2)
+    else:
+        em.emit("_it = _k")
+    if tested:
+        leave_on_zf = (term.op_id == OP_JNZ) == (taken == entry)
+        em.emit(f"if {'zf' if leave_on_zf else 'not zf'}:", 2)
+        em.emit(f"cpu.rip = {term.end if taken == entry else taken}", 3)
+        em.emit("break", 3)
+        em.emit("else:")
+        em.emit(f"cpu.rip = {entry}", 2)
+    elif counter is not None:
+        em.emit(f"{reg} = ({reg} - _it) & {_MASK}")
+        em.emit(f"zf = {reg} == 0")
+        em.emit(f"cpu.rip = {term.end} if zf else {entry}")
+    else:
+        em.emit(f"cpu.rip = {entry}")
     for j, (_loads, stores, _first) in enumerate(slots.values()):
         if stores:
             em.emit(f"pack(_p{j}.data, _a{j} - _p{j}.start, _m{j})")
             em.emit(f"_p{j}.version += {stores} * _it")
+    em.dirty = set(em.localized)
+    em.zf_dirty = em.zf_used
     for line in em.spills():
         em.emit(line)
     em.emit("return _it")
-    em.base -= 1
+    if conds:
+        em.base -= 1
 
 
 def fuse_block(cpu, block):
@@ -596,16 +756,19 @@ def fuse_block(cpu, block):
         em.emit("_k = _kb", 2)
         em.emit("if _k < 1:")
         em.emit("_k = 1", 2)
-        em.emit("_it = 0")
         promotable = _loop_slots(insns)
         if promotable is not None:
-            _emit_promoted_loop(em, block, bails, *promotable)
-        _emit_loop(em, block, bails)
+            _emit_promoted_loop(em, block, *promotable)
+        if promotable is None or promotable[0]:
+            _emit_loop(em, block, bails)
+            for line in em.spills():
+                em.emit(line)
+            em.emit("return _it")
     else:
         _emit_body(em, block, bails, False)
-    for line in em.spills():
-        em.emit(line)
-    em.emit("return _it" if is_loop else "return 1")
+        for line in em.spills():
+            em.emit(line)
+        em.emit("return 1")
 
     header = ("def _fused(remaining, budget, cpu=_cpu, regs=_regs, "
               "read_u64=_read_u64, write_u64=_write_u64, seg=_seg, "

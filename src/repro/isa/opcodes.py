@@ -155,6 +155,10 @@ DIRECT_SPAN_OP_IDS = frozenset({OP_JMP, OP_CALL})
 #: always terminate a superblock.
 INDIRECT_OP_IDS = frozenset({OP_CALLR, OP_RET})
 
+#: Ids that can write guest memory (the only ones that can move a
+#: segment's version, so rewrite the code under a running block).
+WRITE_OP_IDS = frozenset({OP_STORE, OP_PUSH, OP_CALL, OP_CALLR, OP_PUSHA})
+
 #: Per-id cycle cost, indexable by instruction id (avoids the
 #: ``insn.spec.cycles`` attribute chain on the dispatch path).
 OP_CYCLES: Tuple[int, ...] = tuple(s.cycles for s in _SPECS)

@@ -6,8 +6,8 @@ block instead of once per retired instruction.  Each executable region
 is cut into superblocks of decoded instructions, keyed by entry address
 and looked up by ``Cpu.run``.  Translation builds nothing executable: a
 cold block runs its instructions on the per-step executor
-(``Cpu._execute_plain``), and a block that goes hot is compiled into one
-fused function (:mod:`repro.isa.fuser`).
+(``repro.isa.cpu.EXECUTORS``), and a block that goes hot is compiled
+into one fused function (:mod:`repro.isa.fuser`).
 
 Semantics are preserved per instruction, not per block:
 
@@ -18,10 +18,11 @@ Semantics are preserved per instruction, not per block:
 * a fault leaves ``rip`` at the faulting instruction and ``cycles`` at
   the total retired before it (``cum[i - 1]``), exactly as the per-step
   interpreter would;
-* after every instruction that wrote memory, the executor re-checks the
-  block's segment version and bails out of the block if the code under
-  it changed (self-modifying guest code), resuming at the next
-  instruction.
+* after every instruction of a block that can write memory (its shape
+  records whether any ``store``/``push``/``call``/``callr``/``pusha``
+  is in it), the executor re-checks the block's segment version and
+  bails out of the block if the code under it changed (self-modifying
+  guest code), resuming at the next instruction.
 
 Invalidation is driven by the write-tracking in
 :mod:`repro.isa.memory`: every mutation of a segment bumps
@@ -55,6 +56,7 @@ from repro.isa.opcodes import (
     OP_INT0,
     OP_JMP,
     OP_SYSCALL,
+    WRITE_OP_IDS,
     OP_VSYS,
 )
 from repro.obs import metrics as obs_metrics
@@ -116,10 +118,6 @@ class CacheStats:
         self.fused_blocks = 0
         self.sb_len_buckets = [0] * SB_LEN_BUCKETS
 
-    def observe_length(self, n_insns: int) -> None:
-        bucket = n_insns.bit_length() if n_insns > 0 else 0
-        self.sb_len_buckets[min(bucket, SB_LEN_BUCKETS - 1)] += 1
-
     def as_dict(self) -> Dict[str, int]:
         counters = {
             "tcache.hits": self.hits,
@@ -144,12 +142,12 @@ class CodeBlock:
 
     __slots__ = ("entry", "insns", "n_insns", "cycles", "cum", "bounds",
                  "terminator", "term_arg", "term_addr", "term_end",
-                 "term_cycles", "end_rip", "segment", "version", "chain",
-                 "hot", "fn")
+                 "term_cycles", "end_rip", "writes", "segment", "version",
+                 "chain", "hot", "fn")
 
     def __init__(self, entry, insns, cycles, cum, bounds, terminator,
                  term_arg, term_addr, term_end, term_cycles, end_rip,
-                 segment, version) -> None:
+                 writes, segment, version) -> None:
         self.entry = entry
         self.insns = insns            # decoded straight instructions
         self.n_insns = len(insns)
@@ -162,6 +160,9 @@ class CodeBlock:
         self.term_end = term_end      # rip while its handler runs
         self.term_cycles = term_cycles
         self.end_rip = end_rip        # resume address for T_FALL
+        #: Whether any instruction can write memory; a cold block that
+        #: cannot skips the per-instruction segment version check.
+        self.writes = writes
         self.segment = segment
         self.version = version
         #: Direct-threaded chain: successor rip → successor CodeBlock,
@@ -287,7 +288,12 @@ class TranslationCache:
         ``(rip, max_block_insns)``; errors are never memoised.  The
         ``tcache.*`` counters still count every translation.
         """
-        segment = self.space.find(rip)
+        space = self.space
+        # The page cache holds only segments find() returned; bounds make
+        # a hit exactly find()'s answer (segments never overlap).
+        segment = space._pages.get(rip >> 12)
+        if segment is None or not segment.start <= rip < segment.end:
+            segment = space.find(rip)
         if not segment.x_ok:
             raise ExecutionFault(
                 f"{cpu.name}: rip {rip:#x} not executable")
@@ -301,14 +307,15 @@ class TranslationCache:
         stats = self.stats
         stats.blocks_translated += 1
         stats.insns_translated += n_insns
-        stats.observe_length(n_insns)
+        stats.sb_len_buckets[min(n_insns.bit_length(),
+                                 SB_LEN_BUCKETS - 1)] += 1
         return CodeBlock(rip, *shape, segment, segment.version)
 
 
 def form_superblock(image, rip: int, limit: int) -> tuple:
     """Decode one superblock of ``image`` starting at ``rip``.
 
-    Returns ``CodeBlock``'s shape fields, from ``insns`` to ``end_rip``:
+    Returns ``CodeBlock``'s shape fields, from ``insns`` to ``writes``:
     a pure function of the image's bytes, ``rip`` and ``limit``.
 
     The trace continues *through* direct ``jmp``/``call`` (decoding
@@ -391,5 +398,7 @@ def form_superblock(image, rip: int, limit: int) -> tuple:
             # thread this exit to the successor block.
             break
 
+    writes = any(insn.op_id in WRITE_OP_IDS for insn in insns)
     return (tuple(insns), total, tuple(cum), tuple(bounds) + (addr,),
-            terminator, term_arg, term_addr, term_end, term_cycles, addr)
+            terminator, term_arg, term_addr, term_end, term_cycles, addr,
+            writes)

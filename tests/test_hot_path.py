@@ -376,6 +376,13 @@ class TestHostWorkPerEvent:
 # held its two slots in locals.
 MAX_CACHED_CALLS_PER_INSN = 0.01
 
+#: Trace ``line`` events in fused code per trip of the cached guest
+#: loop: 4.04 (CPython 3.11), the ``for`` line and three statements,
+#: since a promoted loop is a counted ``for`` with no per-trip exit
+#: test, no dead ``zf`` write, no ``rsp`` steps for its push/pop pair
+#: and its slot moves folded into their neighbours; 16.0 before.
+MAX_FUSED_LINES_PER_TRIP = 4.5
+
 
 def _engine_churn():
     sim, machine = world()
@@ -478,6 +485,35 @@ class TestSubstrateWork:
         assert cpu.insns_retired == 600_005
         assert calls / cpu.insns_retired < MAX_CACHED_CALLS_PER_INSN
 
+    def test_fused_loop_runs_few_lines_per_trip(self):
+        def lines(run):
+            count = [0]
+
+            def local(_frame, event, _arg):
+                if event == "line":
+                    count[0] += 1
+                return local
+
+            def tracer(frame, _event, _arg):
+                if frame.f_code.co_filename.startswith("<fused:"):
+                    return local
+                return None
+
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                cpu = run()
+            finally:
+                sys.settrace(previous)
+            assert cpu.insns_retired == 30_005
+            return count[0]
+
+        run = _cpu_loop(3_000, True)
+        run()
+        count = lines(run)
+        assert lines(run) == count
+        assert count / 3_000 < MAX_FUSED_LINES_PER_TRIP
+
     def test_per_step_decode_costs_8x_the_cached_path(self):
         # The deterministic form of the old "cached >= 3x per-step" MIPS
         # ratio, on a shorter loop so the per-step run stays cheap.
@@ -513,6 +549,13 @@ def _cold_program(rng, blocks, rounds=3):
 #: tuples per Cpu kept 5.0, a closure per instruction 26.96.
 MAX_OBJECTS_PER_BLOCK = 3
 
+#: Profiled calls per retired instruction of a never-fused cold program
+#: (CPython 3.11): 2.514, one executor call per instruction, the rest
+#: per block.  It read 2.596 when the per-step executor was one method
+#: whose ``if`` chain reached ``jnz`` on its 15th test, and translation
+#: scanned the segment list for every block's entry.
+MAX_COLD_CALLS_PER_INSN = 2.6
+
 
 def _retained(run):
     """GC-tracked objects and function objects alive after ``run()``
@@ -533,19 +576,21 @@ def _retained(run):
         gc.enable()
 
 
+def _cold_run(source):
+    def run():
+        space = AddressSpace()
+        space.map(Segment(0x1000, assemble(source, origin=0x1000),
+                          perms="rx", name="text"))
+        space.map(Segment(0x7FF0_0000, bytes(0x4000), perms="rw"))
+        cpu = Cpu(space, 0x1000, 0x7FF0_4000)
+        cpu.run_sync()
+        return cpu
+    return run
+
+
 class TestColdTranslation:
     def test_cold_blocks_keep_few_objects_and_build_no_functions(self):
-        source = _cold_program(random.Random(7), 500)
-
-        def run():
-            space = AddressSpace()
-            space.map(Segment(0x1000, assemble(source, origin=0x1000),
-                              perms="rx", name="text"))
-            space.map(Segment(0x7FF0_0000, bytes(0x4000), perms="rw"))
-            cpu = Cpu(space, 0x1000, 0x7FF0_4000)
-            cpu.run_sync()
-            return cpu
-
+        run = _cold_run(_cold_program(random.Random(7), 500))
         run()  # decode, form and assemble once (process-wide memos)
         objects, functions, cpu = _retained(run)
         again = _retained(run)
@@ -554,6 +599,13 @@ class TestColdTranslation:
         assert (stats.blocks_translated, stats.fused_blocks) == (504, 0)
         assert functions == 0
         assert objects / stats.blocks_translated < MAX_OBJECTS_PER_BLOCK
+
+    def test_cold_blocks_cost_few_calls_per_insn(self):
+        calls, cpu = _second_count(
+            _cold_run(_cold_program(random.Random(7), 500)))
+        assert cpu.tcache.stats.fused_blocks == 0
+        assert cpu.insns_retired == 6_014
+        assert calls / cpu.insns_retired <= MAX_COLD_CALLS_PER_INSN
 
 
 #: The ``guest_isa`` benchmark's hot loop: 12 instructions a trip, one

@@ -38,6 +38,21 @@ def test_construction_contract(kind, specs, config, message):
         KINDS[kind](World(), specs, config=config)
 
 
+# Each value was once accepted: a truthy string made a daemon session,
+# and the last three failed only later (a bare AttributeError at start,
+# or a follower thread dying at the first divergence).
+@pytest.mark.parametrize("field, value", [
+    ("daemon", "no"),
+    ("sample_distances", "yes"),
+    ("fault_plan", "x"),
+    ("invariants", 3),
+    ("rules", 42),
+])
+def test_config_refuses_a_mistyped_option(field, value):
+    with pytest.raises(NvxError, match=f"^SessionConfig.{field} must be"):
+        SessionConfig(**{field: value})
+
+
 def _world():
     world = World()
     world.kernel.fs(world.server).create("/tmp/input", b"the-input")

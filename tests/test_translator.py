@@ -618,11 +618,26 @@ class TestLoopSlotPromotion:
         # A call in the body: not eligible.
         ("call f\nadd r13, rax\njmp back\nf:\nmovi rax, 5\nret\n"
          "back:", "", 0),
+        # A cmp whose flag the counter's subi overwrites: no zf write.
+        ("cmp rdx, rax\nstore [rbx+0], rdx\nload rsi, [rbx+0]\n"
+         "add r13, rsi", "", 1),
+        # A sub whose flag is dead but whose result is not.
+        ("sub rdx, rax\nstore [rbx+0], rdx\nload rsi, [rbx+0]\n"
+         "add r13, rsi", "", 1),
+        # push rsp reads rsp while a push has it 8 down: rsp is not a
+        # silent base and moves on every push and pop.
+        ("push rax\npush rsp\npop rsi\npop rdi\nadd r13, rsi\n"
+         "add r13, rdi", "", 1),
+        # A mov reads the base while it is moved: not silent.
+        ("addi rbx, 16\nstore [rbx+0], r12\nmov rsi, rbx\n"
+         "subi rbx, 16\nadd r13, rsi", "", 1),
     ], ids=["store_load", "hot_loop", "two_stores_one_slot", "read_first",
             "push_load_rsp", "balanced_base_steps", "push_rsp",
             "same_address_two_bases", "overlap_by_4", "one_slot_two_exprs",
             "base_net_plus_8", "pop_into_base", "load_into_base",
-            "movi_into_base", "rsp_net_minus_8", "call"])
+            "movi_into_base", "rsp_net_minus_8", "call", "dead_cmp",
+            "sub_dead_zf_live_result", "push_rsp_read_displaced",
+            "mov_reads_moved_base"])
     def test_promotion_matches_the_oracle(self, body, setup, promoted):
         taken = []
         _cached, interp = assert_equivalent(
@@ -723,6 +738,158 @@ class TestLoopSlotPromotion:
             _loop_program("store [rbx+0], r12\nload rsi, [rbx+0]\n"
                           "push rsi\npop rdi\nadd r13, rdi"),
             max_insns=max_insns)
+
+    # A promoted loop is a counted ``for``: a closing ``subi rC, 1; jnz``
+    # with nothing else touching rC runs min(_k, rC) trips and sets rC,
+    # zf and rip after the loop; any other exit is tested once a trip.
+    # _COUNTED enters its loop through a branch with rC = counter, after
+    # an entry block of 7 cycles; a trip is 10 cycles, so a cycle batch
+    # of 7 + 10 * K makes the first fused call's trip bound _k exactly K.
+    _COUNTED = f"""
+        movi rbx, {DATA}
+        store [rbx+8], rbx
+        movi r12, {{counter}}
+        cmpi rbx, 0
+        jnz loop
+        hlt
+    loop:
+        addi r13, 3
+        store [rbx+0], r13
+        load rsi, [rbx+0]
+        add r14, rsi
+        subi r12, 1
+        jnz loop
+        movi rax, 1
+        hlt
+    """
+
+    @pytest.mark.parametrize("counter", [0, 1, 2, 4, 5, 6, 7, 23])
+    def test_counted_loop_runs_min_of_bound_and_counter(self, counter):
+        # K = 5: counters 0 (2**64 trips, so the insn budget ends it),
+        # 1, K - 1, K, K + 1 and more.
+        taken = []
+        _cached, interp = assert_equivalent(
+            self._COUNTED.format(counter=counter), max_insns=400,
+            batch_cycles=7 + 10 * 5, promoted=taken)
+        assert taken[0] >= 1
+        if counter:
+            assert interp.regs[0] == 1 and interp.regs[12] == 0
+            assert interp.regs[14] == 3 * counter * (counter + 1) // 2
+        else:
+            assert not interp.halted
+
+    @pytest.mark.parametrize("max_insns", range(5, 60, 3))
+    def test_counted_loop_insn_budget(self, max_insns):
+        assert_equivalent(self._COUNTED.format(counter=9),
+                          max_insns=max_insns, batch_cycles=27)
+
+    # Exits tested once a trip, one per edge polarity.  ``back:`` sits
+    # right before ``loop:``, so a body closing with ``jmp back`` spans
+    # into a conditional whose fall-through is the loop's entry.
+    @pytest.mark.parametrize("tail, trips", [
+        # jnz to the entry, leaving on zf (the cmpi reads r12: no
+        # counter).
+        ("subi r12, 1\ncmpi r12, 0\njnz loop", 6),
+        # jz to the entry, leaving on not zf: one trip.
+        ("subi r12, 1\ncmpi r12, 0\njz loop", 1),
+        # jz whose fall-through is the entry, leaving on zf.
+        ("subi r12, 1\njmp back", 6),
+        # jnz whose fall-through is the entry, leaving on not zf.
+        ("addi r12, 1\ncmpi r12, 0\njmp back", 1),
+    ], ids=["jnz_taken_loops", "jz_taken_loops", "jz_falls_into_loop",
+            "jnz_falls_into_loop"])
+    def test_tested_exit_polarity(self, tail, trips):
+        cond = "jnz" if "addi r12" in tail else "jz"
+        source = f"""
+            movi rbx, {DATA}
+            store [rbx+8], rbx
+            movi r12, 6
+            cmpi rbx, 0
+            jnz loop
+            hlt
+        back:
+            {cond} out
+        loop:
+            store [rbx+0], r12
+            load rsi, [rbx+0]
+            add r13, rsi
+            {tail}
+        out:
+            mov rax, r13
+            hlt
+        """
+        taken = []
+        _cached, interp = assert_equivalent(source, promoted=taken)
+        assert taken == [1] and interp.halted
+        assert interp.regs[0] == sum(range(6, 6 - trips, -1))
+
+    @pytest.mark.parametrize("body, batch", [
+        # Slots, budget-limited: each call runs all _k trips and leaves
+        # rip at the entry.
+        ("store [rbx+0], r13\nload rsi, [rbx+0]\naddi r13, 1\n"
+         "cmp r13, rsi\njmp loop", 20_000),
+        ("store [rbx+0], r13\nload rsi, [rbx+0]\naddi r13, 1\n"
+         "cmp r13, rsi\njmp loop", 29),
+        # No slots: nothing to guard; the last cmp's zf is live-out.
+        ("addi r13, 5\ncmpi r13, 10\njmp loop", 20_000),
+        ("nop\njmp loop", 20_000),
+        # A jz both of whose edges are the entry (the body spans into
+        # ``back:``, right before ``loop:``).
+        ("addi r13, 5\ncmpi r13, 10\njmp back", 20_000),
+    ], ids=["slots", "slots_small_batch", "no_slots", "empty", "both_edges"])
+    @pytest.mark.parametrize("max_insns", [97, 500])
+    def test_loop_that_never_leaves_ends_at_the_insn_budget(
+            self, body, batch, max_insns):
+        # zf is set on entry and clear after the body's last compare:
+        # the live-out flag is the loop's own.
+        source = f"""
+            movi rbx, {DATA}
+            store [rbx+8], rbx
+            cmpi rbx, {DATA}
+            jz loop
+            hlt
+        back:
+            jz loop
+        loop:
+            {body}
+        """
+        _cached, interp = assert_equivalent(source, max_insns=max_insns,
+                                            batch_cycles=batch)
+        assert not interp.halted
+
+    @pytest.mark.parametrize("base, body", [
+        ("rbx", "addi rbx, 8\nstore [rbx+0], r13\nload rsi, [rbx+0]\n"
+         "add r14, rsi\nsubi rbx, 8"),
+        ("rsp", "addi rsp, -16\npush r13\npop rsi\nadd r14, rsi\n"
+         "subi rsp, -16"),
+    ], ids=["rbx", "rsp"])
+    @pytest.mark.parametrize("branch", ["jz", "jnz"])
+    def test_base_step_whose_zf_is_live_still_moves_the_base(
+            self, base, body, branch):
+        # The closing subi of a balanced base is the flag the branch
+        # reads, so the base is not silent.  zf is set before the loop:
+        # a loop that skipped the subi would read the stale flag.
+        source = f"""
+            movi rbx, {DATA}
+            store [rbx+8], rbx
+            push rbx
+            pop rsi
+            movi r13, 0
+            cmpi r13, 0
+            jz loop
+            hlt
+        loop:
+            addi r13, 7
+            {body}
+            {branch} loop
+            mov rax, r14
+            hlt
+        """
+        taken = []
+        _cached, interp = assert_equivalent(source, max_insns=300,
+                                            promoted=taken)
+        assert taken[0] >= 1
+        assert interp.halted == (branch == "jz")
 
 
 class TestSharedShapes:
@@ -889,3 +1056,31 @@ class TestDifferential:
               else "fused leg forwarded no load")
         event("fused leg ran a promoted loop" if promoted[0]
               else "fused leg ran no promoted loop")
+
+    # A cold block records whether any instruction can write memory
+    # (store, push, call, callr, pusha); one that cannot skips the
+    # segment version check after each instruction.  Each case lists
+    # the flag of every block by entry address.
+    @pytest.mark.parametrize("source, writes", [
+        ("movi rax, 3\naddi rax, 4\ncmpi rax, 7\njz done\nhlt\ndone:\n"
+         "movi rbx, 1\nhlt", [False, False]),
+        (f"movi rsp, {STACK_TOP - 128}\nmovi rbx, {DATA}\n"
+         "load rax, [rbx+0]\npop rcx\npopa\nnop\nhlt", [False]),
+        # A load faults mid-block: rip and cycles of the instructions
+        # before it, from a block that keeps no version check.
+        ("movi rax, 1\nmovi rbx, 0x333330\nload rax, [rbx+0]\nhlt",
+         [False]),
+        (f"movi rbx, {DATA}\nstore [rbx+0], rbx\nhlt", [True]),
+        ("push rax\nhlt", [True]),
+        ("pusha\nhlt", [True]),
+        # A spanned call, and a callr that ends its block.
+        ("call f\nhlt\nf:\nmovi rax, 2\nhlt", [True]),
+        ("movi rcx, {}\ncallr rcx\nhlt\nmovi rax, 9\nhlt".format(
+            TEXT + len(assemble("movi rcx, 0\ncallr rcx\nhlt"))),
+         [True, False]),
+    ], ids=["alu", "loads_pop_popa", "load_faults", "store", "push",
+            "pusha", "spanned_call", "callr"])
+    def test_blocks_with_and_without_memory_writes(self, source, writes):
+        cached, _interp = assert_equivalent(source)
+        blocks = cached.tcache.blocks
+        assert [blocks[rip].writes for rip in sorted(blocks)] == writes
