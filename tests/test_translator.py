@@ -249,6 +249,29 @@ class TestCounters:
             assert empty["counters"][f"tcache.sb_len_p2_{k}"] == 0
 
 
+def _rewrite_next_insn(setup, write, above):
+    """Run ``setup`` (formatted with the victim's address plus
+    ``above``), then ``write`` of rdx, which turns the ``movi rax, 1``
+    right after it into ``movi rax, 42``, checked against the oracle;
+    returns the cached Cpu."""
+    prefix = assemble(f"{setup.format(0)}\nmovi rdx, 0\nmovi rbx, 0\n"
+                      f"{write}", origin=TEXT)
+    victim_addr = TEXT + len(prefix)
+    # The 8 bytes that turn `movi rax, 1` into `movi rax, 42`.
+    patched = bytearray(assemble("movi rax, 1", origin=victim_addr)[:8])
+    patched[2] = 42
+    source = f"""
+        {setup.format(victim_addr + above)}
+        movi rdx, {int.from_bytes(bytes(patched), "little")}
+        movi rbx, 0
+        {write}
+        movi rax, 1
+        hlt
+    """
+    cached, _interp = assert_equivalent(source, text_perms="rwx")
+    return cached
+
+
 class TestInvalidation:
     def test_patch_code_evicts_stale_block(self):
         # Translate, then patch the text the way the rewriter does, and
@@ -284,25 +307,13 @@ class TestInvalidation:
     def test_self_modification_inside_block_takes_effect(self):
         # The store and its victim sit in one straight-line run: the
         # block must stop at the store and re-translate the tail.
-        prefix = assemble(
-            "movi rcx, 0\nmovi rdx, 0\nmovi rbx, 0\nstore [rcx+0], rdx",
-            origin=TEXT)
-        victim_addr = TEXT + len(prefix)
-        source = f"""
-            movi rcx, {victim_addr}
-            movi rdx, {{patched_words}}
-            movi rbx, 0
-            store [rcx+0], rdx
-            movi rax, 1
-            hlt
-        """
-        # Build the 8 bytes that turn `movi rax, 1` into `movi rax, 42`.
-        original = assemble("movi rax, 1", origin=victim_addr)
-        patched = bytearray(original[:8])
-        patched[2] = 42
-        src = source.format(
-            patched_words=int.from_bytes(bytes(patched), "little"))
-        cached, interp = assert_equivalent(src, text_perms="rwx")
+        cached = _rewrite_next_insn("movi rcx, {}", "store [rcx+0], rdx", 0)
+        assert cached.regs[0] == 42
+
+    def test_self_modification_by_push_takes_effect(self):
+        # The same with a push through an rsp pointing into the text: a
+        # block with no store still checks the version after a push.
+        cached = _rewrite_next_insn("movi rsp, {}", "push rdx", 8)
         assert cached.regs[0] == 42
 
     def test_mapping_change_flushes_cache(self):
