@@ -517,27 +517,11 @@ def _emit_loop(em: _Emitter, block, bails: list) -> None:
 
 
 def _trip(block, at: Dict[int, tuple], names: Dict[tuple, str]):
-    """One trip of a promoted loop: its statements and how it repeats.
-
-    Returns ``(statements, counter)``.  Each statement is ``[targets,
-    template, args]`` (``args`` are the locals the template reads), in
-    program order, for every body instruction but the terminator, with:
-
-    * no ``zf =`` for a ``cmp``/``cmpi``/``sub``/``subi`` whose flag a
-      later one in the trip overwrites (the only reader is the
-      terminator, after the last writer; that write stays, live-out);
-    * no update of a *silent* slot base: one that only promoted
-      ``push``/``pop`` and dead-flag ``addi``/``subi`` write and nothing
-      reads but as an address (its slots are fixed, and ``_loop_slots``
-      proved it back at its entry value after every trip);
-    * no ``counter`` instruction: ``(index, register)`` of a closing
-      ``subi rC, 1; jnz <entry>`` whose register nothing else in the
-      trip reads or writes, or None.  The caller runs such a loop
-      ``min(_k, rC)`` trips and sets rC, zf and rip once, after it;
-    * each move between locals folded into its neighbour: a move whose
-      target the next statement reads and overwrites becomes that
-      statement's operand, and a move of what the previous statement
-      just assigned becomes one more target of it.
+    """One trip of a promoted loop, trimmed as the module docstring's
+    "Trip loops" says: its statement lines in program order (every body
+    instruction but the terminator) and ``counter``, the ``(index,
+    register)`` of a closing ``subi rC, 1`` the caller turns into a trip
+    count, or None.  A *silent* base is a slot base no statement updates.
     """
     insns = block.insns
     body = insns[:-1]

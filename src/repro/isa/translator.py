@@ -56,8 +56,8 @@ from repro.isa.opcodes import (
     OP_INT0,
     OP_JMP,
     OP_SYSCALL,
-    WRITE_OP_IDS,
     OP_VSYS,
+    WRITE_OP_IDS,
 )
 from repro.obs import metrics as obs_metrics
 
