@@ -550,10 +550,9 @@ def _cold_program(rng, blocks, rounds=3):
 MAX_OBJECTS_PER_BLOCK = 3
 
 #: Profiled calls per retired instruction of a never-fused cold program
-#: (CPython 3.11): 2.514, one executor call per instruction, the rest
-#: per block.  It read 2.596 when the per-step executor was one method
-#: whose ``if`` chain reached ``jnz`` on its 15th test, and translation
-#: scanned the segment list for every block's entry.
+#: (CPython 3.11): 2.430, one executor call per instruction, the rest
+#: per block.  It read 2.596 when translation scanned the segment list
+#: for every block's entry and counted its length in a method call.
 MAX_COLD_CALLS_PER_INSN = 2.6
 
 
