@@ -218,10 +218,12 @@ class Cpu:
                     try:
                         if fn is not None:
                             # Fused bodies return how many times they ran
-                            # the block: a self-loop block iterates in
+                            # the block: a promoted self-loop iterates in
                             # place until its branch leaves the entry,
                             # the insn budget nears expiry, or the cycle
-                            # batch fills (see repro.isa.fuser).
+                            # batch fills; any other body runs once, and
+                            # a self-loop's next trip is the self-chain
+                            # follow below (see repro.isa.fuser).
                             it = fn(remaining, batch_cycles - pending)
                         elif block.writes:
                             it = 1

@@ -21,16 +21,6 @@ the per-step interpreter could observe partial state:
   accesses anyway — spill, run on the per-step executor inside the same
   fault guard, and reload.
 
-Store forwarding: a load (``load``, ``pop``, ``ret``) of the slot the
-last store (``store``, ``push``, ``call``) wrote takes the stored value
-from its local, provided no register of the slot's address or of the
-value was written and no other memory access or ``pusha``/``popa`` ran
-in between.  The store still writes memory and bumps
-``Segment.version``, and every bail check stays.  At run time the load
-forwards only if the store took the page-cache fast path (``_fw``) and
-the segment is readable; otherwise it runs the full load, fault epilogue
-included, so a fault lands where the per-step interpreter puts it.
-
 Loop slot promotion: a self-loop whose memory ops are all ``load``,
 ``store``, ``push`` and ``pop``, through base registers that only
 constant push/pop/addi/subi steps move and that are back at their entry
@@ -42,11 +32,15 @@ every slot in a local: a slot read before it is written is loaded once,
 each memory op is a move between locals, and on exit each stored slot
 is written back once and its segment's ``version`` bumped by its stores
 per trip times the trips run.  Nothing in such a body can fault, bail or
-remap memory once the guard passed.  If the guard fails (a page not yet
-cached, a permission, aliasing slots), the same function runs the
-unpromoted loop instead, which is the code every other loop gets, so
-faults, bails and store forwarding behave exactly as without promotion.
-A loop with no memory op at all is promoted with no guard.
+remap memory once the guard passed.  Only a promoted loop iterates in
+place.  If the guard fails (a page not yet cached, a permission,
+aliasing slots), or ``_loop_slots`` refuses the loop, the function runs
+one trip of the plain body, the code every other block gets, and returns
+1; ``Cpu._run_cached`` follows the block's self-chain link to run the
+next trip.  A fault or bail thus lands where it would without promotion,
+and a guard that failed on an uncached page passes on the next call,
+since the trip's slow-path access cached it.  A loop with no memory op
+at all is promoted with no guard.
 
 Trip loops: since nothing in a promoted trip can fault or bail, no
 statement needs the trip number, and the loop is ``for _it in range(1,
@@ -61,8 +55,7 @@ updated at all, since it is back at its entry value after every trip;
 a closing ``subi rC, 1; jnz <entry>`` whose rC nothing else touches is
 a *counted* loop of ``min(_k, rC)`` trips (rC = 0 means 2**64) with no
 per-trip test, and rC, zf and rip are set once after it; and each move
-between locals folds into the statement next to it.  Unpromoted loops
-keep their ``while``: their fault and bail epilogues read ``_it``.
+between locals folds into the statement next to it.
 
 The generated function is observably identical to running the block
 instruction by instruction: same registers, zf, rip, cycles and
@@ -147,35 +140,15 @@ class _Emitter:
         #: reads or writes zf.
         self.localized: set = set()
         self.zf_used = False
+        #: Guest registers (and zf) whose local differs from ``regs``.
         self.dirty: set = set()
         self.zf_dirty = False
-        #: Extra indent applied to every emit (self-loop bodies sit one
-        #: level inside a ``while``).
+        #: Extra indent applied to every emit (a promoted loop sits one
+        #: level inside its guard).
         self.base = 0
-        #: Set to the block's total cycles when emitting a self-loop
-        #: body; fault/bail accounting then scales by the completed
-        #: iteration count ``_it``.
-        self.loop_total: Optional[int] = None
-        #: The last store, while a later load of its slot may take the
-        #: stored value from a local: ``((base reg, disp), value expr,
-        #: registers the address and value read)``.  Every memory
-        #: access ends it, and so does a write to one of those
-        #: registers.
-        self.fwd: Optional[tuple] = None
 
     def emit(self, line: str, indent: int = 1) -> None:
         self.lines.append("    " * (indent + self.base) + line)
-
-    def _cyc_expr(self, cyc_before: int) -> str:
-        if self.loop_total is not None:
-            return f"{cyc_before} + _it * {self.loop_total}"
-        return str(cyc_before)
-
-    def wrote(self, reg: int) -> None:
-        """Guest register ``reg``'s local now differs from ``regs``."""
-        self.dirty.add(reg)
-        if self.fwd is not None and reg in self.fwd[2]:
-            self.fwd = None
 
     def spills(self) -> List[str]:
         out = [f"regs[{i}] = r{i}" for i in sorted(self.dirty)]
@@ -192,8 +165,7 @@ class _Emitter:
         for line in self.spills():
             self.emit(line, indent + 1)
         self.emit(f"cpu.rip = {addr}", indent + 1)
-        self.emit(f"cpu._fault_cycles = {self._cyc_expr(cyc_before)}",
-                  indent + 1)
+        self.emit(f"cpu._fault_cycles = {cyc_before}", indent + 1)
         self.emit("raise", indent + 1)
 
     # The u64 fast paths of AddressSpace.read_u64/write_u64, inlined:
@@ -201,29 +173,9 @@ class _Emitter:
     # the real accessor (and the fault epilogue) as the fallback — so a
     # fused access is observably identical to the per-step one while a
     # hit costs no Python call at all.
-    #
-    # A load of the slot the last store wrote, with no memory access and
-    # no write to the address or value registers in between, takes the
-    # stored value from its local instead: ``_fw`` says the store took
-    # the fast path, so ``_s`` is still the slot's segment, already
-    # checked for bounds; only readability is left to test.
 
     def emit_load(self, dest: str, addr_expr: str, addr: int,
-                  cyc_before: int, slot: tuple) -> None:
-        fwd, self.fwd = self.fwd, None
-        if fwd is None or fwd[0] != slot:
-            self._emit_page_load(dest, addr_expr, addr, cyc_before)
-            return
-        value = fwd[1]
-        self.emit("if _fw and _s.r_ok:")
-        self.emit(f"{dest} = {value}" if dest != value else "pass", 2)
-        self.emit("else:")
-        self.base += 1
-        self._emit_page_load(dest, addr_expr, addr, cyc_before)
-        self.base -= 1
-
-    def _emit_page_load(self, dest: str, addr_expr: str, addr: int,
-                        cyc_before: int) -> None:
+                  cyc_before: int) -> None:
         self.emit(f"_a = {addr_expr}")
         self.emit("_s = pages.get(_a >> 12)")
         self.emit("if (_s is not None and _s.r_ok and _s.start <= _a "
@@ -234,34 +186,16 @@ class _Emitter:
                               indent=2)
 
     def emit_store(self, addr_expr: str, value: str, addr: int,
-                   cyc_before: int, slot: tuple, reads: tuple) -> None:
+                   cyc_before: int) -> None:
         self.emit(f"_a = {addr_expr}")
         self.emit("_s = pages.get(_a >> 12)")
         self.emit("if (_s is not None and _s.w_ok and _s.start <= _a "
                   "and _a + 8 <= _s.end):")
         self.emit(f"pack(_s.data, _a - _s.start, {value})", 2)
         self.emit("_s.version += 1", 2)
-        self.emit("_fw = True", 2)
         self.emit("else:")
         self.emit_fault_guard(f"write_u64(_a, {value})", addr, cyc_before,
                               indent=2)
-        self.emit("_fw = False", 2)
-        self.fwd = (slot, value, reads)
-
-    def emit_bail_check(self, version: int, bail_index: int,
-                        next_rip: int, cyc_after: int, n_done: int,
-                        block_n: int) -> None:
-        self.emit(f"if seg.version != {version}:")
-        for line in self.spills():
-            self.emit(line, 2)
-        if self.loop_total is not None:
-            # Iteration-aware exit: cycles/insns retired so far are the
-            # completed iterations plus this iteration's prefix.
-            self.emit(f"raise BlockExit({next_rip}, "
-                      f"{cyc_after} + _it * {self.loop_total}, "
-                      f"{n_done} + _it * {block_n})", 2)
-        else:
-            self.emit(f"raise bails[{bail_index}]", 2)
 
 
 def _is_self_loop(block) -> bool:
@@ -344,13 +278,20 @@ def _loop_slots(insns):
     return slots, at
 
 
-def _emit_body(em: _Emitter, block, bails: list, is_loop: bool) -> None:
+def _emit_body(em: _Emitter, block, bails: list) -> None:
     """Emit one run of the block's instructions."""
     insns = block.insns
     n = len(insns)
     terminator = block.terminator
-    version = block.version
     cum = block.cum
+
+    def bail(i: int) -> None:
+        # Resume at the next instruction if this one rewrote the block.
+        bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
+        em.emit(f"if seg.version != {block.version}:")
+        for line in em.spills():
+            em.emit(line, 2)
+        em.emit(f"raise bails[{i}]", 2)
     for i, insn in enumerate(insns):
         op_id = insn.op_id
         opnd = insn.operands
@@ -364,30 +305,30 @@ def _emit_body(em: _Emitter, block, bails: list, is_loop: bool) -> None:
             d, s = opnd
             if d != s:
                 em.emit(f"r{d} = r{s}")
-                em.wrote(d)
+                em.dirty.add(d)
         elif op_id == OP_MOVI:
             d, imm = opnd
             em.emit(f"r{d} = {imm & _MASK}")
-            em.wrote(d)
+            em.dirty.add(d)
         elif op_id == OP_ADD:
             d, s = opnd
             em.emit(f"r{d} = (r{d} + r{s}) & {_MASK}")
-            em.wrote(d)
+            em.dirty.add(d)
         elif op_id == OP_ADDI:
             d, imm = opnd
             em.emit(f"r{d} = (r{d} + {imm}) & {_MASK}")
-            em.wrote(d)
+            em.dirty.add(d)
         elif op_id == OP_SUB:
             d, s = opnd
             em.emit(f"r{d} = (r{d} - r{s}) & {_MASK}")
             em.emit(f"zf = r{d} == 0")
-            em.wrote(d)
+            em.dirty.add(d)
             em.zf_dirty = True
         elif op_id == OP_SUBI:
             d, imm = opnd
             em.emit(f"r{d} = (r{d} - {imm}) & {_MASK}")
             em.emit(f"zf = r{d} == 0")
-            em.wrote(d)
+            em.dirty.add(d)
             em.zf_dirty = True
         elif op_id == OP_CMP:
             d, s = opnd
@@ -406,31 +347,24 @@ def _emit_body(em: _Emitter, block, bails: list, is_loop: bool) -> None:
             else:
                 value = f"r{s}"
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
-            em.wrote(_RSP)
-            em.emit_store(f"r{_RSP}", value, addr, cyc_before, (_RSP, 0),
-                          (_RSP, s))
-            bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
-            em.emit_bail_check(version, i, block.bounds[i + 1], cum[i],
-                               i + 1, n)
+            em.dirty.add(_RSP)
+            em.emit_store(f"r{_RSP}", value, addr, cyc_before)
+            bail(i)
         elif op_id == OP_POP:
             d = opnd[0]
-            em.emit_load("_t", f"r{_RSP}", addr, cyc_before, (_RSP, 0))
+            em.emit_load("_t", f"r{_RSP}", addr, cyc_before)
             em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
-            em.wrote(_RSP)
+            em.dirty.add(_RSP)
             em.emit(f"r{d} = _t")
-            em.wrote(d)
+            em.dirty.add(d)
         elif op_id == OP_LOAD:
             d, b, disp = opnd
-            em.emit_load(f"r{d}", f"r{b} + {disp}", addr, cyc_before,
-                         (b, disp))
-            em.wrote(d)
+            em.emit_load(f"r{d}", f"r{b} + {disp}", addr, cyc_before)
+            em.dirty.add(d)
         elif op_id == OP_STORE:
             s, b, disp = opnd
-            em.emit_store(f"r{b} + {disp}", f"r{s}", addr, cyc_before,
-                          (b, disp), (b, s))
-            bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
-            em.emit_bail_check(version, i, block.bounds[i + 1], cum[i],
-                               i + 1, n)
+            em.emit_store(f"r{b} + {disp}", f"r{s}", addr, cyc_before)
+            bail(i)
         elif op_id in _EXECUTOR_OP_IDS:
             # Run on the per-step executor: spill so it sees (and on a
             # fault leaves) exact state, then reload every local.
@@ -438,82 +372,44 @@ def _emit_body(em: _Emitter, block, bails: list, is_loop: bool) -> None:
                 em.emit(line)
             em.dirty.clear()
             em.zf_dirty = False
-            em.fwd = None  # it writes memory the last store's slot may be in
             em.emit_fault_guard(f"execute(insns[{i}])", addr, cyc_before)
             for r in sorted(em.localized):
                 em.emit(f"r{r} = regs[{r}]")
             if op_id == OP_PUSHA:
-                bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
-                em.emit_bail_check(version, i, block.bounds[i + 1],
-                                   cum[i], i + 1, n)
+                bail(i)
         elif op_id == OP_JMP:
             if is_term:
-                # In a self-loop (where the target is the entry) rip
-                # lives in the `_nr` local until the loop exits.
-                rip = "_nr" if is_loop else "cpu.rip"
-                em.emit(f"{rip} = {insn.end + opnd[0]}")
+                em.emit(f"cpu.rip = {insn.end + opnd[0]}")
             # else: spanned — pure accounting, no state moves.
         elif op_id == OP_JZ:
-            taken = insn.end + opnd[0]
-            rip = "_nr" if is_loop and is_term else "cpu.rip"
-            em.emit(f"{rip} = {taken} if zf else {insn.end}")
+            em.emit(f"cpu.rip = {insn.end + opnd[0]} if zf else {insn.end}")
         elif op_id == OP_JNZ:
-            taken = insn.end + opnd[0]
-            rip = "_nr" if is_loop and is_term else "cpu.rip"
-            em.emit(f"{rip} = {insn.end} if zf else {taken}")
+            em.emit(f"cpu.rip = {insn.end} if zf else {insn.end + opnd[0]}")
         elif op_id == OP_CALL:
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
-            em.wrote(_RSP)
-            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before,
-                          (_RSP, 0), (_RSP,))
+            em.dirty.add(_RSP)
+            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before)
             if is_term:
                 em.emit(f"cpu.rip = {insn.end + opnd[0]}")
             else:
                 # Spanned call: bail to the *callee* if the push rewrote
                 # this block's own code (bounds[i+1] is the target).
-                bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
-                em.emit_bail_check(version, i, block.bounds[i + 1],
-                                   cum[i], i + 1, n)
+                bail(i)
         elif op_id == OP_CALLR:
             r = opnd[0]
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
-            em.wrote(_RSP)
-            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before,
-                          (_RSP, 0), (_RSP,))
+            em.dirty.add(_RSP)
+            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before)
             # Target read after the push, like the interpreter (matters
             # for callr rsp).
             em.emit(f"cpu.rip = r{r}")
         elif op_id == OP_RET:
-            em.emit_load("_t", f"r{_RSP}", addr, cyc_before, (_RSP, 0))
+            em.emit_load("_t", f"r{_RSP}", addr, cyc_before)
             em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
-            em.wrote(_RSP)
+            em.dirty.add(_RSP)
             em.emit("cpu.rip = _t")
         else:  # pragma: no cover - closed opcode table
             raise AssertionError(f"unfusable op id {op_id}")
-
-
-def _emit_loop(em: _Emitter, block, bails: list) -> None:
-    """``while True:`` over the body until the branch leaves the entry or
-    ``_k`` trips ran; the trip count is ``_it``."""
-    em.emit("_it = 0")
-    em.emit("while True:")
-    em.base += 1
-    em.loop_total = block.cycles
-    # Inside a self-loop every localized register may carry state from
-    # completed iterations, no matter where its writer sits in program
-    # order — a fault site emitted *before* the writer still needs its
-    # spill (the locals are the truth; writing back an unmodified one is
-    # a no-op).  Seed the dirty set with the whole localized universe so
-    # every guard in the body spills it all.
-    em.dirty = set(em.localized)
-    em.zf_dirty = em.zf_used
-    _emit_body(em, block, bails, True)
-    em.emit("_it += 1")
-    em.emit(f"if _it >= _k or _nr != {block.entry}:")
-    em.emit("cpu.rip = _nr", 2)
-    em.emit("break", 2)
-    em.base -= 1
-    em.loop_total = None
 
 
 def _trip(block, at: Dict[int, tuple], names: Dict[tuple, str]):
@@ -633,15 +529,23 @@ def _emit_promoted_loop(em: _Emitter, block, slots: dict,
                         at: Dict[int, tuple]) -> None:
     """The loop with its slots in locals, behind a once-per-call guard.
 
-    The guard re-makes, once, every check the body's accesses would make
-    on every trip (page cached, bounds, ``r_ok``/``w_ok``), and adds two:
-    no slot is in the block's own segment (so no store can bail) and no
-    two slots overlap (so a local holds all of its slot).  If any fails,
-    control falls through to the unpromoted loop; a loop with no slots
-    has no guard and no fallback.  Nothing in the promoted loop can
-    fault or bail, so it is a counted ``for`` whose trip number ``_it``
-    no statement reads (see :func:`_trip`).
+    ``_k``, the most trips the insn budget and cycle batch allow, bounds
+    the loop.  The guard re-makes, once, every check the body's accesses
+    would make on every trip (page cached, bounds, ``r_ok``/``w_ok``),
+    and adds two: no slot is in the block's own segment (so no store can
+    bail) and no two slots overlap (so a local holds all of its slot).
+    If any fails, control falls through to the code after this, one trip
+    of the plain body; a loop with no slots has no guard and no
+    fallback.  Nothing in the promoted loop can fault or bail, so it is
+    a counted ``for`` whose trip number ``_it`` no statement reads (see
+    :func:`_trip`).
     """
+    em.emit(f"_k = (remaining - 1) // {len(block.insns)}")
+    em.emit(f"_kb = budget // {block.cycles}")
+    em.emit("if _kb < _k:")
+    em.emit("_k = _kb", 2)
+    em.emit("if _k < 1:")
+    em.emit("_k = 1", 2)
     conds = []
     for j, ((base, offset, disp), (loads, stores, _first)) in enumerate(
             slots.items()):
@@ -701,10 +605,10 @@ def _emit_promoted_loop(em: _Emitter, block, slots: dict,
         if stores:
             em.emit(f"pack(_p{j}.data, _a{j} - _p{j}.start, _m{j})")
             em.emit(f"_p{j}.version += {stores} * _it")
-    em.dirty = set(em.localized)
-    em.zf_dirty = em.zf_used
-    for line in em.spills():
-        em.emit(line)
+    for r in sorted(em.localized):
+        em.emit(f"regs[{r}] = r{r}")
+    if em.zf_used:
+        em.emit("cpu.zf = zf")
     em.emit("return _it")
     if conds:
         em.base -= 1
@@ -726,30 +630,17 @@ def fuse_block(cpu, block):
         em.emit(f"r{i} = regs[{i}]")
     if em.zf_used:
         em.emit("zf = cpu.zf")
-    # A block whose terminating branch can target its own entry is a
-    # *self-loop*: the fused function iterates in place (bounded by the
+    # A promotable self-loop iterates in place (bounded by the
     # caller-supplied insn budget and cycle batch), so a hot loop costs
-    # one Python call per ~batch instead of one per iteration.  All
-    # accounting at fault/bail sites scales by the completed iteration
-    # count, keeping rip/cycles/insns exactly per-step-identical.
-    is_loop = _is_self_loop(block)
-    if is_loop:
-        em.emit(f"_k = (remaining - 1) // {n}")
-        em.emit(f"_kb = budget // {block.cycles}")
-        em.emit("if _kb < _k:")
-        em.emit("_k = _kb", 2)
-        em.emit("if _k < 1:")
-        em.emit("_k = 1", 2)
-        promotable = _loop_slots(insns)
-        if promotable is not None:
-            _emit_promoted_loop(em, block, *promotable)
-        if promotable is None or promotable[0]:
-            _emit_loop(em, block, bails)
-            for line in em.spills():
-                em.emit(line)
-            em.emit("return _it")
-    else:
-        _emit_body(em, block, bails, False)
+    # one Python call per ~batch instead of one per trip.  Any other
+    # block, and a self-loop whose guard fails, runs one trip of the
+    # plain body, whose fault and bail sites then need no trip count;
+    # ``Cpu._run_cached``'s self-chain runs the next trip.
+    promotable = _loop_slots(insns) if _is_self_loop(block) else None
+    if promotable is not None:
+        _emit_promoted_loop(em, block, *promotable)
+    if promotable is None or promotable[0]:
+        _emit_body(em, block, bails)
         for line in em.spills():
             em.emit(line)
         em.emit("return 1")
@@ -757,8 +648,7 @@ def fuse_block(cpu, block):
     header = ("def _fused(remaining, budget, cpu=_cpu, regs=_regs, "
               "read_u64=_read_u64, write_u64=_write_u64, seg=_seg, "
               "insns=_insns, execute=_execute, bails=_bails, "
-              "pages=_pages, unpack=_unpack, pack=_pack, "
-              "BlockExit=_BlockExit):")
+              "pages=_pages, unpack=_unpack, pack=_pack):")
     source = header + "\n" + "\n".join(em.lines) + "\n"
     namespace = {
         "_cpu": cpu,
@@ -772,7 +662,6 @@ def fuse_block(cpu, block):
         "_pages": cpu.space._pages,
         "_unpack": _U64.unpack_from,
         "_pack": _U64.pack_into,
-        "_BlockExit": BlockExit,
     }
     exec(compile(source, f"<fused:{block.entry:#x}>", "exec"), namespace)
     return namespace["_fused"]

@@ -30,7 +30,7 @@ from repro.experiments.harness import (
     MONITOR_VARAN,
     run_server_benchmark,
 )
-from repro.isa import AddressSpace, Cpu, Segment, assemble, translator
+from repro.isa import AddressSpace, Cpu, Segment, assemble, fuser, translator
 from repro.isa import memory
 from repro.isa.disassembler import IMAGE_STORE_BYTES, ImageStore
 from repro.isa.memory import _U64
@@ -513,6 +513,25 @@ class TestSubstrateWork:
         count = lines(run)
         assert lines(run) == count
         assert count / 3_000 < MAX_FUSED_LINES_PER_TRIP
+
+    def test_fused_loop_iterates_only_in_its_promoted_for(self,
+                                                          monkeypatch):
+        # A call whose promotion guard fails runs one plain trip, so the
+        # loop block's source has no ``while`` and no store forwarding.
+        sources = {}
+        real = compile
+
+        def recording(source, filename, mode):
+            sources[filename] = source
+            return real(source, filename, mode)
+
+        monkeypatch.setattr(fuser, "compile", recording, raising=False)
+        _cpu_loop(3_000, True)()
+        head = _CPU_LOOP.format(iterations=3_000).split("loop:")[0]
+        entry = 0x1000 + len(assemble(head, origin=0x1000))
+        source = sources[f"<fused:{entry:#x}>"]
+        assert "for _it in range(" in source
+        assert "while" not in source and "_fw" not in source
 
     def test_per_step_decode_costs_8x_the_cached_path(self):
         # The deterministic form of the old "cached >= 3x per-step" MIPS

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.costmodel import CYCLE_PS
 from repro.errors import DisassemblyError, ExecutionFault
 from repro.isa import AddressSpace, Cpu, Segment, assemble, fuser, translator
+from repro.isa import cpu as isa_cpu
 from repro.isa.translator import T_SYSCALL
 from repro.obs import metrics as obs_metrics
 from repro.sim.core import Compute
@@ -69,8 +70,7 @@ def drive(cpu, max_insns=100_000, batch_cycles=20_000):
 
 
 def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
-                      text_perms="rx", data_perms="rw", forwarded=None,
-                      promoted=None):
+                      text_perms="rx", data_perms="rw", promoted=None):
     """Run ``source`` under cached (superblocks + chaining), cached with
     fusion forced from the first execution, and per-step decode; the
     observable outcome must be identical in all three: registers, zf,
@@ -78,9 +78,8 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
     clean exit the instructions retired (the per-step loop does not
     count them on a fault).
 
-    ``forwarded`` and ``promoted``, lists, receive how many loads of the
-    forced-fusion leg took a stored value from a local and how many of
-    its fused calls ran a self-loop with its slots in locals (see
+    ``promoted``, a list, receives how many fused calls of the
+    forced-fusion leg ran a self-loop with its slots in locals (see
     :func:`branch_entries`).
     """
     interp = build_cpu(source, translate=False, text_perms=text_perms,
@@ -93,11 +92,8 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
     fused.tcache.fuse_threshold = 1  # every block compiles before run 1
     for cpu in (cached, fused):
         if cpu is fused:
-            (taken, entered), (c_ret, c_exc, c_ps) = branch_entries(
-                lambda: drive(cpu, max_insns, batch_cycles),
-                "if _fw", "if _p0")
-            if forwarded is not None:
-                forwarded.append(taken)
+            entered, (c_ret, c_exc, c_ps) = branch_entries(
+                lambda: drive(cpu, max_insns, batch_cycles), "if _p0")
             if promoted is not None:
                 promoted.append(entered)
         else:
@@ -122,11 +118,10 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
     return cached, interp
 
 
-def branch_entries(run, *prefixes):
+def branch_entries(run, prefix):
     """How many times fused code entered the branch under an ``if`` line
-    starting with each of ``prefixes``, and ``run()``'s result: moves
-    from such a line to the line after it, in every body fused while
-    ``run`` runs."""
+    starting with ``prefix``, and ``run()``'s result: moves from such a
+    line to the line after it, in every body fused while ``run`` runs."""
     sources = {}
     real_compile = compile
 
@@ -134,16 +129,15 @@ def branch_entries(run, *prefixes):
         sources[filename] = source.splitlines()
         return real_compile(source, filename, mode)
 
-    taken = dict.fromkeys(prefixes, 0)
+    taken = [0]
     targets = {}
     last = [None]  # the line the running fused body executed before
 
     def local(frame, event_, _arg):
         if event_ == "line":
-            entered = targets[frame.f_code.co_filename].get(
-                (last[0], frame.f_lineno))
-            if entered is not None:
-                taken[entered] += 1
+            if (last[0], frame.f_lineno) in targets[
+                    frame.f_code.co_filename]:
+                taken[0] += 1
             last[0] = frame.f_lineno
         return local
 
@@ -154,9 +148,9 @@ def branch_entries(run, *prefixes):
         if name not in targets:
             # Line `number` of the source is code line `number + 1`.
             targets[name] = {
-                (number + 1, number + 2): prefix
+                (number + 1, number + 2)
                 for number, line in enumerate(sources[name])
-                for prefix in prefixes if line.strip().startswith(prefix)}
+                if line.strip().startswith(prefix)}
         last[0] = None
         return local
 
@@ -168,7 +162,7 @@ def branch_entries(run, *prefixes):
     finally:
         sys.settrace(previous)
         del fuser.compile
-    return [taken[prefix] for prefix in prefixes], result
+    return taken[0], result
 
 
 class TestCounters:
@@ -471,63 +465,57 @@ class TestInstructionSemantics:
 
 
 class TestStoreForwarding:
-    # A fused load of the slot the last store wrote takes the value from
-    # a local (repro.isa.fuser).  Each program first stores to the slot's
-    # page once, so the forwarded store takes the page-cache fast path
-    # (a first touch takes the slow one and never forwards), and checks
-    # the forced-fusion leg and the cold leg against the per-step oracle
-    # and an expected value.
+    # A load of the slot a store just wrote, outside any loop.  Each
+    # program first stores to the slot's page once, so the store takes
+    # the fused page-cache fast path (a first touch takes the slow one),
+    # and checks the forced-fusion leg and the cold leg against the
+    # per-step oracle and an expected value.
     PRIME = f"movi rbx, {DATA}\nmovi rax, 11\nmovi rdx, 22\n" \
             "store [rbx+64], rax\npush rax\npop rsi\n"
 
-    @pytest.mark.parametrize("body, expected, taken", [
-        ("store [rbx+0], rax\nload rcx, [rbx+0]\nmov rax, rcx", 11, 1),
-        ("store [rbx+0], rax\nload rax, [rbx+0]", 11, 1),
+    @pytest.mark.parametrize("body, expected", [
+        ("store [rbx+0], rax\nload rcx, [rbx+0]\nmov rax, rcx", 11),
+        ("store [rbx+0], rax\nload rax, [rbx+0]", 11),
         # The value register is overwritten in between: the load must
         # see the stored value, not the register's new one.
         ("store [rbx+0], rax\nmovi rax, 99\nload rcx, [rbx+0]\n"
-         "mov rax, rcx", 11, 0),
+         "mov rax, rcx", 11),
         # ... and the base register: the load reads another slot.
-        ("store [rbx+0], rax\naddi rbx, 8\nload rax, [rbx+0]", 0, 0),
+        ("store [rbx+0], rax\naddi rbx, 8\nload rax, [rbx+0]", 0),
         # Two base registers aliasing one slot; the later store wins.
         ("mov rcx, rbx\nstore [rbx+0], rax\nstore [rcx+0], rdx\n"
-         "load rax, [rbx+0]", 22, 0),
+         "load rax, [rbx+0]", 22),
         ("movi rcx, 8\nadd rcx, rbx\nstore [rbx+8], rax\n"
-         "store [rcx+0], rdx\nload rax, [rbx+8]", 22, 0),
+         "store [rcx+0], rdx\nload rax, [rbx+8]", 22),
         # ... or a load of another slot.
-        ("store [rbx+0], rax\nload rax, [rbx+8]", 0, 0),
+        ("store [rbx+0], rax\nload rax, [rbx+8]", 0),
         # pusha writes the slot (rbx's push) between the store and the
         # load.
         (f"movi rbp, {STACK_TOP - 16}\nmovi rbx, 6\nstore [rbp+8], rax\n"
-         "store [rbp+0], rax\npusha\nload rax, [rbp+0]", 6, 0),
+         "store [rbp+0], rax\npusha\nload rax, [rbp+0]", 6),
         # push rsp pushes the rsp it had before the push.
-        ("push rsp\npop rax", STACK_TOP, 1),
-        ("push rdx\npop rax", 22, 1),
+        ("push rsp\npop rax", STACK_TOP),
+        ("push rdx\npop rax", 22),
         # A spanned call's pushed return address, popped by the callee.
         ("call callee\nmovi rax, 33\nhlt\ncallee:\npop rax\nsubi rax, "
-         f"{TEXT}", None, 1),
+         f"{TEXT}", None),
     ], ids=["store_load", "store_load_same_reg", "value_reg_overwritten",
             "base_reg_overwritten", "aliased_bases", "aliased_disp",
             "other_disp", "pusha_between", "push_rsp_pop", "push_pop",
             "call_pop"])
-    def test_forwarding_matches_the_oracle(self, body, expected, taken):
-        forwarded = []
+    def test_forwarding_matches_the_oracle(self, body, expected):
         source = self.PRIME + body + "\nhlt"
-        _cached, interp = assert_equivalent(source, forwarded=forwarded)
+        _cached, interp = assert_equivalent(source)
         if expected is not None:
             assert interp.regs[0] == expected
-        assert forwarded == [taken]
 
     @pytest.mark.parametrize("data_perms", ["rw", "w"])
     def test_first_touch_store_then_load(self, data_perms):
         # The store misses the page cache and takes write_u64; the load
         # must go to memory (and, write-only, fault like per-step).
-        forwarded = []
         source = (f"movi rbx, {DATA}\nmovi rax, 7\nstore [rbx+0], rax\n"
                   "load rcx, [rbx+0]\nhlt")
-        cached, interp = assert_equivalent(source, data_perms=data_perms,
-                                           forwarded=forwarded)
-        assert forwarded == [0]
+        cached, interp = assert_equivalent(source, data_perms=data_perms)
         if data_perms == "rw":
             assert interp.regs[2] == 7
         else:
@@ -535,14 +523,11 @@ class TestStoreForwarding:
             assert cached.rip == interp.rip == load_rip
 
     def test_write_only_slot_faults_at_the_load(self):
-        # The forwarded store took the fast path into a segment the
-        # load may not read: the load faults with per-step rip/cycles.
+        # The store took the fast path into a segment the load may not
+        # read: the load faults with per-step rip/cycles.
         source = (f"movi rbx, {DATA}\nmovi rax, 7\nstore [rbx+8], rax\n"
                   "store [rbx+0], rax\nload rcx, [rbx+0]\nhlt")
-        forwarded = []
-        cached, interp = assert_equivalent(source, data_perms="w",
-                                           forwarded=forwarded)
-        assert forwarded == [0]
+        cached, interp = assert_equivalent(source, data_perms="w")
         load_rip = TEXT + len(assemble(source.rsplit("\nload", 1)[0]))
         assert cached.rip == interp.rip == load_rip
         assert interp.cycles == cached.cycles > 0
@@ -710,13 +695,13 @@ class TestLoopSlotPromotion:
 
     def test_first_call_on_an_uncached_page_falls_back(self):
         # Nothing touched the data page before the loop: the first call
-        # takes the unpromoted path (whose first store caches the page),
-        # the second runs promoted.
+        # runs one plain trip, whose store caches the page, and the next
+        # call of each round runs the rest of it promoted.
         source = _loop_program("store [rbx+0], r12\nload rsi, [rbx+0]\n"
                                "add r13, rsi", rounds=2, prime="")
         taken = []
         assert_equivalent(source, promoted=taken)
-        assert taken == [1]
+        assert taken == [2]
 
     def test_store_into_its_own_code_falls_back(self):
         # The loop rewrites the immediate of its own `movi`: per-step,
@@ -731,6 +716,61 @@ class TestLoopSlotPromotion:
                                             promoted=taken)
         assert taken == [0]
         assert interp.regs[0] == 1 + 5 + 4 + 3 + 2
+
+    # Self-loops _loop_slots refuses: a spanned call (its callee pops
+    # the return address) or pusha/popa in the body.  Each fused call
+    # runs one plain trip and returns 1, and the self-chain runs the
+    # next, so a fault or a self-modifying store lands on the trip the
+    # per-step interpreter puts it on.
+    _CALL = "call f\nhlt\nf:\npop rsi\n"
+
+    @pytest.mark.parametrize("head, body, trips, text_perms, returned", [
+        (_CALL, "add r13, rsi", 5, "rx", 5),
+        ("pusha\npopa\n", "add r13, r12", 5, "rx", 5),
+        # The load walks off the data segment on trip 5 of 8.
+        (_CALL, "load rsi, [rbx+0]\naddi rbx, 512\nadd r13, rsi", 8,
+         "rx", 4),
+        # The store rewrites the immediate of the loop's first `movi`,
+        # so every trip bails.
+        ("movi rax, 1\n" + _CALL, "add r13, rax\nstore [rcx+0], r12", 5,
+         "rwx", 0),
+    ], ids=["call", "pusha", "fault_on_trip_5", "store_into_own_code"])
+    def test_unpromotable_loop_runs_one_trip_per_call(
+            self, monkeypatch, head, body, trips, text_perms, returned):
+        returns = []
+        real = isa_cpu.fuse_block
+
+        def recording(cpu, block):
+            fn = real(cpu, block)
+
+            def fused(remaining, budget):
+                it = fn(remaining, budget)
+                returns.append((block.entry, it))
+                return it
+            return fused
+
+        monkeypatch.setattr(isa_cpu, "fuse_block", recording)
+        body = head + body
+        prefix = _loop_program(body, prime="", setup="movi rcx, 0")
+        loop = TEXT + len(assemble(prefix.split("loop:")[0] + "loop:",
+                                   origin=TEXT))
+        source = _loop_program(body, trips=trips, prime="",
+                               setup=f"movi rcx, {loop + 2}")
+        taken = []
+        cached, interp = assert_equivalent(source, text_perms=text_perms,
+                                           promoted=taken)
+        assert taken == [0]
+        assert [it for entry, it in returns if entry == loop] == [
+            1] * returned
+        assert {it for _entry, it in returns} <= {1}
+        if "store" in body:
+            assert interp.regs[0] == 1 + 5 + 4 + 3 + 2
+        elif "load" in body:
+            assert cached.rip == interp.rip == loop + len(
+                assemble(self._CALL, origin=loop))
+            assert interp.regs[12] == trips - 4
+        else:
+            assert interp.halted
 
     @pytest.mark.parametrize("batch", [13, 20_000])
     def test_one_trip_per_call(self, batch):
@@ -973,7 +1013,7 @@ def _programs(draw):
 
     # The store and the push touch the data and stack pages once, so
     # later fused accesses find them in the page cache (a first touch
-    # takes the slow path, where the fuser never forwards).
+    # takes the slow path, and a loop's promotion guard fails).
     lines = [f"movi rbx, {DATA}", f"movi rcx, {TEXT}", "store [rbx+0], rcx",
              "push rcx", "pop rcx"]
     for i in range(n):
@@ -1012,8 +1052,8 @@ def _programs(draw):
                       *body, *tail, "subi r15, 1", f"jnz S{i}"]
         elif kind in ("reload", "push_pop"):
             # A store and a load of one slot side by side, sometimes with
-            # a register write in between (which may or may not end the
-            # fuser's store forwarding).
+            # a register write in between (which may or may not move the
+            # slot).
             between = draw(st.sampled_from(
                 ["", f"movi {draw(dst)}, {draw(small)}",
                  f"addi {draw(dst)}, 8"]))
@@ -1057,14 +1097,11 @@ class TestDifferential:
         # Covers superblock formation, chained exits and (via the forced
         # fuse_threshold=1 executor inside assert_equivalent) the fused
         # compiled bodies, against the per-step oracle.  How often the
-        # fused leg forwards a store and runs a promoted self-loop shows
-        # under --hypothesis-show-statistics.
-        forwarded, promoted = [], []
+        # fused leg runs a promoted self-loop shows under
+        # --hypothesis-show-statistics.
+        promoted = []
         assert_equivalent(source, max_insns=max_insns, batch_cycles=batch,
-                          text_perms="rwx", forwarded=forwarded,
-                          promoted=promoted)
-        event("fused leg forwarded a load" if forwarded[0]
-              else "fused leg forwarded no load")
+                          text_perms="rwx", promoted=promoted)
         event("fused leg ran a promoted loop" if promoted[0]
               else "fused leg ran no promoted loop")
 
