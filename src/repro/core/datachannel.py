@@ -92,9 +92,11 @@ class DataChannel:
 
         A parked receiver re-evaluates its ``lost`` predicate against
         the new regime and falls back to mirror rescue if its transfer
-        died with the old leader.
+        died with the old leader.  The wake is unconditional: an empty
+        channel is neither readable nor hung up, so ``poke`` would not
+        wake it.
         """
-        self.follower_end.poke()
+        self.follower_end.read_waiters.notify_all()
 
     def _take(self, expected_clock):
         """Claim this event's entry, wherever it sits in the queue."""

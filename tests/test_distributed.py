@@ -247,6 +247,69 @@ class TestDescriptorRegeneration:
         assert violations == 0, "\n".join(lines)
 
 
+class TestFailoverWakesParkedReceiver:
+    """A follower parked in ``recv_fd`` for a descriptor that died with
+    the leader wakes at promotion and gives up on the channel, so it
+    can rescue the descriptor from a mirror."""
+
+    def test_parked_receiver_wakes_once_the_boundary_passes_its_clock(
+            self):
+        from repro.core.datachannel import DataChannel
+        from repro.sim import Machine, Simulator, Sleep
+        from repro.sim.core import BLOCKED
+
+        sim = Simulator()
+        machine = Machine(sim, name="m0")
+        channel = DataChannel(sim, DEFAULT_COSTS)
+        boundary = [0]
+        got = []
+
+        def receiver():
+            got.append((yield from channel.recv_fd(
+                expected_clock=5, lost=lambda: 5 <= boundary[0])))
+
+        def coordinator():
+            yield Sleep(1000 * US_PS)
+            assert receiver_proc.state == BLOCKED and not got
+            boundary[0] = 5  # the dead regime ends past clock 5
+            channel.notify_failover()
+
+        receiver_proc = machine.spawn(receiver(), name="receiver")
+        machine.spawn(coordinator(), name="coordinator")
+        sim.run()  # the channel stays empty: no poll event wakes it
+        assert got == [None]
+
+    def test_machine_crash_mid_transfer_leaves_no_deadlock(self):
+        # v2 parks in recv_fd for the open at clock 1 when the leader's
+        # machine dies with the descriptor in flight.
+        from repro.faults.chaos import (
+            DATA_SIZE,
+            _wl_pread_mix,
+            draw_bytes,
+            run_workload,
+        )
+
+        rng = random.Random(1)
+        data = draw_bytes(rng, DATA_SIZE)
+        build = _wl_pread_mix(rng)
+        _, world, baseline, failure = run_workload(
+            build, data, 3, None, InvariantChecker(), "remote")
+        assert failure is None
+        horizon = world.sim.now
+        plan = FaultPlan((Fault(MACHINE_CRASH, machine="server",
+                                at_ps=horizon * 25 // 40),))
+        session, _, outputs, failure = run_workload(
+            build, data, 3, plan, InvariantChecker(), "remote",
+            horizon=horizon)
+        assert failure is None
+        assert session.stats.promotions == 1
+        expected = {tag: digest for (vid, tag), digest in baseline.items()
+                    if vid == 0}
+        assert expected
+        assert {tag: digest for (vid, tag), digest in outputs.items()
+                if vid == 2} == expected
+
+
 class TestTransportEquivalence:
     def pair(self, seed, plan=None):
         local = run_session(3, plan=plan, seed=seed)
