@@ -71,15 +71,6 @@ SECCOMP_RET_ALLOW = 0x7FFF_0000
 #: "removal/coalescing" direction of §2.3), then re-match.
 NVX_RET_SKIP = 0x7FFE_0000
 
-RET_NAMES = {
-    SECCOMP_RET_KILL: "KILL",
-    SECCOMP_RET_TRAP: "TRAP",
-    SECCOMP_RET_ERRNO: "ERRNO",
-    SECCOMP_RET_TRACE: "TRACE",
-    SECCOMP_RET_ALLOW: "ALLOW",
-    NVX_RET_SKIP: "SKIP",
-}
-
 
 @dataclass(frozen=True)
 class BpfInsn:

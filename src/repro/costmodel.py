@@ -53,7 +53,6 @@ class MachineSpec:
     logical_cores: int = 8
     physical_cores: int = 4
     freq_ghz: float = 3.5
-    ram_bytes: int = 16 * 1024 ** 3
 
 
 @dataclass(frozen=True)
@@ -300,8 +299,6 @@ class PtraceCosts:
     #: Moving 8 bytes of indirect arguments (PEEKDATA, amortised with
     #: /proc/pid/mem bulk reads for large buffers, as Mx does).
     peek_poke: int = 180
-    #: Nullifying the syscall in all-but-one version (extra SETREGS).
-    nullify: int = 900
 
     def stop_cost(self) -> int:
         """Cycles for one ptrace stop (two context switches + regs)."""

@@ -140,37 +140,14 @@ HANDLER_OP_IDS = frozenset(
     {OP_SYSCALL, OP_INT0, OP_VSYS, OP_VMCALL, OP_HLT})
 
 #: Ids that transfer control — the last instruction of their block
-#: unless the block spans it (see DIRECT_SPAN_OP_IDS).
+#: unless the block spans a direct ``jmp``/``call`` (see
+#: ``repro.isa.translator.form_superblock``).
 CONTROL_OP_IDS = frozenset(
     {OP_JMP, OP_JZ, OP_JNZ, OP_CALL, OP_CALLR, OP_RET})
-
-#: Direct transfers whose target is a translate-time constant: a
-#: superblock may continue *through* them instead of ending (jmp spans
-#: to its target, call spans to the callee after pushing the return
-#: address).  Conditionals stay terminators — both outcomes are covered
-#: by direct-threaded chaining instead.
-DIRECT_SPAN_OP_IDS = frozenset({OP_JMP, OP_CALL})
-
-#: Indirect transfers — the target is only known at run time, so they
-#: always terminate a superblock.
-INDIRECT_OP_IDS = frozenset({OP_CALLR, OP_RET})
 
 #: Ids that can write guest memory (the only ones that can move a
 #: segment's version, so rewrite the code under a running block).
 WRITE_OP_IDS = frozenset({OP_STORE, OP_PUSH, OP_CALL, OP_CALLR, OP_PUSHA})
 
-#: Per-id cycle cost, indexable by instruction id (avoids the
-#: ``insn.spec.cycles`` attribute chain on the dispatch path).
-OP_CYCLES: Tuple[int, ...] = tuple(s.cycles for s in _SPECS)
-
 #: Opcodes that transfer control (their rel32 targets are branch targets).
 BRANCH_MNEMONICS = frozenset({"jmp", "jz", "jnz", "call"})
-
-#: Instructions that may not be relocated into a trampoline because their
-#: encoding is position-dependent (rel32) — moving them requires fixing
-#: up the displacement, which the rewriter knows how to do — versus ones
-#: that can never move.  In VX86 every instruction is either position-
-#: independent or rel32-relative, so relocation is always *mechanically*
-#: possible; what makes a site unpatchable is a branch target inside the
-#: patch window (see repro.rewriter.scanner).
-REL32_MNEMONICS = BRANCH_MNEMONICS

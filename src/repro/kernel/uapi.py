@@ -173,7 +173,6 @@ O_CREAT = 0o100
 O_TRUNC = 0o1000
 O_APPEND = 0o2000
 O_NONBLOCK = 0o4000
-O_CLOEXEC = 0o2000000
 
 FD_CLOEXEC = 1
 F_GETFD = 1
@@ -189,25 +188,13 @@ EPOLLOUT = 0x004
 EPOLLERR = 0x008
 EPOLLHUP = 0x010
 
-SIGHUP = 1
-SIGINT = 2
 SIGKILL = 9
 SIGSEGV = 11
-SIGPIPE = 13
 SIGTERM = 15
-SIGCHLD = 17
 
 SOCK_STREAM = 1
-SOCK_DGRAM = 2
-AF_INET = 2
-AF_UNIX = 1
 
 CLONE_THREAD = 0x10000
-
-#: Signal names for diagnostics.
-SIGNAL_NAMES = {SIGHUP: "SIGHUP", SIGINT: "SIGINT", SIGKILL: "SIGKILL",
-                SIGSEGV: "SIGSEGV", SIGPIPE: "SIGPIPE", SIGTERM: "SIGTERM",
-                SIGCHLD: "SIGCHLD"}
 
 
 # -- syscall request / result records ------------------------------------

@@ -19,7 +19,6 @@ class CallSite:
     addr: int  # address of the original syscall / function entry
     kind: str
     segment_name: str
-    trampoline_addr: Optional[int] = None
     #: For vDSO sites: the symbol name and the trampoline that invokes the
     #: original implementation (so the leader can still use the fast path).
     vdso_symbol: Optional[str] = None

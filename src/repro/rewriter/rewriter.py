@@ -33,7 +33,6 @@ from repro.rewriter.patchset import (
 )
 
 _JMP_LEN = 5
-_SYSCALL_OP = BY_MNEMONIC["syscall"].opcode
 _INT0_OP = BY_MNEMONIC["int0"].opcode
 _JMP_OP = BY_MNEMONIC["jmp"].opcode
 _CALL_OP = BY_MNEMONIC["call"].opcode
@@ -141,8 +140,7 @@ class BinaryRewriter:
                    displaced: List[Insn], consumed: Set[int]) -> CallSite:
         continuation = (displaced[-1].end if displaced else site_insn.end)
         trampoline = self._build_trampoline(displaced, continuation, consumed)
-        site = self.patchset.new_site(site_insn.addr, KIND_JMP, segment.name,
-                                      trampoline_addr=trampoline.start)
+        site = self.patchset.new_site(site_insn.addr, KIND_JMP, segment.name)
         # The entry point identifies the site by the return address its
         # CALL pushed: trampoline base + 5.
         self.patchset.by_return_addr[trampoline.start + 5] = site

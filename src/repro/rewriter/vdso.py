@@ -11,22 +11,15 @@ implementation.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List
 
 from repro.errors import RewriteError
 from repro.isa.memory import Segment
 from repro.isa.opcodes import BY_MNEMONIC
 from repro.rewriter.patchset import KIND_VDSO, CallSite
+from repro.rewriter.rewriter import _CALL_OP, _JMP_LEN, _JMP_OP, _rel32
 
-_JMP_OP = BY_MNEMONIC["jmp"].opcode
-_CALL_OP = BY_MNEMONIC["call"].opcode
 _RET_OP = BY_MNEMONIC["ret"].opcode
-_JMP_LEN = 5
-
-
-def _rel32(op: int, src_end: int, target: int) -> bytes:
-    return bytes([op]) + struct.pack("<i", target - src_end)
 
 
 def rewrite_vdso(rewriter, vdso_segment: Segment,
@@ -81,7 +74,6 @@ def rewrite_vdso(rewriter, vdso_segment: Segment,
         space.patch_code(addr, _rel32(_JMP_OP, addr + _JMP_LEN, stub_addr))
 
         site = patchset.new_site(addr, KIND_VDSO, vdso_segment.name,
-                                 trampoline_addr=stub_addr,
                                  vdso_symbol=name,
                                  original_entry_trampoline=orig_addr)
         patchset.by_return_addr[stub_addr + 5] = site

@@ -28,7 +28,6 @@ class SanitizerReport:
     kind: str
     addr: int
     detail: str
-    time_ps: int
 
 
 @dataclass
@@ -148,8 +147,7 @@ class SimHeap:
         return None
 
     def _report(self, kind: str, addr: int, detail: str) -> None:
-        report = SanitizerReport(kind, addr, detail,
-                                 self.ctx.task.kernel.sim.now)
+        report = SanitizerReport(kind, addr, detail)
         self.reports.append(report)
         sink = getattr(self.ctx, "sanitizer_reports", None)
         if sink is not None:
