@@ -263,8 +263,11 @@ def run_trace_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    from repro.experiments.registry import EXPERIMENTS, run_experiment
-    from repro.experiments.runner import SCALED_EXPERIMENTS as scaled
+    from repro.experiments.registry import (
+        EXPERIMENTS,
+        ExperimentConfig,
+        run_experiment,
+    )
 
     args = build_parser().parse_args(argv)
     if args.placement is not None and args.experiment not in ("chaos",
@@ -294,11 +297,9 @@ def main(argv=None) -> int:
             print(f"unknown experiment {experiment_id!r}; "
                   f"try 'list'", file=sys.stderr)
             return 2
-        kwargs = {}
-        if args.scale is not None and experiment_id in scaled:
-            kwargs["scale"] = args.scale
         started = time.time()
-        result = run_experiment(experiment_id, **kwargs)
+        result = run_experiment(experiment_id,
+                                config=ExperimentConfig(scale=args.scale))
         print(result.render())
         print(f"[{experiment_id} regenerated in "
               f"{time.time() - started:.1f}s]\n")

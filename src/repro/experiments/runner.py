@@ -28,13 +28,6 @@ from repro.experiments.expconfig import ExperimentConfig
 from repro.experiments.harness import ExperimentResult
 from repro.obs import metrics as obs_metrics
 
-#: Experiments whose drivers accept a workload ``scale`` kwarg (the
-#: same set ``python -m repro all --scale`` forwards to).
-SCALED_EXPERIMENTS = frozenset({
-    "figure5", "figure6", "table2", "figure7", "figure8",
-    "loadcurve", "sanitization-5.3", "recordreplay-5.4",
-})
-
 #: The scale the committed ``benchmarks/reference_sweep.txt`` was
 #: generated at.
 REFERENCE_SCALE = 0.008
@@ -62,11 +55,12 @@ def sweep_points(scale: Optional[float] = None,
     if unknown:
         raise KeyError(f"unknown experiments {unknown}; "
                        f"known: {sorted(EXPERIMENTS)}")
+    # Every point carries the scale; ``apply_config`` hands it only to a
+    # driver that takes one.
+    kwargs: Tuple[Tuple[str, object], ...] = (
+        () if scale is None else (("scale", scale),))
     points: List[SweepPoint] = []
     for eid in ids:
-        kwargs: Tuple[Tuple[str, object], ...] = ()
-        if scale is not None and eid in SCALED_EXPERIMENTS:
-            kwargs = (("scale", scale),)
         parts = experiment_parts(eid)
         if parts is None:
             points.append((eid, None, kwargs))

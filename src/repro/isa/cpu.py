@@ -14,9 +14,9 @@ instructions, a cold block runs them on the per-step executor
 (:mod:`repro.isa.fuser`), and each block's cycles are charged as one
 batch.  Pass ``translate=False`` to get the original
 decode-every-instruction loop — the two are observably identical (same
-registers, cycles, faults and sim-time totals; only wall-clock speed
-and Compute chunking differ), which ``tests/test_translator.py`` checks
-differentially.
+registers, cycles, instructions retired, faults and sim-time totals;
+only wall-clock speed and Compute chunking differ), which
+``tests/test_translator.py`` checks differentially.
 
 For handler-free unit tests, :meth:`Cpu.run_sync` drives execution
 without a simulator.
@@ -62,7 +62,6 @@ from repro.isa.opcodes import (
     REGISTERS,
 )
 from repro.isa.translator import (
-    BlockExit,
     T_BRANCH,
     T_FALL,
     T_HLT,
@@ -97,7 +96,6 @@ class Cpu:
         # translate=False: per-step decode (the differential oracle).
         self.tcache: Optional[TranslationCache] = (
             TranslationCache(space) if translate else None)
-        self._fault_cycles = 0
         # Handler hooks — generator functions taking (cpu,) or (cpu, idx).
         self.syscall_handler: Optional[Callable] = None
         self.int0_handler: Optional[Callable] = None
@@ -159,8 +157,9 @@ class Cpu:
         cache.
 
         Retired-instruction and cycle accounting are per-instruction
-        exact (see translator docstring); only the Compute chunking is
-        coarser — one batch per block run instead of per instruction.
+        exact on every exit, a fault included (see translator
+        docstring); only the Compute chunking is coarser — one batch per
+        block run instead of per instruction.
         A cold block runs its decoded instructions on the per-step
         executor; one that stays hot is promoted to a fused compiled
         body (repro.isa.fuser).  The inner loop follows direct-threaded
@@ -186,7 +185,6 @@ class Cpu:
         try:
             while not self.halted:
                 if executed >= max_insns:
-                    self.insns_retired = executed
                     raise ExecutionFault(
                         f"{self.name}: exceeded {max_insns} insns")
                 block = lookup(self)
@@ -225,55 +223,24 @@ class Cpu:
                             # a self-loop's next trip is the self-chain
                             # follow below (see repro.isa.fuser).
                             it = fn(remaining, batch_cycles - pending)
-                        elif block.writes:
-                            it = 1
-                            segment = block.segment
-                            version = block.version
-                            for i, insn in enumerate(insns, 1):
-                                executors[insn.op_id](self, insn)
-                                # Only a write can move the version; the
-                                # block's own closing branch needs no
-                                # bail, it leaves the block anyway.
-                                if (segment.version != version
-                                        and (i < n or block.terminator
-                                             != T_BRANCH)):
-                                    raise BlockExit(self.rip,
-                                                    block.cum[i - 1], i)
                         else:
-                            # Nothing here can write memory, so nothing
-                            # can move the version.
                             it = 1
                             for insn in insns:
                                 executors[insn.op_id](self, insn)
-                    except BlockExit as bx:
-                        # A store rewrote this block's own code: retire
-                        # what ran and resume at the next instruction,
-                        # which will re-translate against the new bytes.
-                        executed += bx.n_done
-                        self.cycles += bx.cycles_done
-                        pending += bx.cycles_done
-                        self.rip = bx.next_rip
-                        if pending >= batch_cycles:
-                            yield Compute(pending * CYCLE_PS)
-                            pending = 0
-                        break
                     except BaseException:
-                        # The executor left rip at the faulting
-                        # instruction (block addresses are distinct), so
-                        # its index is the count that retired before it;
-                        # charge their cycles (a fused body records them
-                        # itself).
-                        i = 0
-                        if fn is None:
-                            i = block.bounds.index(self.rip)
-                            self._fault_cycles = block.cum[i - 1] if i else 0
-                        self.cycles += self._fault_cycles
-                        self.insns_retired = executed + i
+                        # Cold or fused, the body left rip at the faulting
+                        # instruction of this run of the block (a promoted
+                        # loop cannot fault, and block addresses are
+                        # distinct), so its index is the count that
+                        # retired before it; charge their cycles.
+                        i = block.bounds.index(self.rip)
+                        if i:
+                            executed += i
+                            self.cycles += block.cum[i - 1]
                         raise
                     if remaining <= n:
                         executed += remaining
                         self.cycles += block.cum[remaining - 1]
-                        self.insns_retired = executed
                         raise ExecutionFault(
                             f"{self.name}: exceeded {max_insns} insns")
                     executed += n * it
@@ -335,9 +302,9 @@ class Cpu:
                     break
             if pending:
                 yield Compute(pending * CYCLE_PS)
-            self.insns_retired = executed
             return self.regs[_RAX]
         finally:
+            self.insns_retired = executed
             stats.chain_follows += follows
             stats.dispatch_blocks += dispatches
 
@@ -347,40 +314,46 @@ class Cpu:
         """Original decode-every-instruction loop (reference semantics)."""
         pending = 0
         executed = 0
-        while not self.halted:
-            if executed >= max_insns:
-                self.insns_retired = executed
-                raise ExecutionFault(
-                    f"{self.name}: exceeded {max_insns} insns")
-            insn = self.step_decode()
-            executed += 1
-            op_id = insn.op_id
-            if op_id == OP_HLT:
-                self.halted = True
-            elif op_id in HANDLER_OP_IDS:
-                # Like hardware: rip points past the instruction while the
-                # handler runs (and is where sigreturn resumes for int0).
-                self.rip = insn.end
-                pending = yield from self._flush(pending)
-                if op_id == OP_SYSCALL:
-                    yield from self._invoke(self.syscall_handler, "syscall")
-                elif op_id == OP_INT0:
-                    yield from self._invoke(self.int0_handler, "int0")
-                elif op_id == OP_VSYS:
-                    yield from self._invoke(self.vsys_handler, "vsys",
-                                            insn.operands[0])
-                else:
-                    yield from self._invoke(self.vmcall_handler, "vmcall")
-            else:
-                EXECUTORS[op_id](self, insn)
-            cyc = insn.spec.cycles
-            self.cycles += cyc
-            pending += cyc
-            if pending >= batch_cycles:
-                pending = yield from self._flush(pending)
-        yield from self._flush(pending)
-        self.insns_retired = executed
-        return self.regs[_RAX]
+        try:
+            while not self.halted:
+                if executed >= max_insns:
+                    raise ExecutionFault(
+                        f"{self.name}: exceeded {max_insns} insns")
+                insn = self.step_decode()
+                op_id = insn.op_id
+                if op_id not in HANDLER_OP_IDS:
+                    EXECUTORS[op_id](self, insn)
+                # Counted once it ran (a fault leaves it out); a handler
+                # instruction has retired by the time its handler runs.
+                executed += 1
+                if op_id == OP_HLT:
+                    self.halted = True
+                elif op_id in HANDLER_OP_IDS:
+                    # Like hardware: rip points past the instruction while
+                    # the handler runs (and is where sigreturn resumes for
+                    # int0).
+                    self.rip = insn.end
+                    pending = yield from self._flush(pending)
+                    if op_id == OP_SYSCALL:
+                        yield from self._invoke(self.syscall_handler,
+                                                "syscall")
+                    elif op_id == OP_INT0:
+                        yield from self._invoke(self.int0_handler, "int0")
+                    elif op_id == OP_VSYS:
+                        yield from self._invoke(self.vsys_handler, "vsys",
+                                                insn.operands[0])
+                    else:
+                        yield from self._invoke(self.vmcall_handler,
+                                                "vmcall")
+                cyc = insn.spec.cycles
+                self.cycles += cyc
+                pending += cyc
+                if pending >= batch_cycles:
+                    pending = yield from self._flush(pending)
+            yield from self._flush(pending)
+            return self.regs[_RAX]
+        finally:
+            self.insns_retired = executed
 
     # -- internals ---------------------------------------------------------
 

@@ -277,5 +277,5 @@ class ImageStore:
         return image
 
 
-#: The one store: images of non-writable segments (see ``Segment.image``).
+#: The one store: every segment's image (see ``Segment.image``).
 IMAGE_STORE = ImageStore(IMAGE_STORE_BYTES)

@@ -12,11 +12,9 @@ the per-step interpreter could observe partial state:
 
 * every faulting memory access spills the registers written so far (in
   interpreter update order: e.g. ``push`` spills the decremented rsp,
-  ``pop`` the un-incremented one), then records the faulting rip and
-  pre-fault cycles in ``cpu._fault_cycles``;
-* every self-modification check (``store``/``push``/``pusha``/spanned
-  ``call`` into the block's own segment) spills before raising its
-  :class:`~repro.isa.translator.BlockExit`;
+  ``pop`` the un-incremented one), then sets ``cpu.rip`` to the faulting
+  instruction, from which ``Cpu._run_cached`` charges the cycles and
+  instructions retired before it;
 * ``pusha``/``popa`` — bulk ops whose cost is dominated by 15 memory
   accesses anyway — spill, run on the per-step executor inside the same
   fault guard, and reload.
@@ -26,23 +24,22 @@ Loop slot promotion: a self-loop whose memory ops are all ``load``,
 constant push/pop/addi/subi steps move and that are back at their entry
 value after each trip, touches the same slots on every trip.  Its fused
 function checks each slot once per call, before the loop — page cached,
-in bounds, readable if loaded, writable if stored, not in the block's
-own segment, no two slots overlapping — and then runs the loop with
-every slot in a local: a slot read before it is written is loaded once,
-each memory op is a move between locals, and on exit each stored slot
-is written back once and its segment's ``version`` bumped by its stores
-per trip times the trips run.  Nothing in such a body can fault, bail or
-remap memory once the guard passed.  Only a promoted loop iterates in
-place.  If the guard fails (a page not yet cached, a permission,
-aliasing slots), or ``_loop_slots`` refuses the loop, the function runs
-one trip of the plain body, the code every other block gets, and returns
-1; ``Cpu._run_cached`` follows the block's self-chain link to run the
-next trip.  A fault or bail thus lands where it would without promotion,
-and a guard that failed on an uncached page passes on the next call,
-since the trip's slow-path access cached it.  A loop with no memory op
-at all is promoted with no guard.
+in bounds, readable if loaded, writable if stored, no two slots
+overlapping — and then runs the loop with every slot in a local: a slot
+read before it is written is loaded once, each memory op is a move
+between locals, and on exit each stored slot is written back once.  A
+stored slot is writable, so under W^X it is never code.  Nothing in such
+a body can fault or remap memory once the guard passed.  Only a promoted
+loop iterates in place.  If the guard fails (a page not yet cached, a
+permission, aliasing slots), or ``_loop_slots`` refuses the loop, the
+function runs one trip of the plain body, the code every other block
+gets, and returns 1; ``Cpu._run_cached`` follows the block's self-chain
+link to run the next trip.  A fault thus lands where it would without
+promotion, and a guard that failed on an uncached page passes on the
+next call, since the trip's slow-path access cached it.  A loop with no
+memory op at all is promoted with no guard.
 
-Trip loops: since nothing in a promoted trip can fault or bail, no
+Trip loops: since nothing in a promoted trip can fault, no
 statement needs the trip number, and the loop is ``for _it in range(1,
 _k + 1):``.  A conditional terminator with one edge back to the entry
 becomes ``if <leave>: cpu.rip = <exit>; break`` with ``else: cpu.rip =
@@ -94,7 +91,7 @@ from repro.isa.opcodes import (
     OP_SUBI,
     REG_INDEX,
 )
-from repro.isa.translator import T_BRANCH, BlockExit
+from repro.isa.translator import T_BRANCH
 
 _MASK = 2 ** 64 - 1
 _RSP = REG_INDEX["rsp"]
@@ -156,7 +153,7 @@ class _Emitter:
             out.append("cpu.zf = zf")
         return out
 
-    def emit_fault_guard(self, body: str, addr: int, cyc_before: int,
+    def emit_fault_guard(self, body: str, addr: int,
                          indent: int = 1) -> None:
         """``try: <body>`` with the per-step-identical fault epilogue."""
         self.emit("try:", indent)
@@ -165,7 +162,6 @@ class _Emitter:
         for line in self.spills():
             self.emit(line, indent + 1)
         self.emit(f"cpu.rip = {addr}", indent + 1)
-        self.emit(f"cpu._fault_cycles = {cyc_before}", indent + 1)
         self.emit("raise", indent + 1)
 
     # The u64 fast paths of AddressSpace.read_u64/write_u64, inlined:
@@ -174,28 +170,23 @@ class _Emitter:
     # fused access is observably identical to the per-step one while a
     # hit costs no Python call at all.
 
-    def emit_load(self, dest: str, addr_expr: str, addr: int,
-                  cyc_before: int) -> None:
+    def emit_load(self, dest: str, addr_expr: str, addr: int) -> None:
         self.emit(f"_a = {addr_expr}")
         self.emit("_s = pages.get(_a >> 12)")
         self.emit("if (_s is not None and _s.r_ok and _s.start <= _a "
                   "and _a + 8 <= _s.end):")
         self.emit(f"{dest} = unpack(_s.data, _a - _s.start)[0]", 2)
         self.emit("else:")
-        self.emit_fault_guard(f"{dest} = read_u64(_a)", addr, cyc_before,
-                              indent=2)
+        self.emit_fault_guard(f"{dest} = read_u64(_a)", addr, indent=2)
 
-    def emit_store(self, addr_expr: str, value: str, addr: int,
-                   cyc_before: int) -> None:
+    def emit_store(self, addr_expr: str, value: str, addr: int) -> None:
         self.emit(f"_a = {addr_expr}")
         self.emit("_s = pages.get(_a >> 12)")
         self.emit("if (_s is not None and _s.w_ok and _s.start <= _a "
                   "and _a + 8 <= _s.end):")
         self.emit(f"pack(_s.data, _a - _s.start, {value})", 2)
-        self.emit("_s.version += 1", 2)
         self.emit("else:")
-        self.emit_fault_guard(f"write_u64(_a, {value})", addr, cyc_before,
-                              indent=2)
+        self.emit_fault_guard(f"write_u64(_a, {value})", addr, indent=2)
 
 
 def _is_self_loop(block) -> bool:
@@ -278,25 +269,15 @@ def _loop_slots(insns):
     return slots, at
 
 
-def _emit_body(em: _Emitter, block, bails: list) -> None:
+def _emit_body(em: _Emitter, block) -> None:
     """Emit one run of the block's instructions."""
     insns = block.insns
     n = len(insns)
     terminator = block.terminator
-    cum = block.cum
-
-    def bail(i: int) -> None:
-        # Resume at the next instruction if this one rewrote the block.
-        bails[i] = BlockExit(block.bounds[i + 1], cum[i], i + 1)
-        em.emit(f"if seg.version != {block.version}:")
-        for line in em.spills():
-            em.emit(line, 2)
-        em.emit(f"raise bails[{i}]", 2)
     for i, insn in enumerate(insns):
         op_id = insn.op_id
         opnd = insn.operands
         addr = insn.addr
-        cyc_before = cum[i - 1] if i else 0
         is_term = i == n - 1 and terminator == T_BRANCH
 
         if op_id == OP_NOP:
@@ -348,23 +329,21 @@ def _emit_body(em: _Emitter, block, bails: list) -> None:
                 value = f"r{s}"
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
             em.dirty.add(_RSP)
-            em.emit_store(f"r{_RSP}", value, addr, cyc_before)
-            bail(i)
+            em.emit_store(f"r{_RSP}", value, addr)
         elif op_id == OP_POP:
             d = opnd[0]
-            em.emit_load("_t", f"r{_RSP}", addr, cyc_before)
+            em.emit_load("_t", f"r{_RSP}", addr)
             em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
             em.dirty.add(_RSP)
             em.emit(f"r{d} = _t")
             em.dirty.add(d)
         elif op_id == OP_LOAD:
             d, b, disp = opnd
-            em.emit_load(f"r{d}", f"r{b} + {disp}", addr, cyc_before)
+            em.emit_load(f"r{d}", f"r{b} + {disp}", addr)
             em.dirty.add(d)
         elif op_id == OP_STORE:
             s, b, disp = opnd
-            em.emit_store(f"r{b} + {disp}", f"r{s}", addr, cyc_before)
-            bail(i)
+            em.emit_store(f"r{b} + {disp}", f"r{s}", addr)
         elif op_id in _EXECUTOR_OP_IDS:
             # Run on the per-step executor: spill so it sees (and on a
             # fault leaves) exact state, then reload every local.
@@ -372,11 +351,9 @@ def _emit_body(em: _Emitter, block, bails: list) -> None:
                 em.emit(line)
             em.dirty.clear()
             em.zf_dirty = False
-            em.emit_fault_guard(f"execute(insns[{i}])", addr, cyc_before)
+            em.emit_fault_guard(f"execute(insns[{i}])", addr)
             for r in sorted(em.localized):
                 em.emit(f"r{r} = regs[{r}]")
-            if op_id == OP_PUSHA:
-                bail(i)
         elif op_id == OP_JMP:
             if is_term:
                 em.emit(f"cpu.rip = {insn.end + opnd[0]}")
@@ -388,23 +365,20 @@ def _emit_body(em: _Emitter, block, bails: list) -> None:
         elif op_id == OP_CALL:
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
             em.dirty.add(_RSP)
-            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before)
+            em.emit_store(f"r{_RSP}", str(insn.end), addr)
             if is_term:
                 em.emit(f"cpu.rip = {insn.end + opnd[0]}")
-            else:
-                # Spanned call: bail to the *callee* if the push rewrote
-                # this block's own code (bounds[i+1] is the target).
-                bail(i)
+            # else: spanned — the callee follows in this block.
         elif op_id == OP_CALLR:
             r = opnd[0]
             em.emit(f"r{_RSP} = (r{_RSP} - 8) & {_MASK}")
             em.dirty.add(_RSP)
-            em.emit_store(f"r{_RSP}", str(insn.end), addr, cyc_before)
+            em.emit_store(f"r{_RSP}", str(insn.end), addr)
             # Target read after the push, like the interpreter (matters
             # for callr rsp).
             em.emit(f"cpu.rip = r{r}")
         elif op_id == OP_RET:
-            em.emit_load("_t", f"r{_RSP}", addr, cyc_before)
+            em.emit_load("_t", f"r{_RSP}", addr)
             em.emit(f"r{_RSP} = (r{_RSP} + 8) & {_MASK}")
             em.dirty.add(_RSP)
             em.emit("cpu.rip = _t")
@@ -532,12 +506,11 @@ def _emit_promoted_loop(em: _Emitter, block, slots: dict,
     ``_k``, the most trips the insn budget and cycle batch allow, bounds
     the loop.  The guard re-makes, once, every check the body's accesses
     would make on every trip (page cached, bounds, ``r_ok``/``w_ok``),
-    and adds two: no slot is in the block's own segment (so no store can
-    bail) and no two slots overlap (so a local holds all of its slot).
-    If any fails, control falls through to the code after this, one trip
-    of the plain body; a loop with no slots has no guard and no
-    fallback.  Nothing in the promoted loop can fault or bail, so it is
-    a counted ``for`` whose trip number ``_it`` no statement reads (see
+    and adds one: no two slots overlap (so a local holds all of its
+    slot).  If any fails, control falls through to the code after this,
+    one trip of the plain body; a loop with no slots has no guard and no
+    fallback.  Nothing in the promoted loop can fault, so it is a
+    counted ``for`` whose trip number ``_it`` no statement reads (see
     :func:`_trip`).
     """
     em.emit(f"_k = (remaining - 1) // {len(block.insns)}")
@@ -560,8 +533,7 @@ def _emit_promoted_loop(em: _Emitter, block, slots: dict,
             conds.append(f"_p{j}.r_ok")
         if stores:
             conds.append(f"_p{j}.w_ok")
-        conds += [f"_p{j}.start <= _a{j}", f"_a{j} + 8 <= _p{j}.end",
-                  f"_p{j} is not seg"]
+        conds += [f"_p{j}.start <= _a{j}", f"_a{j} + 8 <= _p{j}.end"]
     for j in range(len(slots)):
         for k in range(j):
             conds.append(f"(_a{j} - _a{k} >= 8 or _a{k} - _a{j} >= 8)")
@@ -604,7 +576,6 @@ def _emit_promoted_loop(em: _Emitter, block, slots: dict,
     for j, (_loads, stores, _first) in enumerate(slots.values()):
         if stores:
             em.emit(f"pack(_p{j}.data, _a{j} - _p{j}.start, _m{j})")
-            em.emit(f"_p{j}.version += {stores} * _it")
     for r in sorted(em.localized):
         em.emit(f"regs[{r}] = r{r}")
     if em.zf_used:
@@ -617,15 +588,12 @@ def _emit_promoted_loop(em: _Emitter, block, slots: dict,
 def fuse_block(cpu, block):
     """Compile ``block`` into a single callable; see module docstring."""
     insns = block.insns
-    n = len(insns)
-
     em = _Emitter()
     for insn in insns:
         em.localized.update(_insn_regs(insn))
         if insn.op_id in _ZF_WRITERS or insn.op_id in _ZF_READERS:
             em.zf_used = True
 
-    bails: List[Optional[BlockExit]] = [None] * n
     for i in sorted(em.localized):
         em.emit(f"r{i} = regs[{i}]")
     if em.zf_used:
@@ -634,31 +602,29 @@ def fuse_block(cpu, block):
     # caller-supplied insn budget and cycle batch), so a hot loop costs
     # one Python call per ~batch instead of one per trip.  Any other
     # block, and a self-loop whose guard fails, runs one trip of the
-    # plain body, whose fault and bail sites then need no trip count;
+    # plain body, whose fault sites then need no trip count;
     # ``Cpu._run_cached``'s self-chain runs the next trip.
     promotable = _loop_slots(insns) if _is_self_loop(block) else None
     if promotable is not None:
         _emit_promoted_loop(em, block, *promotable)
     if promotable is None or promotable[0]:
-        _emit_body(em, block, bails)
+        _emit_body(em, block)
         for line in em.spills():
             em.emit(line)
         em.emit("return 1")
 
     header = ("def _fused(remaining, budget, cpu=_cpu, regs=_regs, "
-              "read_u64=_read_u64, write_u64=_write_u64, seg=_seg, "
-              "insns=_insns, execute=_execute, bails=_bails, "
-              "pages=_pages, unpack=_unpack, pack=_pack):")
+              "read_u64=_read_u64, write_u64=_write_u64, insns=_insns, "
+              "execute=_execute, pages=_pages, unpack=_unpack, "
+              "pack=_pack):")
     source = header + "\n" + "\n".join(em.lines) + "\n"
     namespace = {
         "_cpu": cpu,
         "_regs": cpu.regs,
         "_read_u64": cpu.space.read_u64,
         "_write_u64": cpu.space.write_u64,
-        "_seg": block.segment,
         "_insns": insns,
         "_execute": cpu._execute_plain,
-        "_bails": tuple(bails),
         "_pages": cpu.space._pages,
         "_unpack": _U64.unpack_from,
         "_pack": _U64.pack_into,

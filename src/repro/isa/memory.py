@@ -25,13 +25,18 @@ class Segment:
                  name: str = "seg") -> None:
         if not set(perms) <= set("rwx"):
             raise ExecutionFault(f"bad perms {perms!r}")
+        if "w" in perms and "x" in perms:
+            raise ExecutionFault(f"{name}: W^X violation (mapped {perms!r})")
         self.start = start
         self.data = bytearray(data)
         self.perms = perms
         self.name = name
-        #: Bumped on every mutation of :attr:`data` (stores and rewriter
-        #: patches alike).  Translated code blocks record the version they
-        #: were decoded from and are evicted when it no longer matches.
+        #: Bumped whenever the bytes code is read from may have changed:
+        #: a rewriter patch, a bit flip, or an mprotect that takes write
+        #: permission away (guest stores need no bump: W^X keeps them out
+        #: of executable segments).  Translated code blocks record the
+        #: version they were decoded from and are evicted when it no
+        #: longer matches.
         self.version = 0
         # Segment length is fixed after construction (every mutation is
         # an equal-length splice), so the end is a plain attribute — this
@@ -49,17 +54,15 @@ class Segment:
     def image(self) -> CodeImage:
         """Decoded view of the current bytes — the only way code is read.
 
-        Cached per :attr:`version`.  A non-writable segment takes its
-        image from the process-wide content-addressed store, so every
-        address space mapping the same bytes at the same address shares
-        one decode; a writable (self-modifying) segment changes with
-        every store, so it gets a private image and never touches the
-        store.
+        Cached per :attr:`version` and taken from the process-wide
+        content-addressed store, so every address space mapping the same
+        bytes at the same address shares one decode.  Stores do not move
+        the version, so a writable segment's image may lag its bytes;
+        it is current again once mprotect takes the write permission
+        away, which W^X requires before the segment can execute.
         """
         if self._image_version != self.version:
-            code = bytes(self.data)
-            self._image = (CodeImage(self.start, code) if self.w_ok
-                           else IMAGE_STORE.get(self.start, code))
+            self._image = IMAGE_STORE.get(self.start, bytes(self.data))
             self._image_version = self.version
         return self._image
 
@@ -95,9 +98,9 @@ class AddressSpace:
         #: running through a stale chain.
         self.mapping_gen = 0
         #: page (addr >> 12) → segment, fed by :meth:`find` and consumed
-        #: by the u64 fast paths.  Entries are only trusted after a full
-        #: bounds + permission re-check, so the only invalidation needed
-        #: is on unmap.
+        #: by it and the u64 fast paths.  Entries are only trusted after a
+        #: full bounds (+ permission) re-check, so the only invalidation
+        #: needed is on unmap.
         self._pages: Dict[int, Segment] = {}
 
     def map(self, segment: Segment) -> Segment:
@@ -117,6 +120,11 @@ class AddressSpace:
         self._pages.clear()
 
     def find(self, addr: int) -> Segment:
+        # The page cache holds only segments a scan returned; the bounds
+        # make a hit exactly the scan's answer (segments never overlap).
+        segment = self._pages.get(addr >> 12)
+        if segment is not None and segment.start <= addr < segment.end:
+            return segment
         for segment in self.segments:
             if segment.contains(addr):
                 self._pages[addr >> 12] = segment
@@ -130,6 +138,10 @@ class AddressSpace:
                 f"{segment.name}: W^X violation (requested {perms!r})")
         newly_executable = "x" in perms and "x" not in segment.perms
         lost_execute = "x" not in perms and "x" in segment.perms
+        if "w" in segment.perms and "w" not in perms:
+            # Stores moved the bytes without a version bump; from here on
+            # nothing but patch_code and bitflip can, so re-decode once.
+            segment.version += 1
         segment.perms = perms
         segment._sync_perm_flags()
         if lost_execute:
@@ -151,7 +163,6 @@ class AddressSpace:
             raise ExecutionFault(f"write crosses segment end at {addr:#x}")
         off = addr - segment.start
         segment.data[off:off + len(data)] = data
-        segment.version += 1
 
     def read_u64(self, addr: int) -> int:
         # Page-cache fast path: every condition the slow path enforces is
@@ -174,7 +185,6 @@ class AddressSpace:
         if (seg is not None and seg.w_ok and seg.start <= addr
                 and addr + 8 <= seg.end):
             _U64.pack_into(seg.data, addr - seg.start, value & _MASK64)
-            seg.version += 1
             return
         self.write(addr, _U64.pack(value & _MASK64))
 

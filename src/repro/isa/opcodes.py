@@ -145,9 +145,5 @@ HANDLER_OP_IDS = frozenset(
 CONTROL_OP_IDS = frozenset(
     {OP_JMP, OP_JZ, OP_JNZ, OP_CALL, OP_CALLR, OP_RET})
 
-#: Ids that can write guest memory (the only ones that can move a
-#: segment's version, so rewrite the code under a running block).
-WRITE_OP_IDS = frozenset({OP_STORE, OP_PUSH, OP_CALL, OP_CALLR, OP_PUSHA})
-
 #: Opcodes that transfer control (their rel32 targets are branch targets).
 BRANCH_MNEMONICS = frozenset({"jmp", "jz", "jnz", "call"})

@@ -15,21 +15,20 @@ Semantics are preserved per instruction, not per block:
   any ``syscall`` / ``int0`` / ``vsys`` / ``vmcall`` / ``hlt``, so
   handler invocation order, ``max_insns`` accounting and sim-time
   interleavings are exactly those of per-step decode;
-* a fault leaves ``rip`` at the faulting instruction and ``cycles`` at
-  the total retired before it (``cum[i - 1]``), exactly as the per-step
-  interpreter would;
-* after every instruction of a block that can write memory (its shape
-  records whether any ``store``/``push``/``call``/``callr``/``pusha``
-  is in it), the executor re-checks the block's segment version and
-  bails out of the block if the code under it changed (self-modifying
-  guest code), resuming at the next instruction.
+* a fault leaves ``rip`` at the faulting instruction, ``cycles`` at
+  the total retired before it (``cum[i - 1]``) and ``insns_retired`` at
+  the instructions before it, exactly as the per-step interpreter
+  would.
 
-Invalidation is driven by the write-tracking in
-:mod:`repro.isa.memory`: every mutation of a segment bumps
-``Segment.version`` (plain stores and the rewriter's ``patch_code``
-text patches alike) and every map/unmap bumps
-``AddressSpace.mapping_gen``.  A cached block is only reused while both
-still match what it was translated from.
+No guest store can change code: :mod:`repro.isa.memory` holds W^X from
+map time on, so a store that would reach an executable segment faults
+instead, and a block never has to re-check its code mid-run.  What a
+block was translated from changes only in ways two counters record:
+``Segment.version``, bumped by the rewriter's ``patch_code``, fault
+injection's ``bitflip`` and an ``mprotect`` that takes write permission
+away, and ``AddressSpace.mapping_gen``, bumped by every map/unmap and
+every loss of execute permission.  A cached block is only reused while
+both still match what it was translated from.
 
 ``translate`` never reads segment bytes: it takes decoded instructions
 from ``Segment.image()``, the per-version :class:`~repro.isa.
@@ -57,7 +56,6 @@ from repro.isa.opcodes import (
     OP_JMP,
     OP_SYSCALL,
     OP_VSYS,
-    WRITE_OP_IDS,
 )
 from repro.obs import metrics as obs_metrics
 
@@ -69,21 +67,6 @@ T_SYSCALL = 3
 T_INT0 = 4
 T_VSYS = 5
 T_VMCALL = 6
-
-
-class BlockExit(Exception):
-    """Internal: a write changed the code of the running block.
-
-    Carries exact resume state so the executor retires precisely the
-    instructions that ran (including the store that did the modifying).
-    """
-
-    def __init__(self, next_rip: int, cycles_done: int,
-                 n_done: int) -> None:
-        super().__init__("block invalidated mid-execution")
-        self.next_rip = next_rip
-        self.cycles_done = cycles_done
-        self.n_done = n_done
 
 
 #: Superblock length histogram buckets: lengths land in bucket
@@ -142,12 +125,12 @@ class CodeBlock:
 
     __slots__ = ("entry", "insns", "n_insns", "cycles", "cum", "bounds",
                  "terminator", "term_arg", "term_addr", "term_end",
-                 "term_cycles", "end_rip", "writes", "segment", "version",
-                 "chain", "hot", "fn")
+                 "term_cycles", "end_rip", "segment", "version", "chain",
+                 "hot", "fn")
 
     def __init__(self, entry, insns, cycles, cum, bounds, terminator,
                  term_arg, term_addr, term_end, term_cycles, end_rip,
-                 writes, segment, version) -> None:
+                 segment, version) -> None:
         self.entry = entry
         self.insns = insns            # decoded straight instructions
         self.n_insns = len(insns)
@@ -160,9 +143,6 @@ class CodeBlock:
         self.term_end = term_end      # rip while its handler runs
         self.term_cycles = term_cycles
         self.end_rip = end_rip        # resume address for T_FALL
-        #: Whether any instruction can write memory; a cold block that
-        #: cannot skips the per-instruction segment version check.
-        self.writes = writes
         self.segment = segment
         self.version = version
         #: Direct-threaded chain: successor rip → successor CodeBlock,
@@ -288,12 +268,7 @@ class TranslationCache:
         ``(rip, max_block_insns)``; errors are never memoised.  The
         ``tcache.*`` counters still count every translation.
         """
-        space = self.space
-        # The page cache holds only segments find() returned; bounds make
-        # a hit exactly find()'s answer (segments never overlap).
-        segment = space._pages.get(rip >> 12)
-        if segment is None or not segment.start <= rip < segment.end:
-            segment = space.find(rip)
+        segment = self.space.find(rip)
         if not segment.x_ok:
             raise ExecutionFault(
                 f"{cpu.name}: rip {rip:#x} not executable")
@@ -315,7 +290,7 @@ class TranslationCache:
 def form_superblock(image, rip: int, limit: int) -> tuple:
     """Decode one superblock of ``image`` starting at ``rip``.
 
-    Returns ``CodeBlock``'s shape fields, from ``insns`` to ``writes``:
+    Returns ``CodeBlock``'s shape fields, from ``insns`` to ``end_rip``:
     a pure function of the image's bytes, ``rip`` and ``limit``.
 
     The trace continues *through* direct ``jmp``/``call`` (decoding
@@ -398,7 +373,5 @@ def form_superblock(image, rip: int, limit: int) -> tuple:
             # thread this exit to the successor block.
             break
 
-    writes = any(insn.op_id in WRITE_OP_IDS for insn in insns)
     return (tuple(insns), total, tuple(cum), tuple(bounds) + (addr,),
-            terminator, term_arg, term_addr, term_end, term_cycles, addr,
-            writes)
+            terminator, term_arg, term_addr, term_end, term_cycles, addr)

@@ -278,6 +278,28 @@ class TestAddressSpace:
         with pytest.raises(RewriteError):
             space.mprotect(seg, "rwx")
 
+    @pytest.mark.parametrize("perms", ["rwx", "wx"])
+    def test_wx_refused_at_map_time(self, perms):
+        # W^X holds from the first mapping on, not only across mprotect:
+        # no guest store can ever reach executable bytes.
+        with pytest.raises(ExecutionFault, match="W\\^X"):
+            Segment(0x1000, bytes(16), perms=perms, name="jit")
+
+    def test_find_probes_the_page_cache_before_scanning(self, monkeypatch):
+        space = AddressSpace()
+        low = space.map(Segment(0x1000, bytes(0x100), name="low"))
+        high = space.map(Segment(0x1100, bytes(0x100), name="high"))
+        scans = []
+        real = Segment.contains
+        monkeypatch.setattr(Segment, "contains", lambda seg, addr: (
+            scans.append(addr) or real(seg, addr)))
+        assert space.find(0x1010) is low and len(scans) == 1
+        assert space.find(0x10F8) is low and len(scans) == 1
+        # Same page, other segment: the cached entry fails its bounds.
+        assert space.find(0x1100) is high and len(scans) == 3
+        with pytest.raises(ExecutionFault, match="unmapped"):
+            space.find(0x1200)
+
     def test_exec_hook_fires_on_map_and_mprotect(self):
         space = AddressSpace()
         fired = []

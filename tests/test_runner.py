@@ -50,11 +50,26 @@ class TestSweepRunner:
         points = runner.sweep_points(scale=0.008)
         assert {eid for eid, _part, _kw in points} == set(EXPERIMENTS)
 
-    def test_scale_only_reaches_scaled_experiments(self):
+    def test_scale_only_reaches_scaled_experiments(self, capsys):
+        # Every sweep point and every single-experiment CLI run carries
+        # the scale; apply_config hands it only to a driver with a scale
+        # keyword, so a driver without one renders the same either way.
+        from repro.__main__ import main
+
         points = runner.sweep_points(scale=0.01)
-        for eid, _part, kwargs in points:
-            expects_scale = eid in runner.SCALED_EXPERIMENTS
-            assert (("scale", 0.01) in kwargs) == expects_scale
+        assert {kwargs for _eid, _part, kwargs in points} == {
+            (("scale", 0.01),)}
+        for eid in ("table1", "figure4"):
+            scaled = runner.run_point((eid, None, (("scale", 0.01),)))
+            plain = runner.run_point((eid, None, ()))
+            assert scaled.render() == plain.render()
+            renders = []
+            for extra in ([], ["--scale", "0.01"]):
+                assert main([eid] + extra) == 0
+                renders.append([
+                    line for line in capsys.readouterr().out.splitlines()
+                    if "regenerated in" not in line])
+            assert renders[0] == renders[1]
 
     def test_compare_reports_ignores_wallclock_lines(self):
         left = "row 1\n[figure4 regenerated in 1.2s]\n# comment\n"

@@ -1,6 +1,6 @@
 """Translation-cache tests: differential equivalence with per-step
-decode, invalidation (rewriter patches, self-modifying code, remaps),
-and the hit/miss/invalidation counters."""
+decode, invalidation (rewriter patches, mprotect round trips, remaps),
+W^X faults, and the hit/miss/invalidation counters."""
 
 import sys
 
@@ -12,6 +12,7 @@ from repro.costmodel import CYCLE_PS
 from repro.errors import DisassemblyError, ExecutionFault
 from repro.isa import AddressSpace, Cpu, Segment, assemble, fuser, translator
 from repro.isa import cpu as isa_cpu
+from repro.isa.assembler import assemble_with_symbols
 from repro.isa.translator import T_SYSCALL
 from repro.obs import metrics as obs_metrics
 from repro.sim.core import Compute
@@ -21,11 +22,10 @@ DATA = 0x4000
 STACK_TOP = 0x20000
 
 
-def build_cpu(source, translate=True, text_perms="rx", name="cpu",
-              data_perms="rw"):
+def build_cpu(source, translate=True, name="cpu", data_perms="rw"):
     space = AddressSpace()
     code = assemble(source, origin=TEXT)
-    space.map(Segment(TEXT, code, perms=text_perms, name="text"))
+    space.map(Segment(TEXT, code, perms="rx", name="text"))
     space.map(Segment(DATA, bytes(0x800), perms=data_perms, name="data"))
     space.map(Segment(STACK_TOP - 0x1000, bytes(0x1000), perms="rw",
                       name="stack"))
@@ -70,25 +70,21 @@ def drive(cpu, max_insns=100_000, batch_cycles=20_000):
 
 
 def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
-                      text_perms="rx", data_perms="rw", promoted=None):
+                      data_perms="rw", promoted=None):
     """Run ``source`` under cached (superblocks + chaining), cached with
     fusion forced from the first execution, and per-step decode; the
     observable outcome must be identical in all three: registers, zf,
-    rip, cycles, the fault, every segment's bytes and version, and on a
-    clean exit the instructions retired (the per-step loop does not
-    count them on a fault).
+    rip, cycles, instructions retired, the fault, and every segment's
+    bytes and version.
 
     ``promoted``, a list, receives how many fused calls of the
     forced-fusion leg ran a self-loop with its slots in locals (see
     :func:`branch_entries`).
     """
-    interp = build_cpu(source, translate=False, text_perms=text_perms,
-                       data_perms=data_perms)
+    interp = build_cpu(source, translate=False, data_perms=data_perms)
     i_ret, i_exc, i_ps = drive(interp, max_insns, batch_cycles)
-    cached = build_cpu(source, translate=True, text_perms=text_perms,
-                       data_perms=data_perms)
-    fused = build_cpu(source, translate=True, text_perms=text_perms,
-                      data_perms=data_perms)
+    cached = build_cpu(source, translate=True, data_perms=data_perms)
+    fused = build_cpu(source, translate=True, data_perms=data_perms)
     fused.tcache.fuse_threshold = 1  # every block compiles before run 1
     for cpu in (cached, fused):
         if cpu is fused:
@@ -105,6 +101,7 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
         assert cpu.rip == interp.rip
         assert cpu.halted == interp.halted
         assert cpu.cycles == interp.cycles
+        assert cpu.insns_retired == interp.insns_retired
         assert ([(seg.name, bytes(seg.data), seg.version)
                  for seg in cpu.space.segments]
                 == [(seg.name, bytes(seg.data), seg.version)
@@ -114,7 +111,6 @@ def assert_equivalent(source, max_insns=100_000, batch_cycles=20_000,
             # sim-time Compute totals agree exactly (only the chunking
             # differs).
             assert c_ps == i_ps == cpu.cycles * CYCLE_PS
-            assert cpu.insns_retired == interp.insns_retired
     return cached, interp
 
 
@@ -243,29 +239,6 @@ class TestCounters:
             assert empty["counters"][f"tcache.sb_len_p2_{k}"] == 0
 
 
-def _rewrite_next_insn(setup, write, above):
-    """Run ``setup`` (formatted with the victim's address plus
-    ``above``), then ``write`` of rdx, which turns the ``movi rax, 1``
-    right after it into ``movi rax, 42``, checked against the oracle;
-    returns the cached Cpu."""
-    prefix = assemble(f"{setup.format(0)}\nmovi rdx, 0\nmovi rbx, 0\n"
-                      f"{write}", origin=TEXT)
-    victim_addr = TEXT + len(prefix)
-    # The 8 bytes that turn `movi rax, 1` into `movi rax, 42`.
-    patched = bytearray(assemble("movi rax, 1", origin=victim_addr)[:8])
-    patched[2] = 42
-    source = f"""
-        {setup.format(victim_addr + above)}
-        movi rdx, {int.from_bytes(bytes(patched), "little")}
-        movi rbx, 0
-        {write}
-        movi rax, 1
-        hlt
-    """
-    cached, _interp = assert_equivalent(source, text_perms="rwx")
-    return cached
-
-
 class TestInvalidation:
     def test_patch_code_evicts_stale_block(self):
         # Translate, then patch the text the way the rewriter does, and
@@ -280,35 +253,27 @@ class TestInvalidation:
         assert cpu.run_sync() == 7
         assert cpu.tcache.stats.invalidations >= 1
 
-    def test_plain_store_evicts_stale_block(self):
-        # Same eviction contract for ordinary stores into (rwx) text.
-        source = """
-            movi rax, 5
-            hlt
-        """
-        cpu = build_cpu(source, text_perms="rwx")
+    def test_mprotect_round_trip_redecodes_the_stored_bytes(self):
+        # rx -> rw -> store -> rx: the store moves no version (W^X keeps
+        # stores out of code), so taking write permission away must, or
+        # the segment's cached image would replay `movi rax, 5`.
+        cpu = build_cpu("movi rax, 5\nhlt")
         assert cpu.run_sync() == 5
+        space = cpu.space
+        text = space.find(TEXT)
+        space.mprotect(text, "rw")
         # Overwrite the low immediate byte of `movi rax, 5` (opcode +
         # reg byte precede it) through the data path.
-        new_first8 = bytearray(cpu.space.find(TEXT).data[:8])
+        new_first8 = bytearray(text.data[:8])
         new_first8[2] = 9
-        cpu.space.write_u64(TEXT, int.from_bytes(new_first8, "little"))
+        space.write_u64(TEXT, int.from_bytes(new_first8, "little"))
+        assert text.version == 0
+        space.mprotect(text, "rx")
+        assert text.version == 1
         cpu.rip = TEXT
         cpu.halted = False
         assert cpu.run_sync() == 9
         assert cpu.tcache.stats.invalidations >= 1
-
-    def test_self_modification_inside_block_takes_effect(self):
-        # The store and its victim sit in one straight-line run: the
-        # block must stop at the store and re-translate the tail.
-        cached = _rewrite_next_insn("movi rcx, {}", "store [rcx+0], rdx", 0)
-        assert cached.regs[0] == 42
-
-    def test_self_modification_by_push_takes_effect(self):
-        # The same with a push through an rsp pointing into the text: a
-        # block with no store still checks the version after a push.
-        cached = _rewrite_next_insn("movi rsp, {}", "push rdx", 8)
-        assert cached.regs[0] == 42
 
     def test_mapping_change_flushes_cache(self):
         cpu = build_cpu("movi rax, 1\nhlt")
@@ -370,6 +335,48 @@ class TestInvalidation:
         assert cpu.halted and cpu.regs[1] == 0
         assert stats.chains_broken >= 1  # flush counted the stale links
         assert stats.chains_linked >= 2  # ...and the loop re-linked
+
+
+class TestWritesIntoText:
+    # W^X: the text is never writable, so a store, push, spanned call
+    # or pusha that reaches it faults, and every tier reports the same
+    # rip, cycles and instructions retired.  The writing block runs
+    # ``trips`` times, the last one aimed at the text: on trip 1 the
+    # cached leg faults in a cold block, on trip 10 in a fused one.
+    SOURCE = f"""
+        movi rcx, {DATA}
+        movi r12, {{trips}}
+    loop:
+        cmpi r12, 1
+        jnz body
+        {{aim}}
+    body:
+        addi r13, 1
+    site:
+        {{write}}
+        subi r12, 1
+        jnz loop
+        hlt
+    """
+
+    @pytest.mark.parametrize("aim, write, per_trip", [
+        (f"movi rcx, {TEXT + 8}", "store [rcx+0], rdx", 6),
+        (f"movi rsp, {TEXT + 16}", "push rdx", 6),
+        (f"movi rsp, {TEXT + 16}", "call f\nf:\npop rsi", 7),
+        (f"movi rsp, {TEXT + 16}", "pusha", 6),
+    ], ids=["store", "push", "spanned_call", "pusha"])
+    @pytest.mark.parametrize("trips", [1, 10])
+    def test_write_into_text_faults_alike(self, aim, write, per_trip,
+                                          trips):
+        source = self.SOURCE.format(trips=trips, aim=aim, write=write)
+        cached, interp = assert_equivalent(source)
+        _code, labels = assemble_with_symbols(source, origin=TEXT)
+        assert cached.rip == interp.rip == labels["site"]
+        # Two set-up insns, the full trips, then cmpi, jnz, the aim and
+        # the addi of the last one.
+        assert interp.insns_retired == 2 + (trips - 1) * per_trip + 4
+        with pytest.raises(ExecutionFault, match="non-writable text"):
+            build_cpu(source).run_sync()
 
 
 class TestMaxInsnParity:
@@ -649,24 +656,26 @@ class TestLoopSlotPromotion:
         assert taken == [0]
         assert interp.regs[0] == 11 | 22 << 32
 
-    def test_load_only_slot_is_not_written_back(self):
+    def test_load_only_slot_is_not_written_back(self, monkeypatch):
+        emitters = []
+
+        class Recording(fuser._Emitter):
+            def __init__(self):
+                super().__init__()
+                emitters.append(self)
+
+        monkeypatch.setattr(fuser, "_Emitter", Recording)
         taken = []
-        cached, interp = assert_equivalent(
+        _cached, interp = assert_equivalent(
             _loop_program("load rsi, [rbx+64]\nadd r13, rsi", trips=7),
             promoted=taken)
         assert taken == [1]
         assert interp.regs[0] == 7 * 11
-        # The prime's one store is the data segment's only write.
-        assert cached.space.find(DATA).version == 1
-
-    def test_version_moves_by_stores_per_trip(self):
-        taken = []
-        cached, interp = assert_equivalent(
-            _loop_program("store [rbx+0], r12\nstore [rbx+0], rax\n"
-                          "push r12\npop rsi", trips=6), promoted=taken)
-        assert taken == [1]
-        assert cached.space.find(DATA).version == 1 + 2 * 6
-        assert cached.space.find(STACK_TOP - 8).version == 1 + 6
+        loops = [em.lines for em in emitters
+                 if any("for _it" in line for line in em.lines)]
+        assert loops
+        assert not any(line.strip().startswith("pack(")
+                       for lines in loops for line in lines)
 
     @pytest.mark.parametrize("data_perms, prime, body, message", [
         ("w", "store [rbx+64], rax", "load rsi, [rbx+64]", "non-readable"),
@@ -703,40 +712,21 @@ class TestLoopSlotPromotion:
         assert_equivalent(source, promoted=taken)
         assert taken == [2]
 
-    def test_store_into_its_own_code_falls_back(self):
-        # The loop rewrites the immediate of its own `movi`: per-step,
-        # each trip runs the value the trip before stored.
-        body = "movi rax, 1\nadd r13, rax\nstore [rcx+0], r12"
-        prefix = _loop_program(body, prime="", setup="movi rcx, 0")
-        imm = TEXT + 2 + len(assemble(prefix.split("loop:")[0] + "loop:",
-                                      origin=TEXT))
-        source = _loop_program(body, prime="", setup=f"movi rcx, {imm}")
-        taken = []
-        _cached, interp = assert_equivalent(source, text_perms="rwx",
-                                            promoted=taken)
-        assert taken == [0]
-        assert interp.regs[0] == 1 + 5 + 4 + 3 + 2
-
     # Self-loops _loop_slots refuses: a spanned call (its callee pops
     # the return address) or pusha/popa in the body.  Each fused call
     # runs one plain trip and returns 1, and the self-chain runs the
-    # next, so a fault or a self-modifying store lands on the trip the
-    # per-step interpreter puts it on.
+    # next, so a fault lands on the trip the per-step interpreter puts
+    # it on, with the same instructions retired.
     _CALL = "call f\nhlt\nf:\npop rsi\n"
 
-    @pytest.mark.parametrize("head, body, trips, text_perms, returned", [
-        (_CALL, "add r13, rsi", 5, "rx", 5),
-        ("pusha\npopa\n", "add r13, r12", 5, "rx", 5),
+    @pytest.mark.parametrize("head, body, trips, returned", [
+        (_CALL, "add r13, rsi", 5, 5),
+        ("pusha\npopa\n", "add r13, r12", 5, 5),
         # The load walks off the data segment on trip 5 of 8.
-        (_CALL, "load rsi, [rbx+0]\naddi rbx, 512\nadd r13, rsi", 8,
-         "rx", 4),
-        # The store rewrites the immediate of the loop's first `movi`,
-        # so every trip bails.
-        ("movi rax, 1\n" + _CALL, "add r13, rax\nstore [rcx+0], r12", 5,
-         "rwx", 0),
-    ], ids=["call", "pusha", "fault_on_trip_5", "store_into_own_code"])
+        (_CALL, "load rsi, [rbx+0]\naddi rbx, 512\nadd r13, rsi", 8, 4),
+    ], ids=["call", "pusha", "fault_on_trip_5"])
     def test_unpromotable_loop_runs_one_trip_per_call(
-            self, monkeypatch, head, body, trips, text_perms, returned):
+            self, monkeypatch, head, body, trips, returned):
         returns = []
         real = isa_cpu.fuse_block
 
@@ -750,22 +740,16 @@ class TestLoopSlotPromotion:
             return fused
 
         monkeypatch.setattr(isa_cpu, "fuse_block", recording)
-        body = head + body
-        prefix = _loop_program(body, prime="", setup="movi rcx, 0")
-        loop = TEXT + len(assemble(prefix.split("loop:")[0] + "loop:",
+        source = _loop_program(head + body, trips=trips, prime="")
+        loop = TEXT + len(assemble(source.split("loop:")[0] + "loop:",
                                    origin=TEXT))
-        source = _loop_program(body, trips=trips, prime="",
-                               setup=f"movi rcx, {loop + 2}")
         taken = []
-        cached, interp = assert_equivalent(source, text_perms=text_perms,
-                                           promoted=taken)
+        cached, interp = assert_equivalent(source, promoted=taken)
         assert taken == [0]
         assert [it for entry, it in returns if entry == loop] == [
             1] * returned
         assert {it for _entry, it in returns} <= {1}
-        if "store" in body:
-            assert interp.regs[0] == 1 + 5 + 4 + 3 + 2
-        elif "load" in body:
+        if "load" in body:
             assert cached.rip == interp.rip == loop + len(
                 assemble(self._CALL, origin=loop))
             assert interp.regs[12] == trips - 4
@@ -997,7 +981,7 @@ _REG_NAMES = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
 @st.composite
 def _programs(draw):
     """Random VX86 programs, including text-segment stores (the text is
-    mapped rwx), wild pointers and unbounded loops."""
+    mapped rx, so they fault), wild pointers and unbounded loops."""
     n = draw(st.integers(min_value=4, max_value=24))
     reg = st.sampled_from(_REG_NAMES)
     # rsp excluded from most destinations to keep stack ops interesting
@@ -1026,7 +1010,7 @@ def _programs(draw):
         if kind == "loop":
             # A counted self-loop of memory and ALU ops: its slots may
             # be promoted, alias, overlap, move from trip to trip or sit
-            # in the (rwx) text, and its counter may be clobbered.
+            # in the (rx) text, and its counter may be clobbered.
             body, tail = [], []
             for _ in range(draw(st.integers(min_value=1, max_value=4))):
                 op = draw(st.sampled_from(
@@ -1101,34 +1085,6 @@ class TestDifferential:
         # --hypothesis-show-statistics.
         promoted = []
         assert_equivalent(source, max_insns=max_insns, batch_cycles=batch,
-                          text_perms="rwx", promoted=promoted)
+                          promoted=promoted)
         event("fused leg ran a promoted loop" if promoted[0]
               else "fused leg ran no promoted loop")
-
-    # A cold block records whether any instruction can write memory
-    # (store, push, call, callr, pusha); one that cannot skips the
-    # segment version check after each instruction.  Each case lists
-    # the flag of every block by entry address.
-    @pytest.mark.parametrize("source, writes", [
-        ("movi rax, 3\naddi rax, 4\ncmpi rax, 7\njz done\nhlt\ndone:\n"
-         "movi rbx, 1\nhlt", [False, False]),
-        (f"movi rsp, {STACK_TOP - 128}\nmovi rbx, {DATA}\n"
-         "load rax, [rbx+0]\npop rcx\npopa\nnop\nhlt", [False]),
-        # A load faults mid-block: rip and cycles of the instructions
-        # before it, from a block that keeps no version check.
-        ("movi rax, 1\nmovi rbx, 0x333330\nload rax, [rbx+0]\nhlt",
-         [False]),
-        (f"movi rbx, {DATA}\nstore [rbx+0], rbx\nhlt", [True]),
-        ("push rax\nhlt", [True]),
-        ("pusha\nhlt", [True]),
-        # A spanned call, and a callr that ends its block.
-        ("call f\nhlt\nf:\nmovi rax, 2\nhlt", [True]),
-        ("movi rcx, {}\ncallr rcx\nhlt\nmovi rax, 9\nhlt".format(
-            TEXT + len(assemble("movi rcx, 0\ncallr rcx\nhlt"))),
-         [True, False]),
-    ], ids=["alu", "loads_pop_popa", "load_faults", "store", "push",
-            "pusha", "spanned_call", "callr"])
-    def test_blocks_with_and_without_memory_writes(self, source, writes):
-        cached, _interp = assert_equivalent(source)
-        blocks = cached.tcache.blocks
-        assert [blocks[rip].writes for rip in sorted(blocks)] == writes
