@@ -153,8 +153,7 @@ class _Emitter:
             out.append("cpu.zf = zf")
         return out
 
-    def emit_fault_guard(self, body: str, addr: int,
-                         indent: int = 1) -> None:
+    def emit_fault_guard(self, body: str, addr: int, indent: int = 1) -> None:
         """``try: <body>`` with the per-step-identical fault epilogue."""
         self.emit("try:", indent)
         self.emit(body, indent + 1)

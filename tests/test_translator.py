@@ -1088,3 +1088,28 @@ class TestDifferential:
                           promoted=promoted)
         event("fused leg ran a promoted loop" if promoted[0]
               else "fused leg ran no promoted loop")
+
+    # Cold blocks with and without memory writes run one executor loop,
+    # with no version check (W^X keeps every store out of code).  Each
+    # case lists how many blocks it translates and runs against the
+    # per-step oracle, instructions retired included.
+    @pytest.mark.parametrize("source, n_blocks", [
+        ("movi rax, 3\naddi rax, 4\ncmpi rax, 7\njz done\nhlt\ndone:\n"
+         "movi rbx, 1\nhlt", 2),
+        (f"movi rsp, {STACK_TOP - 128}\nmovi rbx, {DATA}\n"
+         "load rax, [rbx+0]\npop rcx\npopa\nnop\nhlt", 1),
+        # A load faults mid-block: rip, cycles and instructions retired
+        # are those of the instructions before it.
+        ("movi rax, 1\nmovi rbx, 0x333330\nload rax, [rbx+0]\nhlt", 1),
+        (f"movi rbx, {DATA}\nstore [rbx+0], rbx\nhlt", 1),
+        ("push rax\nhlt", 1),
+        ("pusha\nhlt", 1),
+        # A spanned call, and a callr that ends its block.
+        ("call f\nhlt\nf:\nmovi rax, 2\nhlt", 1),
+        ("movi rcx, {}\ncallr rcx\nhlt\nmovi rax, 9\nhlt".format(
+            TEXT + len(assemble("movi rcx, 0\ncallr rcx\nhlt"))), 2),
+    ], ids=["alu", "loads_pop_popa", "load_faults", "store", "push",
+            "pusha", "spanned_call", "callr"])
+    def test_blocks_with_and_without_memory_writes(self, source, n_blocks):
+        cached, _interp = assert_equivalent(source)
+        assert len(cached.tcache.blocks) == n_blocks
