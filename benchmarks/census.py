@@ -178,7 +178,6 @@ ALLOWLIST: dict[str, str] = {key: category for category, keys in {
     "late-code": [
         "repro/isa/memory.py:AddressSpace.mprotect",
         "repro/isa/memory.py:AddressSpace.unmap",
-        "repro/isa/memory.py:Segment._sync_perm_flags",
         "repro/isa/translator.py:TranslationCache._evict_segment",
         "repro/isa/translator.py:TranslationCache.flush",
         "repro/rewriter/rewriter.py:BinaryRewriter._on_executable",

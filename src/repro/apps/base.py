@@ -13,6 +13,9 @@ from repro.kernel.uapi import (
     SysError,
 )
 
+#: Bytes one ``recv`` of a connection asks for.
+RECV_SIZE = 4096
+
 
 @dataclass
 class ServerStats:
@@ -43,13 +46,12 @@ class EpollServer:
 
     def __init__(self, ctx, port: int, handle_request,
                  parse_request, stats: Optional[ServerStats] = None,
-                 recv_size: int = 4096, conn_setup_cycles: int = 0) -> None:
+                 conn_setup_cycles: int = 0) -> None:
         self.ctx = ctx
         self.port = port
         self.handle_request = handle_request
         self.parse_request = parse_request
         self.stats = stats or ServerStats()
-        self.recv_size = recv_size
         #: Per-connection server work (allocating the connection object,
         #: TLS-less handshake bookkeeping, prefork hand-off...) — the
         #: dominant cost of one-request-per-connection workloads.
@@ -100,7 +102,7 @@ class EpollServer:
         conn = self.connections.get(fd)
         if conn is None:
             return
-        data = yield from ctx.recv(fd, self.recv_size, site="srv_read")
+        data = yield from ctx.recv(fd, RECV_SIZE, site="srv_read")
         if not data:
             yield from self._close(epfd, fd)
             return
@@ -146,9 +148,8 @@ def parse_http_request(buffer: bytes):
     return buffer[:idx], buffer[idx + 4:]
 
 
-def http_response(body: bytes, status: str = "200 OK",
-                  keepalive: bool = True) -> bytes:
-    head = (f"HTTP/1.1 {status}\r\n"
+def http_response(body: bytes, keepalive: bool = True) -> bytes:
+    head = ("HTTP/1.1 200 OK\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: {'keep-alive' if keepalive else 'close'}\r\n"
             "\r\n").encode()

@@ -53,8 +53,7 @@ class JobStore:
     reserved: Dict[int, bytes] = field(default_factory=dict)
 
 
-def make_beanstalkd(port: int = 11300, stats: ServerStats = None,
-                    binlog_path: str = None):
+def make_beanstalkd(stats: ServerStats = None, binlog_path: str = None):
     """Build the beanstalkd server generator.
 
     Protocol (line-oriented, binary-safe bodies are elided):
@@ -109,7 +108,7 @@ def make_beanstalkd(port: int = 11300, stats: ServerStats = None,
             stats.errors += 1
             return b"UNKNOWN_COMMAND\r\n"
 
-        server = EpollServer(ctx, port, handle, parse_line_request,
+        server = EpollServer(ctx, 11300, handle, parse_line_request,
                              stats=stats)
         return (yield from server.serve())
 

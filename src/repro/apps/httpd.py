@@ -52,6 +52,9 @@ APACHE_HTTPD = HttpProfile("apache-httpd", parse_cycles=20000,
                            respond_cycles=28000, log_access=True,
                            conn_setup_cycles=950_000)
 
+#: The page every HTTP flavour serves, read once at startup.
+PAGE_PATH = "/var/www/index.html"
+
 #: Syscall sites an HTTP worker touches; used to build the VX86 image
 #: the rewriter patches.
 HTTPD_SITES = [
@@ -77,10 +80,8 @@ def httpd_image(profile: HttpProfile = LIGHTTPD):
     return build_image(profile.name, HTTPD_SITES)
 
 
-def make_httpd(profile: HttpProfile = LIGHTTPD, port: int = 80,
-               page_path: str = "/var/www/index.html",
-               stats: ServerStats = None, crash_on: bytes = None,
-               startup=None):
+def make_httpd(profile: HttpProfile = LIGHTTPD, stats: ServerStats = None,
+               crash_on: bytes = None, startup=None):
     """Build the server generator function for one HTTP flavour.
 
     ``crash_on``: a request substring that triggers a Segfault (used for
@@ -95,7 +96,7 @@ def make_httpd(profile: HttpProfile = LIGHTTPD, port: int = 80,
             yield from startup(ctx)
         # Read the served page once at startup, like a static-file cache.
         page = b""
-        result = yield from ctx.syscall("open", page_path, O_RDONLY,
+        result = yield from ctx.syscall("open", PAGE_PATH, O_RDONLY,
                                         site="srv_open")
         if result.retval >= 0:
             fd = result.retval
@@ -113,7 +114,7 @@ def make_httpd(profile: HttpProfile = LIGHTTPD, port: int = 80,
             yield from hctx.compute(profile.parse_cycles)
             # Stat-cache validation + the server's time cache, as real
             # lighttpd does per request.
-            yield from hctx.stat(page_path, site="srv_fstat")
+            yield from hctx.stat(PAGE_PATH, site="srv_fstat")
             yield from hctx.clock_gettime(site="srv_time")
             keepalive = b"Connection: close" not in request
             conn.keepalive = keepalive
@@ -126,7 +127,7 @@ def make_httpd(profile: HttpProfile = LIGHTTPD, port: int = 80,
             response = http_response(page, keepalive=keepalive)
             return response
 
-        server = EpollServer(ctx, port, handle, parse_http_request,
+        server = EpollServer(ctx, 80, handle, parse_http_request,
                              stats=stats,
                              conn_setup_cycles=profile.conn_setup_cycles)
         return (yield from server.serve())
@@ -190,9 +191,7 @@ LIGHTTPD_REVISIONS = {
 }
 
 
-def lighttpd_revision(rev: str, port: int = 80, stats=None,
-                      crash_on: bytes = None):
+def lighttpd_revision(rev: str, stats=None):
     """A Lighttpd version with a revision-specific startup sequence."""
-    startup = LIGHTTPD_REVISIONS.get(rev)
-    return make_httpd(LIGHTTPD, port=port, stats=stats, crash_on=crash_on,
-                      startup=startup)
+    return make_httpd(LIGHTTPD, stats=stats,
+                      startup=LIGHTTPD_REVISIONS.get(rev))

@@ -24,6 +24,8 @@ from repro.runtime.image import SiteSpec, build_image
 PARSE_CYCLES = 6000
 GET_CYCLES = 12000
 SET_CYCLES = 15000
+#: Worker threads the main thread hands connections to, round robin.
+WORKERS = 2
 
 MEMCACHED_SITES = [
     SiteSpec("srv_socket", "socket"),
@@ -46,8 +48,7 @@ def memcached_image():
     return build_image("memcached", MEMCACHED_SITES)
 
 
-def make_memcached(port: int = 11211, stats: ServerStats = None,
-                   workers: int = 2):
+def make_memcached(stats: ServerStats = None):
     """Build the memcached server generator (main + worker threads)."""
     stats = stats if stats is not None else ServerStats()
     cache: Dict[bytes, bytes] = {}
@@ -134,7 +135,7 @@ def make_memcached(port: int = 11211, stats: ServerStats = None,
             return b"ERROR\r\n"
 
         # Spawn workers, each with a notify pipe.
-        for _ in range(workers):
+        for _ in range(WORKERS):
             read_fd, write_fd = yield from ctx.pipe(site="srv_pipe")
             queue: Deque = deque()
             worker_queues.append(queue)
@@ -145,7 +146,7 @@ def make_memcached(port: int = 11211, stats: ServerStats = None,
         # Main thread: accept and dispatch round-robin.
         listen_fd = yield from ctx.socket(site="srv_socket")
         yield from ctx.setsockopt(listen_fd, site="srv_setsockopt")
-        yield from ctx.bind(listen_fd, (ctx.machine.name, port),
+        yield from ctx.bind(listen_fd, (ctx.machine.name, 11211),
                             site="srv_bind")
         yield from ctx.listen(listen_fd, site="srv_listen")
         next_worker = 0
@@ -158,6 +159,6 @@ def make_memcached(port: int = 11211, stats: ServerStats = None,
             worker_queues[next_worker].append(result.retval)
             yield from ctx.write(notify_write_fds[next_worker], b"!",
                                  site="srv_write")
-            next_worker = (next_worker + 1) % workers
+            next_worker = (next_worker + 1) % WORKERS
 
     return main

@@ -25,6 +25,8 @@ from repro.runtime.image import SiteSpec, build_image
 
 PARSE_CYCLES = 5000
 RESPOND_CYCLES = 7000
+#: Forked worker processes sharing the listening socket.
+WORKERS = 4
 
 NGINX_SITES = [
     SiteSpec("srv_socket", "socket"),
@@ -50,11 +52,10 @@ def nginx_image():
     return build_image("nginx", NGINX_SITES)
 
 
-def make_nginx(port: int = 8080, stats: ServerStats = None,
-               workers: int = 4, page_size: int = 4096):
-    """Build the nginx master generator; it forks ``workers`` children."""
+def make_nginx(port: int = 8080, stats: ServerStats = None):
+    """Build the nginx master generator; it forks ``WORKERS`` children."""
     stats = stats if stats is not None else ServerStats()
-    page = b"n" * page_size
+    page = b"n" * 4096
 
     def worker_main(listen_fd: int):
         def worker(ctx):
@@ -123,7 +124,7 @@ def make_nginx(port: int = 8080, stats: ServerStats = None,
                             site="srv_bind")
         yield from ctx.listen(listen_fd, site="srv_listen")
         pids = []
-        for _ in range(workers):
+        for _ in range(WORKERS):
             pid = yield from ctx.fork(worker_main(listen_fd),
                                       site="srv_fork")
             pids.append(pid)

@@ -70,17 +70,15 @@ class Db:
     hashes: Dict[bytes, Dict[bytes, bytes]] = field(default_factory=dict)
 
 
-def make_redis(port: int = 6379, stats: ServerStats = None,
-               revision: str = REVISIONS[0],
-               background_thread: bool = True,
-               use_heap: bool = True):
+def make_redis(stats: ServerStats = None, revision: str = REVISIONS[0],
+               background_thread: bool = True):
     """Build the redis server generator for one revision."""
     stats = stats if stats is not None else ServerStats()
     buggy = revision == BUGGY_REVISION
     db = Db()
 
     def main(ctx):
-        heap = SimHeap(ctx) if use_heap else None
+        heap = SimHeap(ctx)
 
         if background_thread:
             def background(bctx):
@@ -98,8 +96,7 @@ def make_redis(port: int = 6379, stats: ServerStats = None,
             parts = request.split(b" ")
             command = parts[0].upper()
             yield from hctx.compute(COMMAND_CYCLES.get(command, 2000))
-            if heap is not None and command in (b"SET", b"HSET",
-                                                b"LPUSH", b"SADD"):
+            if command in (b"SET", b"HSET", b"LPUSH", b"SADD"):
                 addr = yield from heap.malloc(
                     len(parts[-1]) if parts else 16)
                 yield from heap.store(addr, 8)
@@ -144,10 +141,9 @@ def make_redis(port: int = 6379, stats: ServerStats = None,
                     # Issue 344: dereference through a stale pointer when
                     # the hash is missing — a real use-after-free under
                     # ASan, a plain segfault otherwise.
-                    if heap is not None:
-                        addr = yield from heap.malloc(16)
-                        yield from heap.free(addr)
-                        yield from heap.load(addr)
+                    addr = yield from heap.malloc(16)
+                    yield from heap.free(addr)
+                    yield from heap.load(addr)
                     raise Segfault(
                         f"redis {revision}: HMGET on missing hash")
                 entry = db.hashes.get(parts[1], {})
@@ -160,7 +156,7 @@ def make_redis(port: int = 6379, stats: ServerStats = None,
             stats.errors += 1
             return b"-ERR unknown command\r\n"
 
-        server = EpollServer(ctx, port, handle, parse_line_request,
+        server = EpollServer(ctx, 6379, handle, parse_line_request,
                              stats=stats)
         return (yield from server.serve())
 

@@ -99,16 +99,15 @@ def memory_pressure_factor(benchmark: SpecBenchmark, variants: int,
     return 1.0 + smt_share + capacity
 
 
-def make_spec(benchmark: SpecBenchmark, compute_scale: float = 1.0,
-              chunk_cycles: int = 500_000,
-              input_path: str = None, output_path: str = None):
+def make_spec(benchmark: SpecBenchmark, compute_scale: float = 1.0):
     """Build the benchmark generator.
 
     ``compute_scale`` multiplies all compute — the experiment layer sets
     it from :func:`memory_pressure_factor` for the NVX configurations.
     """
-    input_path = input_path or f"/tmp/{benchmark.name}.in"
-    output_path = output_path or f"/tmp/{benchmark.name}.out"
+    input_path = f"/tmp/{benchmark.name}.in"
+    output_path = f"/tmp/{benchmark.name}.out"
+    chunk_cycles = 500_000
 
     def main(ctx):
         fd_in = yield from ctx.open(input_path, O_CREAT | O_RDWR,

@@ -47,14 +47,15 @@ from repro.bpf.verifier import verify
 from repro.errors import BpfRuntimeError
 
 _U32 = 0xFFFF_FFFF
+#: ``seccomp_data.arch`` of every filtered call.
+AUDIT_ARCH_X86_64 = 0xC000003E
 
 
-def pack_seccomp_data(nr: int, arch: int = 0xC000003E,
-                      ip: int = 0, args: Sequence[int] = ()) -> bytes:
-    """Build a ``struct seccomp_data`` buffer (x86-64 arch by default)."""
+def pack_seccomp_data(nr: int, args: Sequence[int] = ()) -> bytes:
+    """Build an x86-64 ``struct seccomp_data`` buffer (``ip`` 0)."""
     padded = list(args)[:6] + [0] * (6 - min(6, len(args)))
     clean = [a & 0xFFFF_FFFF_FFFF_FFFF for a in padded]
-    return struct.pack("<iIQ6Q", nr, arch, ip, *clean)
+    return struct.pack("<iIQ6Q", nr, AUDIT_ARCH_X86_64, 0, *clean)
 
 
 class BpfProgram:

@@ -81,7 +81,7 @@ def _adv_slowloris(ctx, rng, addr, deadline_ps):
 def _adv_oversize(ctx, rng, addr, deadline_ps):
     fd = yield from connect_with_retry(ctx, addr)
     while not _deadline(ctx, deadline_ps):
-        size = rng.randint(6_000, 20_000)  # far beyond recv_size=4096
+        size = rng.randint(6_000, 20_000)  # far beyond RECV_SIZE=4096
         body = bytes([rng.randrange(97, 123)]) * size
         line = b"SET big:key " + body + b"\r\n"
         try:
@@ -170,8 +170,6 @@ _BEHAVIOURS = {
 
 
 def make_adversaries(mix: Tuple[str, ...] = ADVERSARIES, seed: int = 0,
-                     server: str = "server", port: int = 6379,
-                     machine: str = "client",
                      duration_ps: int = SEC_PS
                      ) -> List[Tuple[str, str, object]]:
     """Build the byzantine fleet.
@@ -184,7 +182,7 @@ def make_adversaries(mix: Tuple[str, ...] = ADVERSARIES, seed: int = 0,
     if unknown:
         raise ValueError(f"unknown adversaries {unknown}; "
                          f"known: {sorted(_BEHAVIOURS)}")
-    addr = (server, port)
+    addr = ("server", 6379)
     placements = []
     for index, name in enumerate(mix):
         behaviour = _BEHAVIOURS[name]
@@ -201,5 +199,5 @@ def make_adversaries(mix: Tuple[str, ...] = ADVERSARIES, seed: int = 0,
                 # nothing left to torment.
                 pass
 
-        placements.append((machine, f"adv-{name}-{index}", main))
+        placements.append(("client", f"adv-{name}-{index}", main))
     return placements

@@ -15,6 +15,9 @@ from repro.costmodel import SEC_PS, US_PS
 from repro.kernel.uapi import ECONNREFUSED, SysError
 from repro.obs.metrics import Histogram
 
+#: Latency samples a :class:`LatencyDigest` retains.
+DIGEST_LIMIT = 4096
+
 
 class LatencyDigest:
     """Bounded latency accumulator: a power-of-two histogram plus a
@@ -22,34 +25,34 @@ class LatencyDigest:
 
     A 10k-client open-loop run observes millions of latencies; keeping
     them all in a list (the old ``ClientReport.latencies_ps``) holds
-    megabytes of ints per report.  The digest is O(limit): averages come
-    from the histogram's exact count/total, and percentiles come from
-    the reservoir — *exact* while ``count <= limit`` (every sample is
-    retained, which is what the tests rely on), and interpolated within
-    the matching power-of-two bucket beyond that.
+    megabytes of ints per report.  The digest is O(``DIGEST_LIMIT``):
+    averages come from the histogram's exact count/total, and
+    percentiles come from the reservoir — *exact* while ``count <=
+    DIGEST_LIMIT`` (every sample is retained, which is what the tests
+    rely on), and interpolated within the matching power-of-two bucket
+    beyond that.
 
     Reservoir replacement draws from a digest-local seeded RNG, so a
     deterministic observation sequence yields a deterministic digest —
     runs stay byte-for-byte reproducible.
     """
 
-    __slots__ = ("hist", "reservoir", "limit", "_rng")
+    __slots__ = ("hist", "reservoir", "_rng")
 
-    def __init__(self, limit: int = 4096) -> None:
+    def __init__(self) -> None:
         self.hist = Histogram()
         self.reservoir: list = []
-        self.limit = limit
         self._rng = random.Random(0x1A7E)
 
     def observe(self, value: int) -> None:
         self.hist.observe(value)
-        if len(self.reservoir) < self.limit:
+        if len(self.reservoir) < DIGEST_LIMIT:
             self.reservoir.append(value)
         else:
             # Algorithm R: each of the count samples ends up retained
-            # with probability limit/count.
+            # with probability DIGEST_LIMIT/count.
             slot = self._rng.randrange(self.hist.count)
-            if slot < self.limit:
+            if slot < DIGEST_LIMIT:
                 self.reservoir[slot] = value
 
     def avg_ps(self) -> float:
@@ -61,7 +64,7 @@ class LatencyDigest:
         count = self.hist.count
         if not count:
             return 0.0
-        if count <= self.limit:
+        if count <= DIGEST_LIMIT:
             ordered = sorted(self.reservoir)
             index = min(count - 1, int(pct / 100.0 * count))
             return float(ordered[index])
@@ -133,8 +136,7 @@ class ClientReport:
             self.finished_ps = now
 
 
-def connect_with_retry(ctx, addr, attempts: int = 200,
-                       backoff_ps: int = 200 * US_PS):
+def connect_with_retry(ctx, addr, attempts: int = 200):
     """Generator: connect, retrying while the server is still booting."""
     for _ in range(attempts):
         fd = yield from ctx.socket()
@@ -144,14 +146,14 @@ def connect_with_retry(ctx, addr, attempts: int = 200,
         yield from ctx.close(fd)
         if result.retval != -ECONNREFUSED:
             raise SysError(-result.retval, "connect")
-        yield from ctx.nanosleep(backoff_ps)
+        yield from ctx.nanosleep(200 * US_PS)
     raise SysError(ECONNREFUSED, "connect")
 
 
-def recv_until(ctx, fd, terminator: bytes, limit: int = 1 << 16):
-    """Generator: read until ``terminator`` appears (or EOF)."""
+def recv_until(ctx, fd, terminator: bytes):
+    """Generator: read until ``terminator`` appears, EOF or 64 KiB."""
     buffer = b""
-    while terminator not in buffer and len(buffer) < limit:
+    while terminator not in buffer and len(buffer) < 1 << 16:
         data = yield from ctx.recv(fd, 4096)
         if not data:
             break

@@ -108,7 +108,7 @@ def _class_of(config: OpenLoopConfig, index: int) -> RequestClass:
     return expanded[index % len(expanded)]
 
 
-def make_open_loop(topology, config: OpenLoopConfig, port: int = 6379):
+def make_open_loop(topology, config: OpenLoopConfig):
     """Build the actor pool.
 
     Returns ``(placements, report, stats)`` where ``placements`` is a
@@ -137,7 +137,7 @@ def make_open_loop(topology, config: OpenLoopConfig, port: int = 6379):
         def main(ctx):
             sim = ctx.sim
             fd = yield from connect_with_retry(ctx,
-                                               (topology.server, port))
+                                               (topology.server, 6379))
             next_at = sim.now + first_gap
             deadline = sim.now + config.duration_ps
             since_churn = 0
@@ -165,7 +165,7 @@ def make_open_loop(topology, config: OpenLoopConfig, port: int = 6379):
                     report.errors += 1
                     yield from ctx.close(fd)
                     fd = yield from connect_with_retry(
-                        ctx, (topology.server, port))
+                        ctx, (topology.server, 6379))
                     stats.reconnects += 1
                 else:
                     # Coordinated-omission corrected: charge from the
@@ -176,7 +176,7 @@ def make_open_loop(topology, config: OpenLoopConfig, port: int = 6379):
                 if config.churn_every and since_churn >= config.churn_every:
                     yield from ctx.close(fd)
                     fd = yield from connect_with_retry(
-                        ctx, (topology.server, port))
+                        ctx, (topology.server, 6379))
                     stats.reconnects += 1
                     since_churn = 0
                 gap = (int(rng.expovariate(1.0) * mean_gap_ps) if poisson

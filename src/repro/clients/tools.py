@@ -26,15 +26,14 @@ def _spawn_set(name: str, count: int, body) -> Tuple[List[Callable],
 # -- HTTP tools --------------------------------------------------------------
 
 
-def make_wrk(host: str = "server", port: int = 80, clients: int = 10,
-             duration_ps: int = 10 * SEC_PS, scale: float = 1.0):
+def make_wrk(port: int = 80, clients: int = 10,
+             duration_ps: int = 10 * SEC_PS):
     """wrk: keep-alive connections driven for a fixed duration."""
-    run_for = int(duration_ps * scale)
 
     def body(report, index):
         def main(ctx):
-            fd = yield from connect_with_retry(ctx, (host, port))
-            deadline = ctx.sim.now + run_for
+            fd = yield from connect_with_retry(ctx, ("server", port))
+            deadline = ctx.sim.now + duration_ps
             request = b"GET /index.html HTTP/1.1\r\n\r\n"
             while ctx.sim.now < deadline:
                 start = ctx.sim.now
@@ -59,8 +58,7 @@ def make_wrk(host: str = "server", port: int = 80, clients: int = 10,
     return _spawn_set("wrk", clients, body)
 
 
-def make_apachebench(host: str = "server", port: int = 80,
-                     requests: int = 10_000, concurrency: int = 10,
+def make_apachebench(requests: int = 10_000, concurrency: int = 10,
                      scale: float = 1.0):
     """ApacheBench: a fixed request count, one connection per request."""
     total = max(1, int(requests * scale))
@@ -71,7 +69,7 @@ def make_apachebench(host: str = "server", port: int = 80,
             for _ in range(per_client):
                 start = ctx.sim.now
                 try:
-                    fd = yield from connect_with_retry(ctx, (host, port))
+                    fd = yield from connect_with_retry(ctx, ("server", 80))
                 except SysError:
                     report.errors += 1
                     continue
@@ -87,12 +85,10 @@ def make_apachebench(host: str = "server", port: int = 80,
     return _spawn_set("ab", concurrency, body)
 
 
-def make_http_load(host: str = "server", port: int = 80,
-                   requests: int = 5_000, parallel: int = 10,
-                   scale: float = 1.0):
+def make_http_load(parallel: int = 10, scale: float = 1.0):
     """http_load: parallel non-keepalive fetches (like ab, different
     pacing)."""
-    mains, report = make_apachebench(host, port, requests, parallel, scale)
+    mains, report = make_apachebench(5_000, parallel, scale)
     report.name = "http_load"
     return mains, report
 
@@ -111,8 +107,7 @@ REDIS_COMMANDS = (b"PING", b"SET", b"GET", b"INCR",
                   b"LPUSH", b"LPOP", b"SADD")
 
 
-def make_redis_benchmark(host: str = "server", port: int = 6379,
-                         clients: int = 50, requests: int = 10_000,
+def make_redis_benchmark(clients: int = 50, requests: int = 10_000,
                          scale: float = 1.0, commands=REDIS_COMMANDS):
     """redis-benchmark: the default workload — 50 clients, 10 000
     requests per command type, average latency per command."""
@@ -120,7 +115,7 @@ def make_redis_benchmark(host: str = "server", port: int = 6379,
 
     def body(report, index):
         def main(ctx):
-            fd = yield from connect_with_retry(ctx, (host, port))
+            fd = yield from connect_with_retry(ctx, ("server", 6379))
             for round_index in range(per_client):
                 for command in commands:
                     key = b"key:%d" % ((index * 997 + round_index) % 1000)
@@ -154,14 +149,13 @@ def make_redis_benchmark(host: str = "server", port: int = 6379,
     return _spawn_set("redis-benchmark", clients, body)
 
 
-def make_redis_command_probe(command_line: bytes, host: str = "server",
-                             port: int = 6379, warmup: int = 5):
+def make_redis_command_probe(command_line: bytes):
     """Send one specific command and time it (the §5.1 HMGET probe)."""
 
     def body(report, index):
         def main(ctx):
-            fd = yield from connect_with_retry(ctx, (host, port))
-            for _ in range(warmup):
+            fd = yield from connect_with_retry(ctx, ("server", 6379))
+            for _ in range(5):
                 yield from ctx.send(fd, b"PING\r\n")
                 yield from recv_until(ctx, fd, b"\r\n")
             start = ctx.sim.now
@@ -191,17 +185,14 @@ def make_redis_command_probe(command_line: bytes, host: str = "server",
 # -- memslap ----------------------------------------------------------------------
 
 
-def make_memslap(host: str = "server", port: int = 11211,
-                 initial_load: int = 10_000, executions: int = 10_000,
-                 concurrency: int = 16, get_fraction: float = 0.9,
-                 scale: float = 1.0):
-    """memslap: initial key load, then a 90/10 get/set mix."""
-    loads = max(1, int(initial_load * scale) // concurrency)
-    runs = max(1, int(executions * scale) // concurrency)
+def make_memslap(scale: float = 1.0):
+    """memslap: 16 clients, an initial load of 10 000 keys, then 10 000
+    requests in a 90/10 get/set mix."""
+    loads = runs = max(1, int(10_000 * scale) // 16)
 
     def body(report, index):
         def main(ctx):
-            fd = yield from connect_with_retry(ctx, (host, port))
+            fd = yield from connect_with_retry(ctx, ("server", 11211))
             for i in range(loads):
                 key = b"k%d_%d" % (index, i)
                 yield from ctx.send(fd, b"set %s %s\r\n" % (key, b"v" * 32))
@@ -209,7 +200,7 @@ def make_memslap(host: str = "server", port: int = 11211,
             for i in range(runs):
                 start = ctx.sim.now
                 key = b"k%d_%d" % (index, i % loads)
-                if i % 10 < int(get_fraction * 10):
+                if i % 10 < 9:
                     yield from ctx.send(fd, b"get %s\r\n" % key)
                     response = yield from recv_until(ctx, fd, b"END\r\n")
                 else:
@@ -225,22 +216,20 @@ def make_memslap(host: str = "server", port: int = 11211,
 
         return main
 
-    return _spawn_set("memslap", concurrency, body)
+    return _spawn_set("memslap", 16, body)
 
 
 # -- beanstalkd-benchmark ------------------------------------------------------------
 
 
-def make_beanstalkd_benchmark(host: str = "server", port: int = 11300,
-                              workers: int = 10, pushes: int = 10_000,
-                              payload: int = 256, scale: float = 1.0):
+def make_beanstalkd_benchmark(scale: float = 1.0):
     """beanstalkd-benchmark: 10 workers × 10 000 pushes of 256 B."""
-    per_worker = max(1, int(pushes * scale))
-    body_bytes = b"j" * payload
+    per_worker = max(1, int(10_000 * scale))
+    body_bytes = b"j" * 256
 
     def body(report, index):
         def main(ctx):
-            fd = yield from connect_with_retry(ctx, (host, port))
+            fd = yield from connect_with_retry(ctx, ("server", 11300))
             for _ in range(per_worker):
                 start = ctx.sim.now
                 yield from ctx.send(fd, b"put %s\r\n" % body_bytes)
@@ -254,4 +243,4 @@ def make_beanstalkd_benchmark(host: str = "server", port: int = 11300,
 
         return main
 
-    return _spawn_set("beanstalkd-benchmark", workers, body)
+    return _spawn_set("beanstalkd-benchmark", 10, body)

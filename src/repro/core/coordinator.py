@@ -212,7 +212,7 @@ class NvxSession(Session):
         while True:
             while not self._pending:
                 yield from self.control.wait()
-            kind, variant, task, info, reported_ps = self._pending.popleft()
+            kind, variant, reported_ps = self._pending.popleft()
             yield Compute(cycles(
                 self.costs.failover.detect_signal
                 + self.costs.failover.coordinator_handling))
@@ -221,7 +221,7 @@ class NvxSession(Session):
             if variant.is_leader and kind in ("crash", "corruption"):
                 self._promote_new_leader(variant, reported_ps)
             else:
-                self._drop_follower(variant, kind, info)
+                self._drop_follower(variant, kind)
 
     def _perform_setup(self):
         """Steps A-D of Figure 2, with their system-call costs."""
@@ -273,8 +273,7 @@ class NvxSession(Session):
                     # role switch (which drops its stale consumer
                     # cursor) must complete here before the exit event
                     # is streamed.  Idempotent for born leaders.
-                    if getattr(ctx.task.gate, "_varan_role",
-                               None) != "leader":
+                    if ctx.task.gate.role != "leader":
                         yield from self.await_promotion_complete(ctx.task)
                     yield from monitor.publish_control(EV_EXIT, retval=0)
                 else:
@@ -376,7 +375,7 @@ class NvxSession(Session):
                                (("variant", variant.name),
                                 ("fault", str(fault)),
                                 ("was_leader", variant.is_leader)))
-            self._pending.append(("crash", variant, task, fault, now))
+            self._pending.append(("crash", variant, now))
             self.control.notify()
 
         return hook
@@ -387,8 +386,7 @@ class NvxSession(Session):
         self.stats.fatal_divergences.append(
             (monitor.variant.name, call.name, event.name))
         self._pending.append(
-            ("divergence", monitor.variant, monitor.task, call.name,
-             self.world.sim.now))
+            ("divergence", monitor.variant, self.world.sim.now))
         self.control.notify()
 
     def report_ring_fault(self, monitor: ReplicaMonitor, exc) -> None:
@@ -406,12 +404,10 @@ class NvxSession(Session):
             tracer.instant_here(self.world.sim, "failover", "ring_fault",
                                 (("variant", monitor.variant.name),
                                  ("error", str(exc))))
-        self._pending.append(
-            ("corruption", monitor.variant, monitor.task, str(exc), now))
+        self._pending.append(("corruption", monitor.variant, now))
         self.control.notify()
 
-    def _drop_follower(self, variant: Variant, kind: str = "crash",
-                       info=None) -> None:
+    def _drop_follower(self, variant: Variant, kind: str) -> None:
         """Unsubscribe a crashed/diverged follower; others are unaffected."""
         tracer = self.tracer
         if tracer is not None:
@@ -495,11 +491,10 @@ class NvxSession(Session):
         (-ERESTARTSYS).  Idempotent per task.
         """
         monitor = task.monitor_state
-        if getattr(task.gate, "_varan_role", None) == "leader":
+        if task.gate.role == "leader":
             return
         yield Compute(cycles(self.costs.failover.promote_per_tuple
                              + self.costs.failover.restart_syscall))
         monitor.ring.remove_consumer(monitor.vid)
         install_tables(monitor)
-        task.gate._varan_role = "leader"
 

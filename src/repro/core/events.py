@@ -63,8 +63,7 @@ class Event:
     def __init__(self, etype: str, nr: int, name: str, tindex: int,
                  clock: int, retval: int = 0, args: Tuple = (),
                  aux: Tuple = (), payload: Optional["object"] = None,
-                 fd_count: int = 0, fd_numbers: Tuple[int, ...] = (),
-                 seq: int = -1) -> None:
+                 fd_count: int = 0, fd_numbers: Tuple[int, ...] = ()) -> None:
         if len(args) > MAX_ARGS:
             raise NvxError(
                 f"event for {name}: {len(args)} by-value args "
@@ -85,7 +84,7 @@ class Event:
         #: The leader-side fd numbers of the transferred descriptors, so
         #: followers install the duplicates at matching numbers.
         self.fd_numbers = fd_numbers
-        self.seq = seq  # assigned by the ring at publish time
+        self.seq = -1  # assigned by the ring at publish time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Event({self.etype!r}, nr={self.nr}, name={self.name!r}, "

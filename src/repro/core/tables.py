@@ -50,10 +50,10 @@ def install_tables(monitor: ReplicaMonitor) -> None:
     gate.intercepting = True
     if monitor.is_leader:
         table, default = make_leader_table(monitor)
-        gate._varan_role = "leader"
+        gate.role = "leader"
     else:
         table, default = make_follower_table(monitor)
-        gate._varan_role = "follower"
+        gate.role = "follower"
     gate.table = table
     gate.default_handler = default
 

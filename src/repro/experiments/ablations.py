@@ -60,8 +60,7 @@ def _stream_through_ring(events: int, consumers: int,
     return sim.now
 
 
-def _stream_through_pump(events: int, consumers: int,
-                         consumer_work_cycles: int = 100) -> int:
+def _stream_through_pump(events: int, consumers: int) -> int:
     """The rejected design: per-follower queues fed by an event pump.
 
     The pump is a separate process that pops each event from the
@@ -106,7 +105,7 @@ def _stream_through_pump(events: int, consumers: int,
                 continue
             queue.pop(0)
             consumed += 1
-            yield Compute(cycles(consumer_work_cycles))
+            yield Compute(cycles(100))
 
     machine.spawn(producer(), name="prod")
     machine.spawn(pump(), name="pump")

@@ -53,7 +53,7 @@ _ROWS = (
 )
 
 
-def run_row(name, profile, client, follower_counts, scale):
+def run_row(profile, client, follower_counts, scale):
     server = lambda: make_httpd(profile, stats=ServerStats())
     image = lambda: httpd_image(profile)
     native = run_server_benchmark(server, lambda: client(scale),
@@ -91,7 +91,7 @@ def run(config=None, follower_counts=(0, 1, 2, 3, 4, 5, 6),
         "figure6", "Prior-work servers under Varan vs follower count",
         paper_reference=PAPER_FIGURE6)
     for name, profile, client in selected:
-        overheads = run_row(name, profile, client, follower_counts, scale)
+        overheads = run_row(profile, client, follower_counts, scale)
         row = {"server": name}
         for followers in follower_counts:
             row[f"f{followers}"] = overheads[followers]

@@ -45,9 +45,7 @@ def run_server_benchmark(server_factory: Callable[[], Callable],
                          image_factory: Optional[Callable] = None,
                          lockstep_profile: Optional[MonitorProfile] = None,
                          server_files: Optional[Dict[str, bytes]] = None,
-                         ring_capacity: int = 256,
-                         max_virtual_s: float = 30.0,
-                         sample_distances: bool = False) -> BenchmarkRun:
+                         ring_capacity: int = 256) -> BenchmarkRun:
     """Run one configuration to completion and return the measurements.
 
     ``server_factory()`` must return a fresh server main per call (one
@@ -70,8 +68,7 @@ def run_server_benchmark(server_factory: Callable[[], Callable],
             for i in range(versions)
         ]
         session = world.nvx(specs, config=SessionConfig(
-            daemon=True, ring_capacity=ring_capacity,
-            sample_distances=sample_distances)).start()
+            daemon=True, ring_capacity=ring_capacity)).start()
     elif monitor == MONITOR_SCRIBE:
         specs = [VersionSpec(f"v{i}", server_factory())
                  for i in range(versions)]
@@ -90,7 +87,7 @@ def run_server_benchmark(server_factory: Callable[[], Callable],
     for index, main in enumerate(mains):
         world.kernel.spawn_task(world.client, main,
                                 name=f"client{index}")
-    world.run(until_ps=int(max_virtual_s * SEC_PS))
+    world.run(until_ps=30 * SEC_PS)
     return BenchmarkRun(monitor=monitor, versions=versions, report=report,
                         session=session, world=world)
 

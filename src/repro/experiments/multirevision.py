@@ -63,7 +63,7 @@ PAIRS = (
 )
 
 
-def _serve_requests(world, port=80, requests=20):
+def _serve_requests(world, requests=20):
     mains, report = make_apachebench(requests=requests, concurrency=2,
                                      scale=1.0)
     for main in mains:
@@ -71,17 +71,15 @@ def _serve_requests(world, port=80, requests=20):
     return report
 
 
-def run_pair(old_rev: str, new_rev: str, filter_source: str,
-             leader: str = "old"):
-    """Run one revision pair under Varan with the rewrite filter."""
+def run_pair(old_rev: str, new_rev: str, filter_source: str):
+    """Run one revision pair under Varan with the rewrite filter, the
+    old revision leading."""
     world = World()
     world.kernel.fs(world.server).create("/var/www/index.html",
                                          b"p" * 4096)
-    revisions = ([old_rev, new_rev] if leader == "old"
-                 else [new_rev, old_rev])
     specs = [VersionSpec(f"lighttpd-r{rev}",
                          lighttpd_revision(rev, stats=ServerStats()))
-             for rev in revisions]
+             for rev in (old_rev, new_rev)]
     rules = RewriteRules([assemble_bpf(filter_source,
                                        name=f"r{old_rev}-r{new_rev}")])
     session = world.nvx(specs, config=SessionConfig(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Iterable, Optional, Tuple
+from typing import Tuple
 
 from repro.apps.spec import (
     CPU2000,
@@ -95,13 +95,11 @@ def spec_suite(suite: str) -> Tuple[SpecBenchmark, ...]:
 
 
 def spec_overheads(suite: str, profile: MonitorProfile,
-                   scale: float = 0.2,
-                   benchmarks: Optional[Iterable] = None):
+                   scale: float = 0.2):
     """(prior geomean overhead, Varan geomean overhead) over a suite."""
-    chosen = tuple(benchmarks) if benchmarks else spec_suite(suite)
     prior_ratios = []
     varan_ratios = []
-    for benchmark in chosen:
+    for benchmark in spec_suite(suite):
         native = run_spec_native(benchmark, scale)
         prior_ratios.append(
             run_spec_lockstep(benchmark, profile, scale) / native)

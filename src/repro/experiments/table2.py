@@ -77,8 +77,7 @@ _SPEC_ROWS = (
 )
 
 
-def run_server_row(system, name, profile, server, image, client,
-                   scale: float = 0.05):
+def run_server_row(profile, server, image, client, scale: float = 0.05):
     """One Table 2 server row: prior-system vs Varan overhead."""
     native = run_server_benchmark(server, lambda: client(scale),
                                   monitor=MONITOR_NATIVE)
@@ -131,8 +130,8 @@ def run(config=None, scale: float = 0.05, spec_scale: float = 0.2,
         paper_reference=PAPER_TABLE2,
         notes="two versions, as prior systems support")
     for system, name, profile, server, image, client in server_rows:
-        prior_oh, varan_oh = run_server_row(system, name, profile,
-                                            server, image, client, scale)
+        prior_oh, varan_oh = run_server_row(profile, server, image, client,
+                                            scale)
         paper_prior, paper_varan = PAPER_TABLE2[(system, name)]
         result.rows.append({
             "system": system, "benchmark": name,

@@ -65,15 +65,13 @@ class NetworkFaults:
     """
 
     def __init__(self, partitions: List[Tuple[int, int]],
-                 loss_windows: List[Tuple[int, int]],
-                 seed: int = 0) -> None:
+                 loss_windows: List[Tuple[int, int]]) -> None:
         self.partitions = sorted(partitions)
         self.loss_windows = sorted(loss_windows)
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self.messages_held = 0
 
-    def adjust(self, src_name: str, dst_name: str, now: int,
-               arrival: int) -> int:
+    def adjust(self, now: int, arrival: int) -> int:
         """Return the (possibly delayed) arrival time for one message."""
         transit = arrival - now
         for start, end in self.partitions:
@@ -218,9 +216,7 @@ class FaultInjector:
         if not victims:
             self._note(fault, "skipped: no live variant on machine")
             return
-        dead = getattr(self.session, "dead_machines", None)
-        if dead is not None:
-            dead.add(fault.machine)
+        self.session.dead_machines.add(fault.machine)
         killed = []
         for variant in victims:
             for task in variant.tasks:
@@ -270,7 +266,7 @@ class FaultInjector:
         if variant is None:
             self._note(fault, "skipped: target gone")
             return
-        loaded = getattr(variant, "loaded", None)
+        loaded = variant.loaded
         if loaded is None:
             self._note(fault, "skipped: no guest image")
             return

@@ -51,6 +51,8 @@ NETWORK_KINDS = frozenset({PARTITION, PACKET_LOSS})
 MACHINE_KINDS = frozenset({MACHINE_CRASH})
 
 ALL_KINDS = VARIANT_KINDS | RING_KINDS | NETWORK_KINDS | MACHINE_KINDS
+#: What :meth:`FaultPlan.random` draws from, crash weighted double.
+RANDOM_KINDS = (CRASH, CRASH, STALL, CORRUPT_SLOT, TORN_WRITE)
 
 
 #: Fault's integer fields and their valid ranges (inclusive; None: no
@@ -157,23 +159,20 @@ class FaultPlan:
         return " ".join(f.describe() for f in self.faults)
 
     @staticmethod
-    def random(rng: Random, n_variants: int, horizon_ps: int,
-               max_faults: int = 3,
-               kinds: Tuple[str, ...] = (CRASH, CRASH, STALL,
-                                         CORRUPT_SLOT, TORN_WRITE),
-               ) -> "FaultPlan":
+    def random(rng: Random, n_variants: int,
+               horizon_ps: int) -> "FaultPlan":
         """Draw a random plan from ``rng`` (fully seed-determined).
 
         ``horizon_ps`` bounds sim-time triggers (usually the fault-free
         run's duration); syscall-index triggers are drawn small so they
-        land inside short workloads.  ``kinds`` may repeat entries to
-        weight the draw.  At most one variant is crashed per plan *per
+        land inside short workloads.  One to three faults, of
+        :data:`RANDOM_KINDS`.  At most one variant is crashed per plan *per
         variant index*, so at least one variant always survives.
         """
         faults = []
         crashed = set()
-        for _ in range(rng.randint(1, max_faults)):
-            kind = kinds[rng.randrange(len(kinds))]
+        for _ in range(rng.randint(1, 3)):
+            kind = RANDOM_KINDS[rng.randrange(len(RANDOM_KINDS))]
             if kind == CRASH:
                 candidates = [v for v in range(n_variants)
                               if v not in crashed]

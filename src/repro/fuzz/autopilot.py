@@ -6,7 +6,7 @@ novelty back into the generator's region weights, and — for each
 distinct fatal divergence — attempts to synthesize a BPF rewrite rule
 that provably absorbs it (clean re-run of the same scenario).
 
-Everything is a pure function of ``(seed, budget, mix)``: the report's
+Everything is a pure function of ``(seed, budget)``: the report's
 ``render()`` is byte-identical across runs, which CI enforces with
 ``cmp`` on two back-to-back invocations.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.clients.adversaries import ADVERSARIES
 from repro.fuzz.executor import run_scenario
 from repro.fuzz.generator import ScenarioGenerator
 from repro.fuzz.journal import Journal
@@ -49,16 +48,14 @@ class FuzzReport:
         return "\n".join(lines) + "\n"
 
 
-def run_fuzz(seed: int, budget: int,
-             mix: Tuple[str, ...] = ADVERSARIES,
-             synthesis: bool = True) -> FuzzReport:
+def run_fuzz(seed: int, budget: int, synthesis: bool = True) -> FuzzReport:
     """Run the autopilot: ``budget`` scenarios from ``seed``'s stream.
 
     Set ``synthesis=False`` to skip the rule-synthesis pass (each
     synthesis attempt re-runs its scenario up to twice, which dominates
     cost for workloads that only need the journal).
     """
-    generator = ScenarioGenerator(seed, mix=mix)
+    generator = ScenarioGenerator(seed)
     journal = Journal(seed=seed, budget=budget)
     report = FuzzReport(journal=journal)
     #: (call, event) pairs already fed to synthesis, so one divergence

@@ -137,14 +137,14 @@ def _record_run(result: ScenarioResult, label: str, session,
 
 # -- server scenarios ---------------------------------------------------------
 
-def _probe_main(responses: List[bytes], port: int):
+def _probe_main(responses: List[bytes]):
     """The benign probe: run the fixed script, retrying each request
     until a response arrives (a failover closes the connection; the
     re-sent request must still produce the native answer)."""
 
     def main(ctx):
         try:
-            fd = yield from connect_with_retry(ctx, ("server", port))
+            fd = yield from connect_with_retry(ctx, ("server", 6379))
         except SysError:
             return 0
         for line in PROBE_SCRIPT:
@@ -160,7 +160,7 @@ def _probe_main(responses: List[bytes], port: int):
                 yield from ctx.close(fd)
                 try:
                     fd = yield from connect_with_retry(
-                        ctx, ("server", port), attempts=50)
+                        ctx, ("server", 6379), attempts=50)
                 except SysError:
                     return len(responses)
             responses.append(got)
@@ -170,23 +170,22 @@ def _probe_main(responses: List[bytes], port: int):
 
 
 def _run_server(revisions: Tuple[str, ...], adversary_mix,
-                sub_seed: int, checker: InvariantChecker, rules,
-                port: int = 6379):
+                sub_seed: int, checker: InvariantChecker, rules):
     world = World()
     specs = [VersionSpec(f"redis-{rev}-{i}",
-                         make_redis(port=port, stats=ServerStats(),
+                         make_redis(stats=ServerStats(),
                                     revision=rev,
                                     background_thread=False))
              for i, rev in enumerate(revisions)]
     config = SessionConfig(daemon=True, invariants=checker, rules=rules)
     session = NvxSession(world, specs, config=config).start()
     responses: List[bytes] = []
-    world.kernel.spawn_task(world.client, _probe_main(responses, port),
+    world.kernel.spawn_task(world.client, _probe_main(responses),
                             name="probe")
     try:
         if adversary_mix:
             placements = make_adversaries(
-                mix=adversary_mix, seed=sub_seed, port=port,
+                mix=adversary_mix, seed=sub_seed,
                 duration_ps=SERVER_HORIZON_PS)
             spawn_pool(world, placements)
             world.run(until_ps=SERVER_HORIZON_PS + SEC_PS // 2)

@@ -71,10 +71,8 @@ class Scenario:
 class ScenarioGenerator:
     """Deterministic, novelty-biased scenario stream."""
 
-    def __init__(self, seed: int,
-                 mix: Tuple[str, ...] = ADVERSARIES) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.mix = tuple(mix)
         self._rng = random.Random(seed * 0x9E3779B1 + 0xF022)
         #: region key -> novelty hits; drives biased sampling.
         self.weights: Dict[Tuple, int] = {}
@@ -118,7 +116,7 @@ class ScenarioGenerator:
         if index == 2:
             return Scenario(index, sub_seed, "server",
                             revision=BUGGY_REVISION, followers=2,
-                            adversaries=self.mix)
+                            adversaries=ADVERSARIES)
         if index == 3:
             return Scenario(index, sub_seed, "workload",
                             workload=rng.randrange(len(WORKLOADS)),
@@ -152,9 +150,9 @@ class ScenarioGenerator:
     def _draw_free(self, index: int, sub_seed: int,
                    rng: random.Random) -> Scenario:
         if rng.random() < 0.25:
-            size = rng.randint(1, min(3, len(self.mix)))
-            start = rng.randrange(len(self.mix))
-            chosen = tuple(self.mix[(start + i) % len(self.mix)]
+            size = rng.randint(1, 3)
+            start = rng.randrange(len(ADVERSARIES))
+            chosen = tuple(ADVERSARIES[(start + i) % len(ADVERSARIES)]
                            for i in range(size))
             return Scenario(
                 index, sub_seed, "server",

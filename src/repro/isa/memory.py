@@ -23,13 +23,11 @@ class Segment:
 
     def __init__(self, start: int, data: bytes, perms: str = "rw",
                  name: str = "seg") -> None:
-        if not set(perms) <= set("rwx"):
-            raise ExecutionFault(f"bad perms {perms!r}")
-        if "w" in perms and "x" in perms:
+        self.perms = perms
+        if self.w_ok and self.x_ok:
             raise ExecutionFault(f"{name}: W^X violation (mapped {perms!r})")
         self.start = start
         self.data = bytearray(data)
-        self.perms = perms
         self.name = name
         #: Bumped whenever the bytes code is read from may have changed:
         #: a rewriter patch, a bit flip, or an mprotect that takes write
@@ -42,12 +40,6 @@ class Segment:
         # an equal-length splice), so the end is a plain attribute — this
         # sits on the per-access path of every find/read/write.
         self.end = start + len(self.data)
-        # Permission booleans mirror :attr:`perms` (kept in sync by
-        # mprotect): the u64 fast paths test these instead of scanning
-        # the permission string per access.
-        self.r_ok = "r" in perms
-        self.w_ok = "w" in perms
-        self.x_ok = "x" in perms
         self._image: Optional[CodeImage] = None
         self._image_version = -1
 
@@ -66,8 +58,18 @@ class Segment:
             self._image_version = self.version
         return self._image
 
-    def _sync_perm_flags(self) -> None:
-        perms = self.perms
+    @property
+    def perms(self) -> str:
+        return self._perms
+
+    @perms.setter
+    def perms(self, perms: str) -> None:
+        """The one way permissions change: checks the alphabet and sets
+        the booleans the access paths test instead of scanning the
+        string per access."""
+        if not set(perms) <= set("rwx"):
+            raise ExecutionFault(f"bad perms {perms!r}")
+        self._perms = perms
         self.r_ok = "r" in perms
         self.w_ok = "w" in perms
         self.x_ok = "x" in perms
@@ -132,18 +134,19 @@ class AddressSpace:
         raise ExecutionFault(f"unmapped address {addr:#x}")
 
     def mprotect(self, segment: Segment, perms: str) -> None:
-        """Change permissions, enforcing W^X."""
+        """Change permissions, enforcing W^X (``RewriteError``) and the
+        ``rwx`` alphabet (``ExecutionFault``, like :class:`Segment`)."""
         if "w" in perms and "x" in perms:
             raise RewriteError(
                 f"{segment.name}: W^X violation (requested {perms!r})")
-        newly_executable = "x" in perms and "x" not in segment.perms
-        lost_execute = "x" not in perms and "x" in segment.perms
-        if "w" in segment.perms and "w" not in perms:
+        newly_executable = "x" in perms and not segment.x_ok
+        lost_execute = "x" not in perms and segment.x_ok
+        lost_write = "w" not in perms and segment.w_ok
+        segment.perms = perms
+        if lost_write:
             # Stores moved the bytes without a version bump; from here on
             # nothing but patch_code and bitflip can, so re-decode once.
             segment.version += 1
-        segment.perms = perms
-        segment._sync_perm_flags()
         if lost_execute:
             # Chained translated blocks bypass the per-dispatch perms
             # check; treat losing "x" like a layout change so caches
@@ -157,7 +160,7 @@ class AddressSpace:
 
     def write(self, addr: int, data: bytes) -> None:
         segment = self.find(addr)
-        if "w" not in segment.perms:
+        if not segment.w_ok:
             raise ExecutionFault(f"write to non-writable {segment.name}")
         if addr + len(data) > segment.end:
             raise ExecutionFault(f"write crosses segment end at {addr:#x}")
@@ -174,7 +177,7 @@ class AddressSpace:
                 and addr + 8 <= seg.end):
             return _U64.unpack_from(seg.data, addr - seg.start)[0]
         seg = self.find(addr)
-        if "r" not in seg.perms:
+        if not seg.r_ok:
             raise ExecutionFault(f"read from non-readable {seg.name}")
         if addr + 8 > seg.end:
             raise ExecutionFault(f"read crosses segment end at {addr:#x}")

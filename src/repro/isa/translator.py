@@ -183,12 +183,12 @@ class TranslationCache:
     __slots__ = ("space", "blocks", "by_segment", "stats",
                  "max_block_insns", "fuse_threshold", "_mapping_gen")
 
-    def __init__(self, space, max_block_insns: int = 128) -> None:
+    def __init__(self, space) -> None:
         self.space = space
         self.blocks: Dict[int, CodeBlock] = {}
         self.by_segment: Dict[int, Set[int]] = {}
         self.stats = CacheStats()
-        self.max_block_insns = max_block_insns
+        self.max_block_insns = 128
         self.fuse_threshold = FUSE_THRESHOLD
         self._mapping_gen = space.mapping_gen
         obs_metrics.register(self)

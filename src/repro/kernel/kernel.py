@@ -50,11 +50,10 @@ class Kernel:
     """One kernel instance serving every simulated machine in a world."""
 
     def __init__(self, sim: Simulator, network: Optional[Network] = None,
-                 costs: CostModel = DEFAULT_COSTS, seed: int = 0) -> None:
+                 costs: CostModel = DEFAULT_COSTS) -> None:
         self.sim = sim
         self.network = network
         self.costs = costs
-        self.seed = seed
         #: Observability hook shared with the simulator; the syscall gate
         #: reads this per dispatch (one attribute load when disabled).
         self.tracer = sim.tracer
@@ -74,12 +73,11 @@ class Kernel:
         name = machine.name
         if name not in self._filesystems:
             self._filesystems[name] = Filesystem(
-                urandom_seed=self.seed ^ zlib.crc32(name.encode()) & 0xFFFF)
+                urandom_seed=zlib.crc32(name.encode()) & 0xFFFF)
         return self._filesystems[name]
 
     def spawn_task(self, machine: Machine, main: Callable, name: str,
-                   daemon: bool = False, parent: Optional[Task] = None,
-                   ctx_factory: Optional[Callable] = None) -> Task:
+                   daemon: bool = False) -> Task:
         """Create a task whose main thread runs ``main(ctx)``.
 
         ``main`` is a generator function taking a
@@ -91,11 +89,7 @@ class Kernel:
         task.daemon = daemon
         self._next_pid += 1
         self.tasks[task.pid] = task
-        factory = ctx_factory or ProcessContext
-        ctx = factory(task)
-        task.add_thread(main(ctx), name=name)
-        if parent is not None:
-            parent.children.append(task)
+        task.add_thread(main(ProcessContext(task)), name=name)
         return task
 
     def on_task_exit(self, task: Task) -> None:
@@ -411,11 +405,10 @@ class Kernel:
         child = self._fork_task(task, child_main)
         return SysResult(child.pid)
 
-    def _fork_task(self, task: Task, child_main,
-                   name: Optional[str] = None) -> Task:
+    def _fork_task(self, task: Task, child_main) -> Task:
         from repro.runtime.context import ProcessContext
 
-        child = Task(self, task.machine, name or f"{task.name}.child",
+        child = Task(self, task.machine, f"{task.name}.child",
                      self._next_pid)
         child.daemon = task.daemon
         self._next_pid += 1

@@ -61,10 +61,9 @@ class Pollable(FileDescription):
 class StreamBuffer:
     """One direction of a stream connection."""
 
-    def __init__(self, limit: int = 1 << 20) -> None:
+    def __init__(self) -> None:
         self.chunks: Deque[bytes] = deque()
         self.size = 0
-        self.limit = limit
         self.eof = False
 
     def push(self, data: bytes) -> None:

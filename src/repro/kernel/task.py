@@ -97,6 +97,9 @@ class SyscallGate:
         self.table: Optional[Dict[str, Callable]] = None
         self.default_handler: Optional[Callable] = None
         self.patch_kinds: Dict[str, str] = {}
+        #: Varan role of the installed table: None (native or a baseline
+        #: monitor), "leader" or "follower"; set by ``install_tables``.
+        self.role: Optional[str] = None
         #: Extra per-call dispatch charge (used by ptrace-style monitors).
         self.pre_dispatch: Optional[Callable] = None
         # Per-dispatch hot path: the three interception charges are
@@ -146,11 +149,10 @@ class SyscallGate:
         else:
             result = yield from task.kernel.native(task, call)
         if tracer is not None:
-            role = (getattr(self, "_varan_role", None)
-                    or ("intercept" if self.intercepting else "native"))
+            role = self.role or ("intercept" if self.intercepting
+                                 else "native")
             tracer.span_here(task.kernel.sim, start_ps, "syscall", call.name,
-                             (("retval", getattr(result, "retval", 0)),
-                              ("role", role)))
+                             (("retval", result.retval), ("role", role)))
         if checked and result.retval < 0:
             raise SysError(result.errno, call.name)
         return result
@@ -194,16 +196,13 @@ class Task:
 
     # -- threads ---------------------------------------------------------
 
-    def add_thread(self, gen, name: Optional[str] = None,
-                   daemon: Optional[bool] = None) -> Process:
-        if daemon is None:
-            daemon = self.daemon
+    def add_thread(self, gen, name: Optional[str] = None) -> Process:
         tid = self.pid * 100 + self._next_tid
         self._next_tid += 1
         proc = self.machine.spawn(
             self._thread_runner(gen),
             name=name or f"{self.name}.t{tid}",
-            daemon=daemon,
+            daemon=self.daemon,
         )
         self.threads.append(proc)
         self.thread_ids[proc] = tid
@@ -213,15 +212,14 @@ class Task:
         proc = self.kernel.sim.current_process
         return self.thread_ids.get(proc, self.pid * 100)
 
-    def thread_index(self, proc=None) -> int:
-        """Creation-order index of a thread within this task.
+    def thread_index(self) -> int:
+        """Creation-order index of the running thread within this task.
 
         Stable across variants (thread spawn order is deterministic), so
         NVX monitors use it to pair leader and follower threads (§3.3.3).
         """
-        proc = proc or self.kernel.sim.current_process
         try:
-            return self.threads.index(proc)
+            return self.threads.index(self.kernel.sim.current_process)
         except ValueError:
             return 0
 
@@ -237,7 +235,7 @@ class Task:
         if not self.exited and all(
                 t.done or t is self.kernel.sim.current_process
                 for t in self.threads):
-            self._exit(0 if result is None else 0)
+            self._exit(0)
         return result
 
     def _on_segfault(self, fault: Segfault) -> None:

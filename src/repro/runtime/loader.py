@@ -43,7 +43,7 @@ class LoadedImage:
     #: the task's syscall gate.
     patch_kinds: Dict[str, str]
 
-    def make_cpu(self, name: str = "cpu", translate: bool = True):
+    def make_cpu(self, name: str = "cpu"):
         """Convenience: a Cpu positioned at this image's entry point.
 
         Created *after* rewriting, so the translation cache sees the
@@ -51,12 +51,10 @@ class LoadedImage:
         segment-version invalidation instead.
         """
         from repro.isa.cpu import Cpu
-        return Cpu(self.space, self.entry, self.stack_top, name=name,
-                   translate=translate)
+        return Cpu(self.space, self.entry, self.stack_top, name=name)
 
 
-def load_image(image: Image, seed: int = 0,
-               stack_size: int = 0x4000) -> LoadedImage:
+def load_image(image: Image, seed: int = 0) -> LoadedImage:
     """Load one version and selectively rewrite it (§3.1-§3.2)."""
     space = AddressSpace()
     rewriter = BinaryRewriter(space, auto=False)
@@ -77,8 +75,8 @@ def load_image(image: Image, seed: int = 0,
     text = space.map(Segment(image.text_addr, code, perms="rx", name="text"))
 
     stack_top = 0x7FFF_0000
-    space.map(Segment(stack_top - stack_size, bytes(stack_size),
-                      perms="rw", name="stack"))
+    space.map(Segment(stack_top - 0x4000, bytes(0x4000), perms="rw",
+                      name="stack"))
 
     rewriter.rewrite_segment(text)
     rewrite_vdso(rewriter, vdso_segment, vdso_symbols)

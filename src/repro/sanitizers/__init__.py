@@ -9,7 +9,7 @@ from repro.sanitizers.build import (
     Sanitizer,
     sanitized_spec,
 )
-from repro.sanitizers.heap import SanitizerAbort, SanitizerReport, SimHeap
+from repro.sanitizers.heap import SanitizerReport, SimHeap
 
 __all__ = [
     "ASAN",
@@ -19,7 +19,6 @@ __all__ = [
     "SanitizedContext",
     "Sanitizer",
     "sanitized_spec",
-    "SanitizerAbort",
     "SanitizerReport",
     "SimHeap",
 ]

@@ -45,29 +45,25 @@ SANITIZERS = {"asan": ASAN, "msan": MSAN, "tsan": TSAN}
 class SanitizedContext(ProcessContext):
     """A ProcessContext whose compute runs under instrumentation."""
 
-    def __init__(self, task, sanitizer: Sanitizer,
-                 reports: List, halt_on_error: bool = False) -> None:
+    def __init__(self, task, sanitizer: Sanitizer, reports: List) -> None:
         super().__init__(task)
         self.sanitizer = sanitizer
         self.sanitizer_reports = reports
-        self.sanitizer_halt = halt_on_error
 
     def compute(self, ncycles: float):
         yield Compute(cycles(ncycles * self.sanitizer.slowdown))
 
 
 def sanitized_spec(name: str, main: Callable, sanitizer: Sanitizer,
-                   reports: List, halt_on_error: bool = False,
-                   image=None) -> VersionSpec:
+                   reports: List) -> VersionSpec:
     """Build a VersionSpec whose task runs under ``sanitizer``.
 
     ``reports`` collects every SanitizerReport the build produces.
     """
 
     def sanitized_main(ctx):
-        instrumented = SanitizedContext(ctx.task, sanitizer, reports,
-                                        halt_on_error)
+        instrumented = SanitizedContext(ctx.task, sanitizer, reports)
         return (yield from main(instrumented))
 
     return VersionSpec(name=f"{name}+{sanitizer.name}",
-                       main=sanitized_main, image=image)
+                       main=sanitized_main)

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.costmodel import cycles
-from repro.errors import ReproError
 from repro.sim.core import Compute
-
-
-class SanitizerAbort(ReproError):
-    """Raised when a sanitizer in halt-on-error mode finds a bug."""
 
 
 @dataclass
@@ -44,14 +39,13 @@ class SimHeap:
 
     REDZONE = 16
 
-    def __init__(self, ctx, base: int = 0x10_0000_0000) -> None:
+    def __init__(self, ctx) -> None:
         self.ctx = ctx
-        self._next = base
+        self._next = 0x10_0000_0000
         self._blocks: Dict[int, _Block] = {}
         self._by_range: List[_Block] = []
         self.sanitizer = getattr(ctx, "sanitizer", None)
         self.reports: List[SanitizerReport] = []
-        self.halt_on_error = getattr(ctx, "sanitizer_halt", False)
 
     # -- allocation --------------------------------------------------------
 
@@ -60,7 +54,7 @@ class SimHeap:
         cost = 90
         if self.sanitizer is not None:
             cost += self.sanitizer.malloc_overhead
-        yield Compute(cycles(self._scaled(cost)))
+        yield Compute(cycles(cost))
         addr = self._next
         self._next += size + self.REDZONE
         block = _Block(addr=addr, size=size)
@@ -70,7 +64,7 @@ class SimHeap:
 
     def free(self, addr: int):
         """Generator: release an allocation."""
-        yield Compute(cycles(self._scaled(60)))
+        yield Compute(cycles(60))
         block = self._blocks.get(addr)
         if block is None:
             self._report("invalid-free", addr, "free of unknown pointer")
@@ -86,15 +80,15 @@ class SimHeap:
         """Generator: a write access with shadow checking."""
         yield from self._access(addr, nbytes, write=True)
 
-    def load(self, addr: int, nbytes: int = 8):
-        """Generator: a read access with shadow checking."""
-        yield from self._access(addr, nbytes, write=False)
+    def load(self, addr: int):
+        """Generator: an 8-byte read access with shadow checking."""
+        yield from self._access(addr, 8, write=False)
 
     def _access(self, addr: int, nbytes: int, write: bool):
         cost = 2
         if self.sanitizer is not None:
             cost += self.sanitizer.access_overhead
-        yield Compute(cycles(self._scaled(cost)))
+        yield Compute(cycles(cost))
         if self.sanitizer is None:
             return
         block = self._find(addr)
@@ -132,11 +126,6 @@ class SimHeap:
 
     # -- internals ----------------------------------------------------------------
 
-    def _scaled(self, cost: float) -> float:
-        if self.sanitizer is None:
-            return cost
-        return cost  # slowdown applies to compute, not per-op base
-
     def _thread(self) -> int:
         return self.ctx.task.thread_index()
 
@@ -152,5 +141,3 @@ class SimHeap:
         sink = getattr(self.ctx, "sanitizer_reports", None)
         if sink is not None:
             sink.append(report)
-        if self.halt_on_error:
-            raise SanitizerAbort(f"{kind} at {addr:#x}: {detail}")

@@ -52,19 +52,18 @@ TIMEOUT = object()
 class Compute:
     """Occupy a core for ``ps`` picoseconds of computation.
 
-    ``preemptible`` computations give up the core at completion when other
-    processes are queued for it (cooperative round-robin), which
-    approximates processor sharing without a preemption quantum.
+    A computation gives up the core at completion when other processes
+    are queued for it (cooperative round-robin), which approximates
+    processor sharing without a preemption quantum.
     """
 
-    __slots__ = ("ps", "preemptible")
+    __slots__ = ("ps",)
 
-    def __init__(self, ps: int, preemptible: bool = True) -> None:
+    def __init__(self, ps: int) -> None:
         self.ps = ps
-        self.preemptible = preemptible
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Compute(ps={self.ps}, preemptible={self.preemptible})"
+        return f"Compute(ps={self.ps})"
 
 
 class Sleep:
@@ -384,7 +383,7 @@ class Process:
             ps = cmd.ps
             self.cpu_ps += ps
             sim._post(ps, self, self._wake_token,
-                      self._cb_after_compute, cmd.preemptible)
+                      self._cb_after_compute, None)
         else:
             self._dispatch(cmd)
 
@@ -401,7 +400,7 @@ class Process:
                 self.state = SPINNING
             else:
                 self.state = BLOCKED
-                self.machine.release_core(self)
+                self.machine.release_core()
             if cmd.timeout_ps is not None:
                 self.sim._post(cmd.timeout_ps, self, self._wake_token,
                                self._cb_on_timeout, None)
@@ -412,7 +411,7 @@ class Process:
                                (("spin", cmd.spin),))
         elif cls is Sleep:
             self.state = SLEEPING
-            self.machine.release_core(self)
+            self.machine.release_core()
             self.sim._post(cmd.ps, self, self._wake_token,
                            self._cb_after_sleep, None)
         else:
@@ -424,7 +423,7 @@ class Process:
             return
         self._step(value)
 
-    def _after_compute(self, preemptible: bool) -> None:
+    def _after_compute(self, _arg: Any = None) -> None:
         """Compute completion — 85 % of all dispatched events, so the
         resume is :meth:`_step` inlined (same order of effects): the run
         loop's callback reaches ``sim._post`` with no frame in between.
@@ -432,10 +431,10 @@ class Process:
         if self.state != RUNNING:
             return
         machine = self.machine
-        if preemptible and machine._ready:
+        if machine._ready:
             # Cooperative round-robin: give the core up and requeue.
             self.state = READY
-            machine.release_core(self)
+            machine.release_core()
             machine.request_core(self)
             return
         sim = self.sim
@@ -455,7 +454,7 @@ class Process:
             ps = cmd.ps
             self.cpu_ps += ps
             sim._post(ps, self, self._wake_token,
-                      self._cb_after_compute, cmd.preemptible)
+                      self._cb_after_compute, None)
         else:
             self._dispatch(cmd)
 
@@ -485,7 +484,7 @@ class Process:
         self.exception = exception
         self._wake_token += 1  # lazily cancel any outstanding timeout
         if had_core:
-            self.machine.release_core(self)
+            self.machine.release_core()
         self._fire_done()
 
     def _fire_done(self) -> None:

@@ -29,12 +29,10 @@ class Machine:
         self.free_cores = self.spec.logical_cores
         self._ready: Deque[Process] = deque()
 
-    def spawn(self, gen, name: str = "proc", daemon: bool = False,
-              start: bool = True) -> Process:
-        """Create (and by default start) a process on this machine."""
+    def spawn(self, gen, name: str = "proc", daemon: bool = False) -> Process:
+        """Create and start a process on this machine."""
         proc = Process(self, gen, name=name, daemon=daemon)
-        if start:
-            proc.start()
+        proc.start()
         return proc
 
     # -- core management (called by Process) ----------------------------
@@ -49,7 +47,7 @@ class Machine:
         else:
             self._ready.append(proc)
 
-    def release_core(self, proc: Process) -> None:
+    def release_core(self) -> None:
         if self._ready:
             nxt = self._ready.popleft()
             self.sim._post(0, None, 0, nxt._cb_granted_core, None)

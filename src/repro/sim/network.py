@@ -58,8 +58,7 @@ class Network:
         else:
             arrival = self.sim.now + tx + self.spec.latency_ps
         if self.faults is not None:
-            arrival = self.faults.adjust(src.name, dst.name, self.sim.now,
-                                         arrival)
+            arrival = self.faults.adjust(self.sim.now, arrival)
         arrival = max(arrival, floor_ps)
         self.bytes_sent += nbytes
         self.sim.schedule(arrival - self.sim.now, fn)

@@ -78,12 +78,12 @@ class WaitQueue:
                 pass
         return value
 
-    def notify(self, value: Any = None) -> bool:
+    def notify(self) -> bool:
         """Wake the longest-waiting process. Returns True if one woke."""
         waiters = self._waiters
         while waiters:
             entry = waiters.popleft()
-            if entry.proc.wake(value):
+            if entry.proc.wake():
                 return True
         return False
 
@@ -102,7 +102,7 @@ class WaitQueue:
                 woken += 1
         return woken
 
-    def notify_ready(self, value: Any = None) -> int:
+    def notify_ready(self) -> int:
         """Wake every parked waiter whose predicate currently holds.
 
         Waiters without a predicate are treated as always-ready.  The
@@ -119,7 +119,7 @@ class WaitQueue:
         for entry in waiters:
             ready = entry.ready
             if ready is None or ready():
-                if entry.proc.wake(value):
+                if entry.proc.wake():
                     woken += 1
                 # else: stale entry (already timed out) — drop it
             else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.config import SessionConfig
-from repro.costmodel import CostModel, DEFAULT_COSTS
+from repro.costmodel import DEFAULT_COSTS
 from repro.errors import NvxError
 from repro.kernel.kernel import Kernel
 from repro.sim.core import Simulator
@@ -26,15 +26,9 @@ __all__ = ["World", "SessionConfig"]
 class World:
     """A complete simulated testbed."""
 
-    def __init__(self, costs: CostModel = DEFAULT_COSTS,
-                 machine_names=("server", "client"), seed: int = 0,
-                 tracer=None) -> None:
-        self.costs = costs
+    def __init__(self, machine_names=("server", "client")) -> None:
+        self.costs = costs = DEFAULT_COSTS
         self.sim = Simulator()
-        if tracer is not None:
-            # Explicit per-world tracer overrides the process-wide one
-            # the simulator picked up (if any).
-            self.sim.tracer = tracer
         self.tracer = self.sim.tracer
         if self.tracer is not None:
             # Distinguish this world's machines in merged traces; worlds
@@ -45,7 +39,7 @@ class World:
             name: Machine(self.sim, costs.machine, name=name)
             for name in machine_names
         }
-        self.kernel = Kernel(self.sim, self.network, costs, seed=seed)
+        self.kernel = Kernel(self.sim, self.network, costs)
 
     def machine(self, name: str) -> Machine:
         """The named machine, with a diagnosable error when absent."""
@@ -65,11 +59,11 @@ class World:
     def client(self) -> Machine:
         return self.machine("client")
 
-    def spawn(self, main, name: str = "proc",
-              machine: Optional[Machine] = None, daemon: bool = False):
-        """Spawn a native (un-monitored) task running ``main(ctx)``."""
-        return self.kernel.spawn_task(machine or self.server, main,
-                                      name=name, daemon=daemon)
+    def spawn(self, main, name: str = "proc", daemon: bool = False):
+        """Spawn a native (un-monitored) task running ``main(ctx)`` on
+        the server."""
+        return self.kernel.spawn_task(self.server, main, name=name,
+                                      daemon=daemon)
 
     # -- session facade ----------------------------------------------------
 

@@ -56,20 +56,19 @@ class TestHttpd:
     def test_response_carries_full_page(self):
         stats = ServerStats()
         mains, report = make_wrk(clients=1, duration_ps=SEC_PS // 1000)
-        drive(make_httpd(LIGHTTPD, stats=stats,
-                         page_path="/var/www/index.html"), mains)
+        drive(make_httpd(LIGHTTPD, stats=stats), mains)
         assert stats.bytes_out >= report.requests * 4096
 
 
 class TestBeanstalkd:
     def test_pushes_inserted(self):
         stats = ServerStats()
-        mains, report = make_beanstalkd_benchmark(workers=3, pushes=20,
-                                                  scale=1.0)
+        # 10 workers x 10 000 pushes, scaled to 20 pushes each.
+        mains, report = make_beanstalkd_benchmark(scale=0.002)
         drive(make_beanstalkd(stats=stats), mains)
         assert report.errors == 0
-        assert report.requests == 60
-        assert stats.requests == 60
+        assert report.requests == 200
+        assert stats.requests == 200
 
     def test_reserve_delete_cycle(self):
         stats = ServerStats()
@@ -151,20 +150,19 @@ class TestRedis:
 class TestMemcached:
     def test_memslap_roundtrip(self):
         stats = ServerStats()
-        mains, report = make_memslap(initial_load=40, executions=40,
-                                     concurrency=4, scale=1.0)
+        # 16 clients, each loading 2 keys then running 2 requests.
+        mains, report = make_memslap(scale=0.0032)
         drive(make_memcached(stats=stats), mains)
         assert report.errors == 0
-        assert report.requests == 40
+        assert report.requests == 32
         # loads + mixed ops all hit the worker threads
-        assert stats.requests >= 40
+        assert stats.requests >= 32
 
     def test_connections_distributed_across_workers(self):
         stats = ServerStats()
-        mains, report = make_memslap(initial_load=8, executions=8,
-                                     concurrency=4, scale=1.0)
-        drive(make_memcached(stats=stats, workers=2), mains)
-        assert stats.connections == 4
+        mains, report = make_memslap(scale=0.0016)
+        drive(make_memcached(stats=stats), mains)
+        assert stats.connections == 16
 
 
 class TestNginx:
@@ -172,7 +170,7 @@ class TestNginx:
         stats = ServerStats()
         mains, report = make_wrk(port=8080, clients=8,
                                  duration_ps=SEC_PS // 100)
-        drive(make_nginx(port=8080, stats=stats, workers=2), mains)
+        drive(make_nginx(port=8080, stats=stats), mains)
         assert report.errors == 0
         assert report.requests > 20
         assert stats.requests == report.requests

@@ -43,7 +43,12 @@ ZERO_COST = replace(
 
 
 def make_world(costs=DEFAULT_COSTS):
-    world = World(costs=costs, machine_names=MACHINES)
+    world = World(machine_names=MACHINES)
+    # ZERO_COST differs from the default only in the link and the stream
+    # costs: sessions read the stream costs from ``world.costs`` when
+    # built, the network reads its spec per delivery.
+    world.costs = costs
+    world.network.spec = costs.network
     for name in ("server", "replica1", "replica2"):
         world.kernel.fs(world.machine(name)).create("/d/data", DATA)
     return world

@@ -90,9 +90,8 @@ class TestFaultPlan:
         assert a.describe() != b.describe()
 
     def test_random_plan_keeps_a_survivor(self):
-        for seed in range(50):
-            plan = FaultPlan.random(random.Random(seed), 2, 10**8,
-                                    max_faults=5)
+        for seed in range(200):
+            plan = FaultPlan.random(random.Random(seed), 2, 10**8)
             crashed = [f for f in plan.faults if f.kind == CRASH]
             assert len(crashed) <= 1  # of 2 variants, one always survives
 
@@ -306,14 +305,14 @@ class TestNetworkFaults:
     def test_partition_holds_and_redelivers(self):
         net = NetworkFaults(partitions=[(100, 200)], loss_windows=[])
         # Inside the window: held until heal + full transit.
-        assert net.adjust("a", "b", now=150, arrival=160) == 210
+        assert net.adjust(now=150, arrival=160) == 210
         assert net.messages_held == 1
         # Outside the window: untouched.
-        assert net.adjust("a", "b", now=250, arrival=260) == 260
+        assert net.adjust(now=250, arrival=260) == 260
 
     def test_loss_window_delays_by_retransmit(self):
-        net = NetworkFaults(partitions=[], loss_windows=[(0, 10**9)], seed=5)
-        arrivals = [net.adjust("a", "b", now=t, arrival=t + 10)
+        net = NetworkFaults(partitions=[], loss_windows=[(0, 10**9)])
+        arrivals = [net.adjust(now=t, arrival=t + 10)
                     for t in range(0, 1000, 10)]
         delayed = [a for t, a in zip(range(0, 1000, 10), arrivals)
                    if a != t + 10]
@@ -324,10 +323,10 @@ class TestNetworkFaults:
         assert 0.0 < LOSS_PROBABILITY < 1.0
 
     def test_same_seed_same_losses(self):
-        a = NetworkFaults([], [(0, 10**6)], seed=3)
-        b = NetworkFaults([], [(0, 10**6)], seed=3)
-        seq_a = [a.adjust("x", "y", now=i, arrival=i + 5) for i in range(50)]
-        seq_b = [b.adjust("x", "y", now=i, arrival=i + 5) for i in range(50)]
+        a = NetworkFaults([], [(0, 10**6)])
+        b = NetworkFaults([], [(0, 10**6)])
+        seq_a = [a.adjust(now=i, arrival=i + 5) for i in range(50)]
+        seq_b = [b.adjust(now=i, arrival=i + 5) for i in range(50)]
         assert seq_a == seq_b
 
 

@@ -306,9 +306,13 @@ class TestWorld:
         assert world.kernel.fs(world.client).lookup("/tmp/x") is None
 
     def test_custom_cost_model(self):
-        from repro.costmodel import CostModel, MachineSpec
+        from repro.costmodel import MachineSpec
+        from repro.sim.machine import Machine
 
-        costs = CostModel(machine=MachineSpec(logical_cores=2,
-                                              physical_cores=1))
-        world = World(costs=costs)
-        assert world.server.spec.logical_cores == 2
+        # A world's machines take the cost model's MachineSpec; a machine
+        # built on the world's engine takes any other.
+        world = World()
+        small = Machine(world.sim, MachineSpec(logical_cores=2,
+                                               physical_cores=1))
+        assert small.spec.logical_cores == small.free_cores == 2
+        assert world.server.spec is world.costs.machine

@@ -56,7 +56,7 @@ def world(cores=8):
 
 def _run_two_workers(command_for):
     """Two processes share one core and a wait queue; every compute they
-    yield comes from ``command_for(ps, preemptible)``."""
+    yield comes from ``command_for(ps)``."""
     with obs.tracing() as tracer:
         sim, m = world(cores=1)
         queue = WaitQueue(sim, name="q")
@@ -65,20 +65,20 @@ def _run_two_workers(command_for):
 
         def producer():
             for _ in range(4):
-                yield command_for(700, True)
+                yield command_for(700)
                 observed.append(("p", sim.now))
                 items.append(sim.now)
                 queue.notify()
-            yield command_for(300, False)
+            yield command_for(300)
 
         def consumer():
             for _ in range(4):
                 while not items:
                     yield from queue.wait()
                 items.pop()
-                yield command_for(700, True)
+                yield command_for(700)
                 observed.append(("c", sim.now))
-            yield command_for(300, False)
+            yield command_for(300)
 
         procs = [m.spawn(consumer(), name="c"), m.spawn(producer(), name="p")]
         sim.run()
@@ -90,19 +90,17 @@ class TestCommandsAreValues:
     def test_one_instance_yielded_repeatedly_and_concurrently(self):
         shared = {}
 
-        def by_reference(ps, preemptible):
-            key = (ps, preemptible)
-            if key not in shared:
-                shared[key] = Compute(ps, preemptible)
-            return shared[key]
+        def by_reference(ps):
+            if ps not in shared:
+                shared[ps] = Compute(ps)
+            return shared[ps]
 
         fresh = _run_two_workers(Compute)
         reused = _run_two_workers(by_reference)
         assert reused == fresh
         assert fresh[2] == [4 * 700 + 300] * 2
         # Two instances served ten yields from two processes, unchanged.
-        assert sorted((c.ps, c.preemptible) for c in shared.values()) == [
-            (300, False), (700, True)]
+        assert sorted(c.ps for c in shared.values()) == [300, 700]
 
     def test_block_and_compute_instances_survive_reuse(self):
         sim, m = world()
@@ -119,7 +117,7 @@ class TestCommandsAreValues:
         sim.run()
         assert proc.result == 3 * 70 and proc.cpu_ps == 60
         assert (spin.spin, spin.timeout_ps) == (True, 50)
-        assert (burn.ps, burn.preemptible) == (20, True)
+        assert burn.ps == 20
 
 
 # -- (b) the inlined resume keeps _step's order of effects --------------------
@@ -157,7 +155,7 @@ class TestInlinedResumeOrdering:
     def test_on_done_sees_the_finishing_process_as_current(self, body):
         sim, m = world()
         seen = []
-        proc = m.spawn(body(), name="p", start=False)
+        proc = Process(m, body(), name="p")
         proc.on_done(lambda p: seen.append(sim.current_process))
         proc.start()
         sim.run()
@@ -168,7 +166,7 @@ class TestInlinedResumeOrdering:
                                       _finishes_at_first_grant])
     def test_join_waker_runs_with_the_finishing_process_current(self, body):
         sim, m = world()
-        target = m.spawn(body(), name="target", start=False)
+        target = Process(m, body(), name="target")
 
         def joiner():
             waiter = sim.current_process
@@ -217,34 +215,25 @@ class TestInlinedResumeOrdering:
         proc = m.spawn(parked(), name="p", daemon=True)
         sim.run()
         assert proc.state == BLOCKED
-        proc._after_compute(True)
-        proc._after_compute(False)
+        proc._after_compute(None)
         assert proc.state == BLOCKED and steps == ["parked"]
 
     def test_preemptible_computes_alternate_on_one_core(self):
         sim, m = world(cores=1)
         order = []
 
-        def main(name, preemptible):
+        def main(name):
             for _ in range(3):
-                yield Compute(100, preemptible)
+                yield Compute(100)
                 order.append((name, sim.now))
 
-        m.spawn(main("a", True), name="a")
-        m.spawn(main("b", True), name="b")
+        m.spawn(main("a"), name="a")
+        m.spawn(main("b"), name="b")
         sim.run()
         # Each completion requeues behind the other process before the
         # generator is resumed, so a step is observed one slice late.
         assert order == [("a", 200), ("b", 300), ("a", 400), ("b", 500),
                          ("a", 600), ("b", 600)]
-        # A non-preemptible compute keeps the core although "d" queues.
-        order.clear()
-        start = sim.now
-        m.spawn(main("c", False), name="c")
-        m.spawn(main("d", False), name="d")
-        sim.run()
-        assert [name for name, _ in order] == ["c"] * 3 + ["d"] * 3
-        assert order[-1][1] == start + 600
 
     @pytest.mark.parametrize("warmup", [0, 1], ids=["via_step",
                                                     "via_after_compute"])

@@ -278,6 +278,20 @@ class TestAddressSpace:
         with pytest.raises(RewriteError):
             space.mprotect(seg, "rwx")
 
+    def test_mprotect_refuses_perms_outside_rwx(self):
+        # mprotect and Segment share one perms setter: the alphabet
+        # error is Segment's, and the segment is left as it was.
+        space = AddressSpace()
+        seg = space.map(Segment(0x1000, bytes(16), perms="r", name="a"))
+        with pytest.raises(ExecutionFault, match="bad perms 'rq'"):
+            space.mprotect(seg, "rq")
+        assert seg.perms == "r" and (seg.r_ok, seg.w_ok, seg.x_ok) == (
+            True, False, False)
+        with pytest.raises(ExecutionFault, match="bad perms 'rq'"):
+            Segment(0x1000, bytes(16), perms="rq")
+        space.mprotect(seg, "rw")
+        assert seg.perms == "rw" and seg.w_ok and not seg.x_ok
+
     @pytest.mark.parametrize("perms", ["rwx", "wx"])
     def test_wx_refused_at_map_time(self, perms):
         # W^X holds from the first mapping on, not only across mprotect:

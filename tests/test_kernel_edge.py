@@ -148,7 +148,7 @@ class TestListenerLifecycle:
             return outcomes
 
         world.spawn(tiny_backlog_server, name="s", daemon=True)
-        task = world.spawn(client, name="c", machine=world.client)
+        task = world.kernel.spawn_task(world.client, client, name="c")
         world.run()
         outcomes = task.threads[0].result
         assert outcomes[0] == 0

@@ -52,7 +52,7 @@ class TestSockets:
             return result.retval
 
         w = World()
-        task = w.spawn(main, name="c", machine=w.client)
+        task = w.kernel.spawn_task(w.client, main, name="c")
         w.run()
         assert finish(task.threads[0]) == -ECONNREFUSED
 
@@ -103,7 +103,7 @@ class TestSockets:
             stamps["rtt"] = ctx.sim.now - start
 
         w.spawn(server, name="s")
-        w.spawn(client, name="c", machine=w.client)
+        w.kernel.spawn_task(w.client, client, name="c")
         w.run()
         # At least two round trips across a 30 µs-latency link.
         assert stamps["rtt"] >= 4 * w.costs.network.latency_ps
@@ -305,7 +305,7 @@ class TestEpoll:
             return s, before, after
 
         w.spawn(server, name="s")
-        task = w.spawn(client, name="c", machine=w.client)
+        task = w.kernel.spawn_task(w.client, client, name="c")
         w.run()
         s, before, after = finish(task.threads[0])
         assert before == []

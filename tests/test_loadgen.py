@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.apps.redis import make_redis
-from repro.clients.base import LatencyDigest
+from repro.clients.base import DIGEST_LIMIT, LatencyDigest
 from repro.clients.loadgen import (
     DEFAULT_CLASSES,
     OpenLoopConfig,
@@ -47,10 +47,11 @@ class TestLatencyDigest:
     def test_bounded_beyond_limit(self, values):
         """Past the limit the reservoir stays bounded and percentiles
         stay inside the observed range and monotone in pct."""
-        digest = LatencyDigest(limit=16)
+        values = values * (DIGEST_LIMIT // len(values) + 2)
+        digest = LatencyDigest()
         for value in values:
             digest.observe(value)
-        assert len(digest.reservoir) == 16
+        assert len(digest.reservoir) == DIGEST_LIMIT
         assert digest.hist.count == len(values)
         p50 = digest.percentile_ps(50)
         p99 = digest.percentile_ps(99)
@@ -62,8 +63,8 @@ class TestLatencyDigest:
     def test_deterministic_reservoir(self):
         """The digest-local seeded RNG makes replacement deterministic:
         two identical observation sequences yield identical digests."""
-        a, b = LatencyDigest(limit=8), LatencyDigest(limit=8)
-        for i in range(1000):
+        a, b = LatencyDigest(), LatencyDigest()
+        for i in range(DIGEST_LIMIT + 1000):
             value = (i * 2654435761) % 100_000 + 1
             a.observe(value)
             b.observe(value)

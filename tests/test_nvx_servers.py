@@ -14,6 +14,7 @@ from repro.apps import (
     nginx_image,
     redis_image,
 )
+from repro.apps.nginx import WORKERS as NGINX_WORKERS
 from repro.clients import (
     make_beanstalkd_benchmark,
     make_memslap,
@@ -68,8 +69,7 @@ class TestServersUnderVaran:
 
         session, report = run_nvx_server(
             lambda: make_beanstalkd(stats=ServerStats()),
-            lambda: make_beanstalkd_benchmark(workers=3, pushes=10,
-                                              scale=1.0),
+            lambda: make_beanstalkd_benchmark(scale=0.001),
             followers=1, image_factory=beanstalkd_image)
         assert report.errors == 0
         leader = session.variants[0]
@@ -80,8 +80,7 @@ class TestServersUnderVaran:
     def test_memcached_multithreaded_replay(self):
         session, report = run_nvx_server(
             lambda: make_memcached(stats=ServerStats()),
-            lambda: make_memslap(initial_load=24, executions=24,
-                                 concurrency=4, scale=1.0),
+            lambda: make_memslap(scale=0.0032),
             followers=2)
         assert report.errors == 0
         assert not session.stats.fatal_divergences
@@ -91,18 +90,18 @@ class TestServersUnderVaran:
 
     def test_nginx_multiprocess_replay(self):
         session, report = run_nvx_server(
-            lambda: make_nginx(port=8080, stats=ServerStats(), workers=2),
+            lambda: make_nginx(port=8080, stats=ServerStats()),
             lambda: make_wrk(port=8080, clients=4,
                              duration_ps=SEC_PS // 200),
             followers=1, image_factory=nginx_image)
         assert report.errors == 0 and report.requests > 5
         assert not session.stats.fatal_divergences
         # master tuple + one tuple per worker fork
-        assert len(session.tuples) == 3
+        assert len(session.tuples) == 1 + NGINX_WORKERS
         # The worker tuples carried the request traffic.
         worker_published = sum(t.ring.stats.published
                                for t in session.tuples[1:])
         assert worker_published > session.tuples[0].ring.stats.published
-        # Every variant forked its two workers.
+        # Every variant forked its workers.
         for variant in session.variants:
-            assert len(variant.tasks) == 3
+            assert len(variant.tasks) == 1 + NGINX_WORKERS

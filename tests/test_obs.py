@@ -23,7 +23,7 @@ def _traced_figure4_lines():
             obs.chrome_trace_json(tracer.records)
 
 
-def _micro_session(tracer=None, config=None):
+def _micro_session(config=None):
     """Two-version session issuing a handful of syscalls."""
 
     def app(ctx):
@@ -32,7 +32,7 @@ def _micro_session(tracer=None, config=None):
         yield from ctx.close(fd)
         return True
 
-    world = World(tracer=tracer)
+    world = World()
     world.kernel.fs(world.server).create("/tmp/f", b"payload!")
     specs = [VersionSpec("a", app), VersionSpec("b", app)]
     session = world.nvx(specs, config=config).start()

@@ -7,7 +7,6 @@ from repro.core.config import SessionConfig
 from repro.sanitizers import (
     ASAN,
     MSAN,
-    SanitizerAbort,
     SimHeap,
     sanitized_spec,
 )
@@ -15,15 +14,14 @@ from repro.sanitizers.build import SanitizedContext
 from repro.world import World
 
 
-def run_sanitized(body, sanitizer=ASAN, halt=False):
+def run_sanitized(body, sanitizer=ASAN):
     """Run ``body(ctx, heap)`` under a sanitized context; returns
     (reports, thread)."""
     world = World()
     reports = []
 
     def main(ctx):
-        instrumented = SanitizedContext(ctx.task, sanitizer, reports,
-                                        halt_on_error=halt)
+        instrumented = SanitizedContext(ctx.task, sanitizer, reports)
         heap = SimHeap(instrumented)
         result = yield from body(instrumented, heap)
         return result
@@ -38,7 +36,7 @@ class TestAsan:
         def body(ctx, heap):
             addr = yield from heap.malloc(64)
             yield from heap.store(addr, 8)
-            value = yield from heap.load(addr, 8)
+            value = yield from heap.load(addr)
             yield from heap.free(addr)
             return value
 
@@ -73,16 +71,6 @@ class TestAsan:
 
         reports, _ = run_sanitized(body)
         assert "double-free" in [r.kind for r in reports]
-
-    def test_halt_on_error_aborts(self):
-        def body(ctx, heap):
-            addr = yield from heap.malloc(8)
-            yield from heap.free(addr)
-            yield from heap.load(addr)
-            return "survived"
-
-        reports, thread = run_sanitized(body, halt=True)
-        assert isinstance(thread.exception, SanitizerAbort)
 
     def test_unsanitized_heap_never_reports(self):
         world = World()

@@ -21,7 +21,7 @@ class TestMutex:
         def worker(name):
             yield from mutex.acquire()
             trace.append(("enter", name, sim.now))
-            yield Compute(1000, preemptible=False)
+            yield Compute(1000)
             trace.append(("exit", name, sim.now))
             mutex.release()
 
@@ -45,7 +45,7 @@ class TestMutex:
             yield Sleep(delay)
             yield from mutex.acquire()
             order.append(name)
-            yield Compute(10_000, preemptible=False)
+            yield Compute(10_000)
             mutex.release()
 
         machine.spawn(worker("first", 0), name="f")
