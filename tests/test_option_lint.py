@@ -120,6 +120,8 @@ class Census:
                 self._record(name, node.args, node.keywords)
             if isinstance(func, ast.Attribute) and not isinstance(
                     func.value, ast.Name):
+                # ``random.Random(7)`` calls into a namespace; it is
+                # not a value of ``random``.
                 self._visit(func.value, owner, skip)
             skip.add(id(func))
         elif id(node) in skip:
@@ -127,11 +129,6 @@ class Census:
         elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                 node.ctx, ast.Load):
             self.values.add(_names(node))
-            if isinstance(node, ast.Attribute) and isinstance(
-                    node.value, ast.Name):
-                # ``random.Random``: a namespace, not a value of
-                # ``random``.
-                return
         for child in ast.iter_child_nodes(node):
             self._visit(child, owner, skip)
 
@@ -149,10 +146,9 @@ class Census:
         their own."""
         found = set()
         for sub, bases in self.bases.items():
-            if cls in bases and sub not in found:
-                if method not in self.methods.get(sub, ()):
-                    found.add(sub)
-                    found |= self.heirs(sub, method)
+            if (cls in bases and sub != cls
+                    and method not in self.methods.get(sub, ())):
+                found |= {sub} | self.heirs(sub, method)
         return found
 
     def overridden(self, cls, method):
@@ -165,12 +161,12 @@ class Census:
         ``cls``, or a plain function when ``cls`` is None)."""
         if name != "__init__":
             return self.calls.get(name, [])
+        owners = {cls} | self.heirs(cls, "__init__")
         shapes = []
-        for owner in {cls} | self.heirs(cls, "__init__"):
+        for owner in owners:
             shapes += self.calls.get(owner, [])
         for sub, bases in self.bases.items():
-            if sub not in self.heirs(cls, "__init__") and (
-                    cls in bases or bases & self.heirs(cls, "__init__")):
+            if sub not in owners and bases & owners:
                 shapes += self.super_inits.get(sub, [])
         return shapes
 
